@@ -38,6 +38,7 @@ from .errors import ConfigError, DataError, SentradeError
 from .model_space import (
     CANDIDATES,
     Candidate,
+    FitTable,
     FittedModel,
     ModelClass,
     Variable,

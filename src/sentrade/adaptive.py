@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import IO, Callable, Iterable, Sequence
 
 from .errors import ConfigError, DataError
-from .model_space import P_THRESHOLD, FittedModel, ModelClass, fit_window
+from .model_space import P_THRESHOLD, FitTable, FittedModel, ModelClass, fit_window
 from .sessions import SessionSeries
 
 PREDICTIONS_HEADER = (
@@ -191,10 +191,11 @@ class TfwEngine:
     ) -> int | None:
         """Stage the engine's emission for session t and return it.
 
-        ``fitted_models`` is the full candidate list for this engine's
-        window, or None when the window was infeasible.  ``class_override``
-        substitutes an externally arbitrated class for the engine's own
-        spread-based choice.
+        ``fitted_models`` holds the candidate models of this engine's
+        window, of which only those that passed the filter are read, or
+        None when the window was infeasible.  ``class_override`` substitutes
+        an externally arbitrated class for the engine's own spread-based
+        choice.
         """
         if self.pending is not None:
             raise DataError(f"engine w={self.w}: session {self.pending.index} is unresolved")
@@ -394,10 +395,18 @@ class PipelineParams:
 
 @dataclass(frozen=True)
 class PipelineResult:
+    """A run's records and engines.
+
+    ``fit_table`` is the table the run built for its fits, None when the
+    caller supplied ``fit_fn``; ``session_seconds`` times each session's
+    replay, which includes fitting only when ``fit_fn`` fits.
+    """
+
     records: tuple[PredictionRecord, ...]
     engines: tuple[TfwEngine, ...]
     start: int
     session_seconds: tuple[float, ...]
+    fit_table: FitTable | None
 
 
 def _pooled_outcome(steps: Sequence[EngineStep], model_class: ModelClass) -> ClassOutcome:
@@ -413,6 +422,15 @@ def _pooled_outcome(steps: Sequence[EngineStep], model_class: ModelClass) -> Cla
 FitFn = Callable[[int, int], list[FittedModel]]
 
 
+def first_session(params: PipelineParams, start: int = 0) -> int:
+    """The first session a run over [start, ...) scores.
+
+    It is pushed past tfw_max + 2 so that every window is feasible from the
+    outset; earlier sessions serve as history only.
+    """
+    return max(start, params.tfw_max + 2)
+
+
 def run_pipeline(
     series: SessionSeries,
     params: PipelineParams,
@@ -424,11 +442,12 @@ def run_pipeline(
 ) -> PipelineResult:
     """Run every window engine over sessions [start, end) with fresh state.
 
-    The first processed session is pushed past tfw_max + 2 so that every
-    window is feasible from the outset; earlier sessions serve as history
-    only.  ``fit_fn`` overrides the per-(session, window) model fitting,
-    which callers use to share fits across runs; fitting is the only part
-    dispatched to threads, so results are identical for any thread count.
+    The first processed session is ``first_session(params, start)``.  By
+    default every (session, window) fit comes from one ``FitTable`` built
+    for the span; ``fit_fn`` overrides the per-(session, window) model
+    fitting, which callers use to share fits across runs.  Fitting is the
+    only part dispatched to threads, so results are identical for any
+    thread count.
     """
     n = len(series)
     end = n if end is None else end
@@ -438,17 +457,21 @@ def run_pipeline(
         raise ConfigError(f"threads must be at least 1, got {threads}")
     series.returns_array  # fail fast when returns are missing
 
+    t0 = first_session(params, start)
+    table = None
     if fit_fn is None:
-        def fit_fn(t: int, w: int) -> list[FittedModel]:
-            return fit_window(
-                series, t, w, params.p_threshold, normalize=params.normalize_sentiment
-            )
+        fit_fn = table = FitTable(
+            series,
+            range(t0, max(t0, end)),
+            params.windows,
+            params.p_threshold,
+            normalize=params.normalize_sentiment,
+        )
 
     engines = tuple(
         TfwEngine(w, params.beta, params.gamma, params.initial_spread)
         for w in params.windows
     )
-    t0 = max(start, params.tfw_max + 2)
     records: list[PredictionRecord] = []
     session_seconds: list[float] = []
     global_spread = params.initial_spread
@@ -485,7 +508,7 @@ def run_pipeline(
     finally:
         if executor is not None:
             executor.shutdown()
-    return PipelineResult(tuple(records), engines, t0, tuple(session_seconds))
+    return PipelineResult(tuple(records), engines, t0, tuple(session_seconds), table)
 
 
 def write_predictions_csv(records: Sequence[PredictionRecord], stream: IO[str]) -> None:

@@ -22,10 +22,11 @@ from .adaptive import (
     FitFn,
     PipelineParams,
     PredictionRecord,
+    first_session,
     run_pipeline,
 )
 from .errors import ConfigError, DataError
-from .model_space import FittedModel, fit_window
+from .model_space import FitTable, FittedModel, fit_window
 from .sessions import SessionSeries
 
 REPORT_HEADER = (
@@ -144,11 +145,11 @@ def simulate(
 
 
 class FitCache:
-    """Thread-safe memo of per-(session, window) model fits.
+    """Thread-safe memo of per-(session, window) reference model fits.
 
     Fits do not depend on beta or gamma, so one cache serves every grid
-    point of a training search, and a training pass primes the cache for
-    the evaluation that follows.
+    point of a search.  Runs default to a ``FitTable``; the cache keeps the
+    reference ``fit_window`` path available as a fit function.
     """
 
     def __init__(self, series: SessionSeries, p_threshold: float, normalize: bool) -> None:
@@ -184,6 +185,7 @@ class TrainingResult:
     train_return: float
     grid: tuple[tuple[float, float, float], ...]
     split_index: int
+    scored_sessions: int
 
 
 def split_point(n_sessions: int, train_fraction: float) -> int:
@@ -207,7 +209,9 @@ def train_params(
     Each grid point reruns the full pipeline from fresh engine state over
     sessions [0, split) and scores its final strategy sum; ties go to the
     smaller beta, then the smaller gamma.  The default grid crosses
-    {0.0, 0.1, ..., 1.0} with itself.
+    {0.0, 0.1, ..., 1.0} with itself.  Fits do not depend on beta or gamma,
+    so by default one ``FitTable`` over the scored sessions serves every
+    grid point.
     """
     split = split_point(len(series), train_fraction)
     minimum = base_params.tfw_max + 3
@@ -222,8 +226,15 @@ def train_params(
         points = list(grid)
         if not points:
             raise ConfigError("grid must contain at least one (beta, gamma) point")
+    start = first_session(base_params)
     if fit_fn is None:
-        fit_fn = FitCache(series, base_params.p_threshold, base_params.normalize_sentiment)
+        fit_fn = FitTable(
+            series,
+            range(start, split),
+            base_params.windows,
+            base_params.p_threshold,
+            normalize=base_params.normalize_sentiment,
+        )
 
     def run_point(point: tuple[float, float]) -> float:
         beta, gamma = point
@@ -253,6 +264,7 @@ def train_params(
         train_return=train_returns[best],
         grid=grid_rows,
         split_index=split,
+        scored_sessions=split - start,
     )
 
 
@@ -262,6 +274,7 @@ class EvaluationResult:
     records: tuple[PredictionRecord, ...]
     start: int
     session_seconds: tuple[float, ...]
+    fit_table: FitTable | None
 
 
 def evaluate(
@@ -300,6 +313,7 @@ def evaluate(
         records=result.records,
         start=result.start,
         session_seconds=result.session_seconds,
+        fit_table=result.fit_table,
     )
 
 

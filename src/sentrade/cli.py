@@ -11,9 +11,8 @@ import logging
 import sys
 from typing import IO, Sequence
 
-from .adaptive import write_predictions_csv
+from .adaptive import PipelineParams, write_predictions_csv
 from .backtest import (
-    FitCache,
     evaluate,
     train_params,
     write_report_csv,
@@ -21,8 +20,10 @@ from .backtest import (
 )
 from .config import Config, load_config, parse_params_file
 from .errors import ConfigError, DataError
+from .model_space import fit_window
 from .sessions import (
     MarketCalendar,
+    SessionSeries,
     build_sessions,
     compute_returns,
     parse_buckets,
@@ -145,8 +146,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     print(f"beta = {result.beta!r}")
     print(f"gamma = {result.gamma!r}")
     log.info(
-        "trained on %d sessions: best train return %s at beta=%s gamma=%s",
-        result.split_index,
+        "trained on %d scored sessions: best train return %s at beta=%s gamma=%s",
+        result.scored_sessions,
         result.train_return,
         result.beta,
         result.gamma,
@@ -154,11 +155,17 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _write_models_csv(cache: FitCache, start: int, end: int, windows: range, stream: IO[str]) -> None:
+def _write_models_csv(
+    series: SessionSeries, params: PipelineParams, start: int, end: int, stream: IO[str]
+) -> None:
+    """One row per candidate per window per session, from the reference fit_window."""
     stream.write(",".join(MODELS_HEADER) + "\n")
     for t in range(start, end):
-        for w in windows:
-            for model in cache(t, w):
+        for w in params.windows:
+            models = fit_window(
+                series, t, w, params.p_threshold, normalize=params.normalize_sentiment
+            )
+            for model in models:
                 if model.fit is not None and model.fit.rank_ok:
                     p_max = repr(model.fit.max_p_value)
                 else:
@@ -189,14 +196,12 @@ def cmd_backtest(args: argparse.Namespace) -> int:
         raise ConfigError("beta and gamma are unset; pass --params or set them in the config")
     series = _load_series(args.sessions)
     params = config.pipeline_params()
-    cache = FitCache(series, params.p_threshold, params.normalize_sentiment)
     result = evaluate(
         series,
         params,
         train_fraction=config.train_fraction,
         threads=args.threads,
         cost_per_trade=config.cost_per_trade,
-        fit_fn=cache,
     )
     predictions_path = f"{args.out}predictions.csv"
     with _open_out(predictions_path) as handle:
@@ -206,12 +211,18 @@ def cmd_backtest(args: argparse.Namespace) -> int:
         write_report_csv(result.ledger, handle)
     if args.dump_models:
         with _open_out(f"{args.out}models.csv") as handle:
-            _write_models_csv(cache, result.start, result.start + len(result.records), params.windows, handle)
+            end = result.start + len(result.records)
+            _write_models_csv(series, params, result.start, end, handle)
     ledger = result.ledger
     seconds = result.session_seconds
+    table = result.fit_table
     log.info(
-        "evaluated %d sessions in %.2fs (mean %.1f ms, max %.1f ms per session)",
+        "evaluated %d sessions: fit table %.2fs (%d of %d cells refitted by the reference), "
+        "replay %.2fs (mean %.1f ms, max %.1f ms per session)",
         len(seconds),
+        table.build_seconds,
+        len(table.fallback_cells),
+        len(table.sessions) * len(table.windows),
         sum(seconds),
         1000.0 * sum(seconds) / len(seconds),
         1000.0 * max(seconds),

@@ -6,17 +6,24 @@ and neutral sentiment counts.  Candidates are every non-empty subset that
 contains at least one sentiment variable, plus the single financial pair
 made of both lagged returns.  A candidate survives a window only when every
 one of its regressors is individually significant below the p threshold.
+
+``fit_window`` fits one (session, window) cell through the SVD reference
+``fit_ols``.  ``FitTable`` fits every cell of a span in one batched pass
+over cross-product matrices and hands the few cells it cannot decide with
+certainty back to ``fit_window``.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from scipy.special import stdtrit
 
 from .errors import DataError
-from .regression import DesignMatrix, FitResult, fit_ols
+from .regression import CONDITION_LIMIT, DesignMatrix, FitResult, fit_ols, two_sided_t_pvalue
 from .sessions import SessionSeries
 
 P_THRESHOLD = 0.10
@@ -93,24 +100,13 @@ class FittedModel:
     passed_filter: bool
 
 
-def _column(series: SessionSeries, variable: Variable, start: int, stop: int, normalize: bool) -> np.ndarray:
-    r = series.returns_array
-    if variable is Variable.R1:
-        return r[start - 1 : stop - 1]
-    if variable is Variable.R2:
-        return r[start - 2 : stop - 2]
-    pos, neg, neu = series.pos_array, series.neg_array, series.neu_array
-    if normalize:
-        total = pos + neg + neu
-        with np.errstate(invalid="ignore", divide="ignore"):
-            shares = {
-                Variable.P1: np.where(total > 0, pos / total, 0.0),
-                Variable.N1: np.where(total > 0, neg / total, 0.0),
-                Variable.Z1: np.where(total > 0, neu / total, 0.0),
-            }
-        return shares[variable][start - 1 : stop - 1]
-    raw = {Variable.P1: pos, Variable.N1: neg, Variable.Z1: neu}
-    return raw[variable][start - 1 : stop - 1]
+def _regressors(series: SessionSeries, normalize: bool) -> np.ndarray:
+    """The series' [1 | R1 R2 P1 N1 Z1] rows, with count shares if ``normalize``."""
+    return series.lagged_share_regressors if normalize else series.lagged_regressors
+
+
+# Column of each variable in a row of _regressors (column 0 is the intercept).
+_POSITION = {v: 1 + i for i, v in enumerate(Variable)}
 
 
 def build_design(
@@ -132,13 +128,12 @@ def build_design(
         raise DataError(f"window end {t} beyond series length {n}")
     if t - w < 2:
         raise DataError(f"window [{t - w}, {t}) needs two sessions of history before it")
-    columns = [_column(series, v, t - w, t, normalize) for v in variables]
-    X = np.column_stack(columns)
+    L = _regressors(series, normalize)
+    columns = [_POSITION[v] for v in variables]
+    # fit_ols's SVD rounds differently on a column-major copy.
+    X = np.ascontiguousarray(L[t - w : t, columns])
     y = series.returns_array[t - w : t]
-    prediction_row = np.array(
-        [_column(series, v, t, t + 1, normalize)[0] for v in variables]
-    )
-    return DesignMatrix(X, y), prediction_row
+    return DesignMatrix(X, y), L[t, columns]
 
 
 def fit_window(
@@ -172,3 +167,270 @@ def fit_window(
         passed = bool(np.all(fit.p_values < p_threshold))
         results.append(FittedModel(candidate, fit, predicted, passed))
     return results
+
+
+# Cells whose outcome the batched arithmetic cannot settle go to fit_window:
+# p_max within P_BAND of the threshold, or a prediction within SIGN_BAND of
+# zero relative to the sum of its terms' magnitudes.  These floors cover the
+# rounding of the p-value and of the prediction's sum; _error_bounds widens
+# them by the fit's own conditioning.
+P_BAND = 1e-6
+SIGN_BAND = 1e-6
+# A fit whose residual sum of squares is this small relative to y'y is exact
+# up to rounding, so its standard errors (zero in fit_ols's special case)
+# are rounding noise in either path.
+EXACT_FIT_BAND = 1e-8
+# Sessions per batch: bounds the padded design arrays to a few MB.
+_BLOCK_SESSIONS = 64
+_EPS = float(np.finfo(float).eps)
+
+
+def _condition_band(w: np.ndarray, m: int) -> np.ndarray:
+    """Relative error bound on cond(A'A) computed from the Gram matrix.
+
+    Forming A'A from w rows of m columns perturbs it by at most
+    w * m * eps * lambda_max in the 2-norm, and the symmetric eigensolver
+    adds a few m * eps * lambda_max more, so lambda_min, and with it
+    cond^2 = lambda_max / lambda_min, is off by a relative
+    (w + 10) * m * eps * cond^2 at most.  Doubled, and evaluated at
+    CONDITION_LIMIT (about 1.3e-3 for w = 40, m = 6); fit_ols's SVD is
+    accurate there to about eps * cond, which is negligible.
+    """
+    return 2.0 * (w + 10) * m * _EPS * CONDITION_LIMIT
+
+
+class FitTable:
+    """Every candidate's filter outcome for each (session, window) of a span.
+
+    ``rank_ok``, ``passed``, ``predicted_next`` and ``p_max`` are arrays
+    shaped (sessions, windows, candidates), in ``CANDIDATES`` order, with
+    the meaning ``fit_window`` gives them: a candidate skipped for too few
+    residual degrees of freedom is not ``rank_ok``, and ``predicted_next``
+    and ``p_max`` are NaN wherever the fit is not ``rank_ok``.
+
+    All cells are fitted in one batched pass (see ``_fit_cells``).  A cell
+    with any candidate within the error bound of a decision is recomputed
+    by ``fit_window``, and the table takes its entries: cond^2 near
+    CONDITION_LIMIT, a t statistic or p_max near the threshold, a
+    prediction near zero, or a near-exact fit.  ``fallback_cells`` lists
+    those (session, window) pairs; ``build_seconds`` is the wall time of
+    the whole build.
+
+    Calling the table with (t, w) returns that window's passed models, the
+    only ones an engine reads, so the table serves as a run's fit function.
+    Their ``fit`` is None: the table keeps no per-candidate ``FitResult``.
+    """
+
+    def __init__(
+        self,
+        series: SessionSeries,
+        sessions: range,
+        windows: range,
+        p_threshold: float = P_THRESHOLD,
+        *,
+        normalize: bool = False,
+    ) -> None:
+        if sessions.step != 1 or windows.step != 1 or not windows or windows.start < 1:
+            raise DataError(f"need contiguous sessions and windows of positive length, got "
+                            f"{sessions} and {windows}")
+        if sessions and sessions[-1] > len(series):
+            raise DataError(f"window end {sessions[-1]} beyond series length {len(series)}")
+        if sessions and sessions.start - windows[-1] < 2:
+            raise DataError(
+                f"window [{sessions.start - windows[-1]}, {sessions.start}) needs two "
+                "sessions of history before it"
+            )
+        began = time.perf_counter()
+        self.sessions = sessions
+        self.windows = windows
+        L = _regressors(series, normalize)
+        ts, ws = np.asarray(sessions), np.asarray(windows)
+        shape = (len(ts), len(ws), len(CANDIDATES))
+        self.rank_ok = np.zeros(shape, dtype=bool)
+        self.passed = np.zeros(shape, dtype=bool)
+        self.predicted_next = np.full(shape, np.nan)
+        self.p_max = np.full(shape, np.nan)
+        unsure = np.zeros(shape[:2], dtype=bool)
+        for first in range(0, len(ts), _BLOCK_SESSIONS):
+            block = slice(first, first + _BLOCK_SESSIONS)
+            (
+                self.rank_ok[block],
+                self.passed[block],
+                self.predicted_next[block],
+                self.p_max[block],
+                unsure[block],
+            ) = _fit_cells(L, series.returns_array, ts[block], ws, p_threshold)
+        self.fallback_cells = tuple((int(ts[i]), int(ws[j])) for i, j in zip(*np.nonzero(unsure)))
+        for t, w in self.fallback_cells:
+            i, j = t - sessions.start, w - windows.start
+            for c, model in enumerate(fit_window(series, t, w, p_threshold, normalize=normalize)):
+                rank_ok = model.fit is not None and model.fit.rank_ok
+                self.rank_ok[i, j, c] = rank_ok
+                self.passed[i, j, c] = model.passed_filter
+                self.predicted_next[i, j, c] = model.predicted_next if rank_ok else np.nan
+                self.p_max[i, j, c] = model.fit.max_p_value if rank_ok else np.nan
+        self._models: list[list[list[FittedModel]]] = [[[] for _ in ws] for _ in ts]
+        for i, j, c in zip(*(index.tolist() for index in np.nonzero(self.passed))):
+            self._models[i][j].append(
+                FittedModel(CANDIDATES[c], None, float(self.predicted_next[i, j, c]), True)
+            )
+        self.build_seconds = time.perf_counter() - began
+
+    def __call__(self, t: int, w: int) -> list[FittedModel]:
+        i, j = t - self.sessions.start, w - self.windows.start
+        if not (0 <= i < len(self.sessions) and 0 <= j < len(self.windows)):
+            raise DataError(f"session {t}, window {w} lies outside the fitted table")
+        return self._models[i][j]
+
+
+def _fit_cells(
+    L: np.ndarray,
+    r: np.ndarray,
+    ts: np.ndarray,
+    ws: np.ndarray,
+    p_threshold: float,
+) -> tuple[np.ndarray, ...]:
+    """Fit all candidates on every (session ts[i], window ws[j]) cell.
+
+    Returns FitTable's four (sessions, windows, candidates) arrays and the
+    (sessions, windows) mask of cells to recompute.  Each window's rows
+    [1 | R1 R2 P1 N1 Z1] and y are copied into zero-padded arrays; padding
+    rows add nothing to a cross-product or a residual.
+    Each candidate's sub-Gram gives its rank verdict from the eigenvalue
+    condition number (cond(A'A) = cond(A)^2), its coefficients and standard
+    errors from the inverse of its Jacobi-scaled form, and its p-values
+    from one vectorised incomplete-beta call.
+    """
+    n_t, n_w, w_max = len(ts), len(ws), int(ws.max())
+    offsets = np.arange(w_max)
+    rows = ts[:, None, None] - ws[None, :, None] + offsets  # (session, window, row)
+    valid = np.broadcast_to(offsets < ws[:, None], rows.shape)
+    rows = np.where(valid, rows, 2)
+    A = np.where(valid[..., None], L[rows], 0.0).reshape(n_t * n_w, w_max, L.shape[1])
+    y = np.where(valid, r[rows], 0.0).reshape(n_t * n_w, w_max)
+    x_next = np.repeat(L[ts], n_w, axis=0)
+    w_cell = np.tile(ws, n_t)
+    finite = np.isfinite(A).all(axis=1) & np.isfinite(y).all(axis=1)[:, None]
+    gram = np.matmul(A.transpose(0, 2, 1), A)
+    xty = np.einsum("cni,cn->ci", A, y)
+    yty = np.einsum("cn,cn->c", y, y)
+    # |t| beyond which a coefficient's p-value is below the threshold, by df.
+    t_critical = stdtrit(np.arange(1, w_max + 1), 1.0 - p_threshold / 2.0)
+    n_c = len(CANDIDATES)
+    outputs = (
+        np.zeros((n_t * n_w, n_c), dtype=bool),
+        np.zeros((n_t * n_w, n_c), dtype=bool),
+        np.full((n_t * n_w, n_c), np.nan),
+        np.full((n_t * n_w, n_c), np.nan),
+    )
+    unsure = np.zeros(n_t * n_w, dtype=bool)
+    for c, candidate in enumerate(CANDIDATES):
+        cols = [0] + [_POSITION[v] for v in candidate.variables]
+        k = len(cols) - 1
+        fitted = np.flatnonzero(w_cell - k - 1 >= MIN_RESIDUAL_DF)
+        if not fitted.size:
+            continue
+        if not finite[np.ix_(fitted, cols)].all():
+            raise DataError("design matrix entries must be finite")
+        G = gram[np.ix_(fitted, cols, cols)]
+        eigenvalues = np.linalg.eigvalsh(G)
+        low, high = eigenvalues[:, 0], eigenvalues[:, -1]
+        positive = low > 0
+        cond2 = np.full(fitted.size, np.inf)
+        cond2[positive] = high[positive] / low[positive]
+        band = _condition_band(w_cell[fitted], len(cols))
+        unsure[fitted] |= np.abs(cond2 - CONDITION_LIMIT) <= band * CONDITION_LIMIT
+        ok = cond2 <= CONDITION_LIMIT
+        cells = fitted[ok]
+        if not cells.size:
+            continue
+        G = G[ok]
+        # Jacobi scaling keeps the inverse accurate when column scales differ.
+        d = 1.0 / np.sqrt(np.diagonal(G, axis1=1, axis2=2))
+        scale = d[:, :, None] * d[:, None, :]
+        S_inv = np.linalg.inv(G * scale)
+        G_inv = S_inv * scale
+        beta = np.einsum("cij,cj->ci", G_inv, xty[np.ix_(cells, cols)])
+        # Residuals over every cell, with zero coefficients outside this fit.
+        padded_beta = np.zeros((len(A), A.shape[2]))
+        padded_beta[np.ix_(cells, cols)] = beta
+        residuals = y - np.matmul(A, padded_beta[:, :, None])[:, :, 0]
+        rss = np.einsum("cn,cn->c", residuals, residuals)[cells]
+        df = w_cell[cells] - k - 1
+        variances = (rss / df)[:, None] * np.diagonal(G_inv, axis1=1, axis2=2)[:, 1:]
+        std_errors = np.sqrt(np.maximum(variances, 0.0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t_abs = np.abs(beta[:, 1:]) / std_errors
+        worst = two_sided_t_pvalue(t_abs, df[:, None]).max(axis=1)
+        terms = x_next[np.ix_(cells, cols)] * beta
+        predicted = terms.sum(axis=1)
+        t_error, prediction_error = _error_bounds(
+            d, S_inv, beta, t_abs, x_next[np.ix_(cells, cols)], rss, yty[cells], w_cell[cells]
+        )
+        unsure[cells] |= (
+            (np.abs(worst - p_threshold) <= P_BAND)
+            | (np.abs(t_abs - t_critical[df - 1, None]) <= t_error).any(axis=1)
+            | (np.abs(predicted) <= SIGN_BAND * np.abs(terms).sum(axis=1) + prediction_error)
+            | (rss <= EXACT_FIT_BAND * yty[cells])
+        )
+        for out, values in zip(outputs, (True, worst < p_threshold, predicted, worst)):
+            out[cells, c] = values
+    return (*(out.reshape(n_t, n_w, n_c) for out in outputs), unsure.reshape(n_t, n_w))
+
+
+def _error_bounds(
+    d: np.ndarray,
+    S_inv: np.ndarray,
+    beta: np.ndarray,
+    t_abs: np.ndarray,
+    x_next: np.ndarray,
+    rss: np.ndarray,
+    yty: np.ndarray,
+    w: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """First-order bounds on how far the table's |t| statistics and
+    prediction can lie from fit_window's, for one candidate's cells.
+
+    Work in the Jacobi-scaled coordinates, where the design A~ = A D has
+    unit columns (D = diag(d)), beta~ = beta / d and S = A~'A~.  The table
+    forms S and A~'y from w rows of m columns, which perturbs them by at
+    most g * ||S|| and g * sqrt(m) * ||y||, with g = (w + 10) m eps also
+    covering the solve.  fit_ols's SVD solves a problem whose A is perturbed
+    by g * ||A|| in the 2-norm; scaled, that is up to rho = max d / min d
+    times larger.  Both paths thus solve normal equations S beta~ = A~'y
+    perturbed by at most e = 3 g rho relative, with ||S|| <= m and
+    ||S^-1|| <= tau = trace(S^-1), so the two solutions differ by S^-1 v
+    for some v with
+        ||v|| <= R = e (m ||beta~|| + sqrt(m) ||y||) / (1 - m tau e).
+    Hence coefficient i moves by at most ||S^-1 e_i|| R and the prediction
+    x'beta = (x D)'beta~ by at most ||S^-1 D x|| R.  A t statistic
+    beta~_i / (s sqrt(S^-1_ii)) moves by at most ||S^-1 e_i|| R over its
+    standard error, plus |t| times the relative errors of S^-1_ii
+    (m e ||S^-1 e_i||^2 / S^-1_ii / (1 - m tau e)) and of s = sqrt(rss / df),
+    whose residual norm moves by at most sqrt(tau) R plus the rounding of
+    the residuals, e (sqrt(m) ||beta~|| + ||y||).  Where m tau e reaches 1
+    no bound holds, and both are infinite.
+    """
+    m = beta.shape[1]
+    e = 3.0 * (w + 10) * m * _EPS * d.max(axis=1) / d.min(axis=1)
+    tau = np.trace(S_inv, axis1=1, axis2=2)
+    growth = m * tau * e
+    beta_norm = np.linalg.norm(beta / d, axis=1)
+    y_norm = np.sqrt(yty)
+    residual_norm = np.sqrt(rss)
+    row_norms = np.linalg.norm(S_inv, axis=2)
+    diagonal = np.diagonal(S_inv, axis1=1, axis2=2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        R = e * (m * beta_norm + np.sqrt(m) * y_norm) / (1.0 - growth)
+        residual_error = np.sqrt(tau) * R + e * (np.sqrt(m) * beta_norm + y_norm)
+        relative = (m * e / (1.0 - growth))[:, None] * row_norms**2 / diagonal + (
+            residual_error / residual_norm
+        )[:, None]
+        se_scaled = residual_norm[:, None] * np.sqrt(diagonal / (w - m)[:, None])
+        t_error = (row_norms * R[:, None] / se_scaled)[:, 1:] + t_abs * relative[:, 1:]
+    shifted = np.einsum("cij,cj->ci", S_inv, x_next * d)
+    prediction_error = np.linalg.norm(shifted, axis=1) * R
+    unbounded = growth >= 1.0
+    t_error[unbounded] = np.inf
+    prediction_error[unbounded] = np.inf
+    return t_error, prediction_error

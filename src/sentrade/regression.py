@@ -90,12 +90,13 @@ def two_sided_t_pvalue(t_abs, df):
 
     Evaluated as the regularized incomplete beta I_x(df/2, 1/2) with
     x = df / (df + t^2), which is exact for the Student t distribution.
-    Accepts scalars or arrays; df must be a positive integer.
+    Accepts scalars or arrays; df must be a positive integer or an array of
+    them broadcasting against t_abs.
     """
     t_abs = np.asarray(t_abs, dtype=float)
     if np.any(t_abs < 0):
         raise ValueError("t_abs must be non-negative")
-    if df < 1:
+    if np.any(np.asarray(df) < 1):
         raise ValueError(f"df must be at least 1, got {df}")
     with np.errstate(invalid="ignore"):
         x = df / (df + t_abs * t_abs)

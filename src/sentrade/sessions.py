@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 import re
 from bisect import bisect_right
 from dataclasses import dataclass, replace
@@ -109,8 +110,11 @@ class Session:
     def __post_init__(self) -> None:
         object.__setattr__(self, "open_price", float(self.open_price))
         object.__setattr__(self, "close_price", float(self.close_price))
-        if not self.open_price > 0 or not self.close_price > 0:
-            raise ValueError(f"session {self.index}: prices must be positive")
+        if not all(math.isfinite(p) and p > 0 for p in (self.open_price, self.close_price)):
+            raise ValueError(f"session {self.index}: prices must be positive and finite")
+        for name in ("pos", "neg", "neu"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"session {self.index}: {name} count must be non-negative")
         if not self.open_time < self.close_time:
             raise ValueError(f"session {self.index}: open_time must precede close_time")
 
@@ -165,6 +169,37 @@ class SessionSeries:
     @cached_property
     def neu_array(self) -> np.ndarray:
         return np.asarray([s.neu for s in self.sessions], dtype=float)
+
+    @cached_property
+    def lagged_regressors(self) -> np.ndarray:
+        """The intercept and the five lagged variables aligned with each session.
+
+        Row i holds [1 | R1 R2 P1 N1 Z1] as seen by session i: the returns of
+        sessions i-1 and i-2 and the pos/neg/neu counts of session i-1.  Rows
+        run to i = len(self), the out-of-sample row; rows 0 and 1 lack history
+        and hold NaN.  Every regression design is a slice of it.
+        """
+        counts = np.column_stack([self.pos_array, self.neg_array, self.neu_array])
+        return self._lagged(counts)
+
+    @cached_property
+    def lagged_share_regressors(self) -> np.ndarray:
+        """``lagged_regressors`` with each session's counts as shares of their
+        total (all zero for a session without messages)."""
+        counts = np.column_stack([self.pos_array, self.neg_array, self.neu_array])
+        total = counts.sum(axis=1, keepdims=True)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return self._lagged(np.where(total > 0, counts / total, 0.0))
+
+    def _lagged(self, counts: np.ndarray) -> np.ndarray:
+        r = self.returns_array
+        L = np.full((len(self) + 1, 6), np.nan)
+        L[2:, 0] = 1.0
+        L[2:, 1] = r[1:]
+        L[2:, 2] = r[:-1]
+        L[2:, 3:] = counts[1:]
+        L.flags.writeable = False
+        return L
 
 
 @dataclass(frozen=True)

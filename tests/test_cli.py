@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import logging
 from datetime import datetime, timedelta, timezone
 
 import pytest
 
 from sentrade.cli import main
+from sentrade.model_space import fit_window
+from sentrade.sessions import compute_returns, read_sessions_csv
 
 CALENDAR = """
 timezone = America/New_York
@@ -44,6 +47,20 @@ def write_week_inputs(tmp_path):
         bucket_rows.append(f"{close_instant + timedelta(hours=4, minutes=30):%Y-%m-%dT%H:%M:%SZ},2,7,0")
     (tmp_path / "ticks.csv").write_text("\n".join(tick_rows) + "\n", encoding="utf-8")
     (tmp_path / "buckets.csv").write_text("\n".join(bucket_rows) + "\n", encoding="utf-8")
+
+
+def corrupt_sessions(path, edits):
+    """Overwrite (session index, column, text) fields of a synthetic sessions CSV.
+
+    The synth comment is line 1 and the header line 2, so session i sits on
+    line i + 3.
+    """
+    lines = path.read_text(encoding="utf-8").splitlines()
+    for index, column, text in edits:
+        fields = lines[index + 2].split(",")
+        fields[column] = text
+        lines[index + 2] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def synth_sessions(tmp_path, name="data_", n=60, seed=7):
@@ -173,6 +190,36 @@ class TestTrainCommand:
         assert code == 0
         assert (workspace / "chosen.txt").exists()
 
+    def test_log_counts_scored_sessions(self, workspace, caplog):
+        sessions = synth_sessions(workspace)
+        with caplog.at_level(logging.INFO, logger="sentrade.cli"):
+            code = main(
+                ["train", "--sessions", str(sessions), "--config", str(workspace / "run.cfg"),
+                 "--out", str(workspace / "t_")]
+            )
+        assert code == 0
+        # the 30% split is session 18; windows up to 12 start scoring at 14
+        assert "trained on 4 scored sessions" in caplog.text
+
+    @pytest.mark.parametrize(
+        "edits, line, message",
+        [
+            ([(10, 5, "inf"), (11, 4, "inf")], 13, "finite"),
+            ([(5, 6, "-5")], 8, "non-negative"),
+        ],
+        ids=["infinite-price-pair", "negative-count"],
+    )
+    def test_bad_sessions_rejected_at_load(self, workspace, capsys, edits, line, message):
+        sessions = synth_sessions(workspace)
+        corrupt_sessions(sessions, edits)
+        code = main(
+            ["train", "--sessions", str(sessions), "--config", str(workspace / "run.cfg"),
+             "--out", str(workspace / "t_")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"line {line}:" in err and message in err
+
     def test_series_too_short(self, workspace, capsys):
         sessions = synth_sessions(workspace, n=30)
         code = main(
@@ -215,6 +262,27 @@ class TestBacktestCommand:
         assert len(models) > 1
         # every (session, window) pair carries one row per candidate
         assert (len(models) - 1) == (60 - 18) * 3 * 29
+        with open(sessions, encoding="utf-8") as handle:
+            series = compute_returns(read_sessions_csv(handle))
+        expected = []
+        for t in range(18, 60):
+            for w in range(10, 13):
+                for model in fit_window(series, t, w):
+                    rank_ok = model.fit is not None and model.fit.rank_ok
+                    expected.append(
+                        f"{t},{w},{model.candidate.label},{model.candidate.model_class.value},"
+                        f"{repr(model.fit.max_p_value) if rank_ok else 'na'},"
+                        f"{'na' if model.predicted_next is None else repr(model.predicted_next)},"
+                        f"{'true' if model.passed_filter else 'false'}"
+                    )
+        assert models[1:] == expected
+
+    def test_log_reports_fit_table(self, workspace, caplog):
+        sessions = synth_sessions(workspace)
+        with caplog.at_level(logging.INFO, logger="sentrade.cli"):
+            assert self.run_backtest(workspace, sessions) == 0
+        assert "evaluated 42 sessions: fit table" in caplog.text
+        assert "of 126 cells refitted by the reference" in caplog.text
 
     def test_unset_params_exit_one(self, workspace, capsys):
         sessions = synth_sessions(workspace)
