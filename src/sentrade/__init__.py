@@ -25,7 +25,6 @@ from .adaptive import (
 from .backtest import (
     Action,
     EvaluationResult,
-    FitCache,
     TradeDecision,
     TradeLedger,
     TrainingResult,

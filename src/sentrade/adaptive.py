@@ -18,7 +18,6 @@ system-level prediction.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import IO, Callable, Iterable, Sequence
 
@@ -444,10 +443,11 @@ def run_pipeline(
 
     The first processed session is ``first_session(params, start)``.  By
     default every (session, window) fit comes from one ``FitTable`` built
-    for the span; ``fit_fn`` overrides the per-(session, window) model
-    fitting, which callers use to share fits across runs.  Fitting is the
-    only part dispatched to threads, so results are identical for any
-    thread count.
+    for the span; ``fit_fn`` replaces the per-(session, window) model
+    fitting, which is how tests substitute the reference ``fit_window`` or
+    a fake.  The replay is one single-threaded loop: ``threads`` is
+    validated but starts no threads, because the fits come from the table
+    and thread pools only slowed the pure-Python replay down.
     """
     n = len(series)
     end = n if end is None else end
@@ -475,39 +475,25 @@ def run_pipeline(
     records: list[PredictionRecord] = []
     session_seconds: list[float] = []
     global_spread = params.initial_spread
-    executor = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    try:
-        for t in range(t0, end):
-            began = time.perf_counter()
-            realized = series.returns[t]
-            if executor is None:
-                model_lists = [
-                    fit_fn(t, e.w) if t - e.w >= 2 else None for e in engines
-                ]
-            else:
-                model_lists = list(
-                    executor.map(
-                        lambda e: fit_fn(t, e.w) if t - e.w >= 2 else None, engines
-                    )
-                )
-            override = None
-            if params.spread_scope == "global":
-                override = select_class(global_spread)
-            for engine, models in zip(engines, model_lists):
-                engine.propose(t, models, class_override=override)
-            records.append(select_tfw(engines, t, realized))
-            steps = [engine.resolve(realized) for engine in engines]
-            if params.spread_scope == "global":
-                financial = _pooled_outcome(steps, ModelClass.FINANCIAL)
-                sentiment = _pooled_outcome(steps, ModelClass.SENTIMENT)
-                theta = _theta(financial, sentiment)
-                global_spread = params.gamma * global_spread + (
-                    theta * abs(100.0 * realized) if theta is not None else 0.0
-                )
-            session_seconds.append(time.perf_counter() - began)
-    finally:
-        if executor is not None:
-            executor.shutdown()
+    for t in range(t0, end):
+        began = time.perf_counter()
+        realized = series.returns[t]
+        override = None
+        if params.spread_scope == "global":
+            override = select_class(global_spread)
+        for engine in engines:
+            models = fit_fn(t, engine.w) if t - engine.w >= 2 else None
+            engine.propose(t, models, class_override=override)
+        records.append(select_tfw(engines, t, realized))
+        steps = [engine.resolve(realized) for engine in engines]
+        if params.spread_scope == "global":
+            financial = _pooled_outcome(steps, ModelClass.FINANCIAL)
+            sentiment = _pooled_outcome(steps, ModelClass.SENTIMENT)
+            theta = _theta(financial, sentiment)
+            global_spread = params.gamma * global_spread + (
+                theta * abs(100.0 * realized) if theta is not None else 0.0
+            )
+        session_seconds.append(time.perf_counter() - began)
     return PipelineResult(tuple(records), engines, t0, tuple(session_seconds), table)
 
 

@@ -12,8 +12,6 @@ of the data.
 from __future__ import annotations
 
 import math
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import IO, Sequence
@@ -26,7 +24,7 @@ from .adaptive import (
     run_pipeline,
 )
 from .errors import ConfigError, DataError
-from .model_space import FitTable, FittedModel, fit_window
+from .model_space import FitTable
 from .sessions import SessionSeries
 
 REPORT_HEADER = (
@@ -144,40 +142,6 @@ def simulate(
     )
 
 
-class FitCache:
-    """Thread-safe memo of per-(session, window) reference model fits.
-
-    Fits do not depend on beta or gamma, so one cache serves every grid
-    point of a search.  Runs default to a ``FitTable``; the cache keeps the
-    reference ``fit_window`` path available as a fit function.
-    """
-
-    def __init__(self, series: SessionSeries, p_threshold: float, normalize: bool) -> None:
-        self._series = series
-        self._p_threshold = p_threshold
-        self._normalize = normalize
-        self._lock = threading.Lock()
-        self._store: dict[tuple[int, int], list[FittedModel]] = {}
-
-    def __call__(self, t: int, w: int) -> list[FittedModel]:
-        key = (t, w)
-        with self._lock:
-            cached = self._store.get(key)
-        if cached is not None:
-            return cached
-        models = fit_window(
-            self._series, t, w, self._p_threshold, normalize=self._normalize
-        )
-        with self._lock:
-            return self._store.setdefault(key, models)
-
-    def matches(self, params: PipelineParams) -> bool:
-        return (
-            self._p_threshold == params.p_threshold
-            and self._normalize == params.normalize_sentiment
-        )
-
-
 @dataclass(frozen=True)
 class TrainingResult:
     beta: float
@@ -211,7 +175,10 @@ def train_params(
     smaller beta, then the smaller gamma.  The default grid crosses
     {0.0, 0.1, ..., 1.0} with itself.  Fits do not depend on beta or gamma,
     so by default one ``FitTable`` over the scored sessions serves every
-    grid point.
+    grid point; ``fit_fn`` replaces it, which is how tests substitute the
+    reference ``fit_window`` or a fake.  Grid points replay one after
+    another; ``threads`` is validated by ``run_pipeline`` and starts no
+    threads.
     """
     split = split_point(len(series), train_fraction)
     minimum = base_params.tfw_max + 3
@@ -236,19 +203,15 @@ def train_params(
             normalize=base_params.normalize_sentiment,
         )
 
-    def run_point(point: tuple[float, float]) -> float:
-        beta, gamma = point
+    train_returns = []
+    for beta, gamma in points:
         params = replace(base_params, beta=beta, gamma=gamma)
-        result = run_pipeline(series, params, start=0, end=split, threads=1, fit_fn=fit_fn)
+        result = run_pipeline(
+            series, params, start=0, end=split, threads=threads, fit_fn=fit_fn
+        )
         returns = series.returns[result.start : split]
         ledger = simulate(result.records, returns, cost_per_trade)
-        return ledger.final_strategy
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as executor:
-            train_returns = list(executor.map(run_point, points))
-    else:
-        train_returns = [run_point(point) for point in points]
+        train_returns.append(ledger.final_strategy)
 
     best = 0
     for i in range(1, len(points)):

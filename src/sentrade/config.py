@@ -11,6 +11,7 @@ from dataclasses import dataclass, fields, replace
 
 from .adaptive import SPREAD_SCOPES, PipelineParams
 from .errors import ConfigError
+from .sessions import parse_key_values
 
 _BOOL_WORDS = {"true": True, "false": False, "yes": True, "no": False, "1": True, "0": False}
 
@@ -101,22 +102,8 @@ def _convert(key: str, raw: str):
 
 
 def parse_config(text: str) -> Config:
-    values: dict[str, object] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise ConfigError(f"config line {lineno}: expected 'key = value'")
-        key, _, raw = stripped.partition("=")
-        key = key.strip()
-        raw = raw.strip()
-        if key not in _FIELD_TYPES:
-            raise ConfigError(f"config line {lineno}: unknown key {key!r}")
-        if key in values:
-            raise ConfigError(f"config line {lineno}: duplicate key {key!r}")
-        values[key] = _convert(key, raw)
-    return Config(**values)
+    pairs = parse_key_values(text, "config", _FIELD_TYPES)
+    return Config(**{key: _convert(key, raw) for key, (_, raw) in pairs.items()})
 
 
 def load_config(path: str) -> Config:
@@ -126,24 +113,13 @@ def load_config(path: str) -> Config:
 
 def parse_params_file(text: str) -> tuple[float, float]:
     """Read the beta/gamma pair written by the train command."""
-    values: dict[str, float] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise ConfigError(f"params line {lineno}: expected 'key = value'")
-        key, _, raw = stripped.partition("=")
-        key = key.strip()
-        if key not in ("beta", "gamma"):
-            raise ConfigError(f"params line {lineno}: unknown key {key!r}")
-        if key in values:
-            raise ConfigError(f"params line {lineno}: duplicate key {key!r}")
+    pairs = parse_key_values(text, "params", ("beta", "gamma"), required=("beta", "gamma"))
+
+    def number(key: str) -> float:
+        lineno, raw = pairs[key]
         try:
-            values[key] = float(raw.strip())
+            return float(raw)
         except ValueError:
-            raise ConfigError(f"params line {lineno}: expected a number, got {raw.strip()!r}") from None
-    for required in ("beta", "gamma"):
-        if required not in values:
-            raise ConfigError(f"params file: missing required key {required!r}")
-    return values["beta"], values["gamma"]
+            raise ConfigError(f"params line {lineno}: expected a number, got {raw!r}") from None
+
+    return number("beta"), number("gamma")

@@ -112,6 +112,8 @@ class Session:
         object.__setattr__(self, "close_price", float(self.close_price))
         if not all(math.isfinite(p) and p > 0 for p in (self.open_price, self.close_price)):
             raise ValueError(f"session {self.index}: prices must be positive and finite")
+        if not math.isfinite((self.close_price - self.open_price) / self.open_price):
+            raise ValueError(f"session {self.index}: return (close - open) / open must be finite")
         for name in ("pos", "neg", "neu"):
             if getattr(self, name) < 0:
                 raise ValueError(f"session {self.index}: {name} count must be non-negative")
@@ -202,6 +204,38 @@ class SessionSeries:
         return L
 
 
+def parse_key_values(
+    text: str,
+    what: str,
+    allowed: Iterable[str],
+    required: Iterable[str] = (),
+) -> dict[str, tuple[int, str]]:
+    """Parse ``key = value`` lines into ``{key: (line number, raw value)}``.
+
+    Blank lines and ``#`` comments are skipped.  A line without ``=``, a key
+    outside ``allowed``, a repeated key and a missing ``required`` key are
+    ConfigErrors that start with ``what`` and, where there is one, the line.
+    """
+    values: dict[str, tuple[int, str]] = {}
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if "=" not in stripped:
+            raise ConfigError(f"{what} line {lineno}: expected 'key = value'")
+        key, _, raw = stripped.partition("=")
+        key = key.strip()
+        if key not in allowed:
+            raise ConfigError(f"{what} line {lineno}: unknown key {key!r}")
+        if key in values:
+            raise ConfigError(f"{what} line {lineno}: duplicate key {key!r}")
+        values[key] = (lineno, raw.strip())
+    for key in required:
+        if key not in values:
+            raise ConfigError(f"{what}: missing required key {key!r}")
+    return values
+
+
 @dataclass(frozen=True)
 class MarketCalendar:
     """Per-weekday market hours in a local timezone, plus holiday closures.
@@ -249,23 +283,13 @@ class MarketCalendar:
         optional ``holidays`` list of comma-separated ISO dates.  Unknown
         keys are rejected.
         """
-        values: dict[str, str] = {}
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise ConfigError(f"calendar line {lineno}: expected 'key = value'")
-            key, _, value = stripped.partition("=")
-            key = key.strip()
-            if key not in ("timezone", "open", "close", "holidays"):
-                raise ConfigError(f"calendar line {lineno}: unknown key {key!r}")
-            if key in values:
-                raise ConfigError(f"calendar line {lineno}: duplicate key {key!r}")
-            values[key] = value.strip()
-        for required in ("timezone", "open", "close"):
-            if required not in values:
-                raise ConfigError(f"calendar: missing required key {required!r}")
+        pairs = parse_key_values(
+            text,
+            "calendar",
+            ("timezone", "open", "close", "holidays"),
+            required=("timezone", "open", "close"),
+        )
+        values = {key: raw for key, (_, raw) in pairs.items()}
 
         def parse_wall_time(key: str) -> time:
             try:

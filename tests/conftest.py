@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import threading
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -64,3 +65,13 @@ def make_series(returns, pos=None, neg=None, neu=None, brand="test") -> SessionS
 def series_b() -> SessionSeries:
     """The committed sentiment-driven scenario used across adaptive tests."""
     return generate(SyntheticScenario("B", 200, seed=7))
+
+
+@pytest.fixture
+def no_threads(monkeypatch):
+    """Fail the test if the code under test starts any thread."""
+
+    def refuse(thread):
+        raise AssertionError(f"thread {thread.name} started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)

@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import itertools
 import time
+from functools import partial
 
 import numpy as np
 
 from sentrade.adaptive import PipelineParams, TfwEngine, run_pipeline, select_class
-from sentrade.backtest import FitCache, evaluate, simulate
+from sentrade.backtest import evaluate, simulate
 from sentrade.cli import main
 from sentrade.errors import DataError
 from sentrade.model_space import (
@@ -22,6 +23,7 @@ from sentrade.model_space import (
     ModelClass,
     Variable,
     enumerate_candidates,
+    fit_window,
 )
 from sentrade.regression import DesignMatrix, fit_ols
 from sentrade.synth import SyntheticScenario, generate
@@ -220,15 +222,22 @@ def test_criterion_5_planted_sentiment_regime(capfd):
     assert elapsed < 60.0
 
 
-class _RecordingCache:
-    """FitCache wrapper tallying pass-rate per candidate label."""
+def reference_fits(series, params):
+    """The reference ``fit_window`` as a ``fit_fn`` for ``series``."""
+    return partial(
+        fit_window, series, p_threshold=params.p_threshold, normalize=params.normalize_sentiment
+    )
+
+
+class _RecordingFits:
+    """Reference fit function tallying pass-rate per candidate label."""
 
     def __init__(self, series, params, tally):
-        self._cache = FitCache(series, params.p_threshold, params.normalize_sentiment)
+        self._fit = reference_fits(series, params)
         self._tally = tally
 
     def __call__(self, t, w):
-        models = self._cache(t, w)
+        models = self._fit(t, w)
         for model in models:
             entry = self._tally.setdefault(model.candidate.label, [0, 0])
             entry[0] += int(model.passed_filter)
@@ -242,7 +251,7 @@ def test_criterion_6_noise_regime(capfd):
     tally: dict[str, list[int]] = {}
     for seed in range(100, 120):
         series = generate(SyntheticScenario("C", 120, seed=seed))
-        recorder = _RecordingCache(series, FIXED_PARAMS, tally)
+        recorder = _RecordingFits(series, FIXED_PARAMS, tally)
         result = evaluate(series, FIXED_PARAMS, fit_fn=recorder)
         finals.append(result.ledger.final_strategy)
     mean = float(np.mean(finals))
@@ -360,15 +369,15 @@ def test_criterion_9_fixed_parameter_smoke(capfd):
         completed.append(kind)
 
     series_b = scenarios["B"]
-    cache = FitCache(series_b, FIXED_PARAMS.p_threshold, FIXED_PARAMS.normalize_sentiment)
-    pipeline = run_pipeline(series_b, FIXED_PARAMS, start=60, end=200, fit_fn=cache)
+    reference = reference_fits(series_b, FIXED_PARAMS)
+    pipeline = run_pipeline(series_b, FIXED_PARAMS, start=60, end=200, fit_fn=reference)
     checked = 0
     for engine in pipeline.engines:
         for position in (3, 25, 60, 110):
             step = engine.history[position]
             corrupted = TfwEngine(engine.w, engine.beta, engine.gamma, initial_spread=-999.0)
             corrupted.quality = 123.0
-            corrupted.propose(step.index - 1, cache(step.index - 1, engine.w))
+            corrupted.propose(step.index - 1, reference(step.index - 1, engine.w))
             corrupted.resolve(series_b.returns[step.index - 1])
             assert select_class(corrupted.spread) is step.chosen_class
             checked += 1

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+from functools import partial
 
 import pytest
 from hypothesis import given, strategies as st
@@ -24,9 +25,8 @@ from sentrade.adaptive import (
     update_spread,
     write_predictions_csv,
 )
-from sentrade.backtest import FitCache
 from sentrade.errors import ConfigError, DataError
-from sentrade.model_space import CANDIDATES, FittedModel, ModelClass, Variable
+from sentrade.model_space import CANDIDATES, FittedModel, ModelClass, Variable, fit_window
 
 FINANCIAL = next(c for c in CANDIDATES if c.model_class is ModelClass.FINANCIAL)
 SENTIMENT = next(c for c in CANDIDATES if c.variables == (Variable.P1,))
@@ -375,7 +375,7 @@ class TestRunPipeline:
         for engine in result.engines:
             assert [s.index for s in engine.history] == list(range(26, 60))
 
-    def test_thread_count_does_not_change_results(self, series_b):
+    def test_thread_count_does_not_change_results(self, series_b, no_threads):
         one = run_pipeline(series_b, SMALL, start=0, end=70, threads=1)
         four = run_pipeline(series_b, SMALL, start=0, end=70, threads=4)
         assert one.records == four.records
@@ -406,7 +406,9 @@ class TestRunPipeline:
     def test_gamma_zero_memorylessness(self, series_b):
         params = PipelineParams(beta=0.4, gamma=0.0, tfw_min=20, tfw_max=22)
         result = run_pipeline(series_b, params, start=0, end=80)
-        cache = FitCache(series_b, params.p_threshold, params.normalize_sentiment)
+        reference = partial(
+            fit_window, series_b, p_threshold=params.p_threshold, normalize=params.normalize_sentiment
+        )
         for engine in result.engines:
             for position in (5, 17, 40):
                 step = engine.history[position]
@@ -414,7 +416,7 @@ class TestRunPipeline:
                 # gamma = 0 the class choice at t must not notice.
                 corrupted = TfwEngine(engine.w, engine.beta, engine.gamma, initial_spread=-999.0)
                 corrupted.quality = 123.0
-                corrupted.propose(step.index - 1, cache(step.index - 1, engine.w))
+                corrupted.propose(step.index - 1, reference(step.index - 1, engine.w))
                 corrupted.resolve(series_b.returns[step.index - 1])
                 assert select_class(corrupted.spread) is step.chosen_class
 

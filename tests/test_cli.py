@@ -206,8 +206,9 @@ class TestTrainCommand:
         [
             ([(10, 5, "inf"), (11, 4, "inf")], 13, "finite"),
             ([(5, 6, "-5")], 8, "non-negative"),
+            ([(10, 5, "1e-320"), (11, 4, "1e-320")], 14, "must be finite"),
         ],
-        ids=["infinite-price-pair", "negative-count"],
+        ids=["infinite-price-pair", "negative-count", "overflowing-return"],
     )
     def test_bad_sessions_rejected_at_load(self, workspace, capsys, edits, line, message):
         sessions = synth_sessions(workspace)
@@ -219,6 +220,15 @@ class TestTrainCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert f"line {line}:" in err and message in err
+
+    def test_invalid_threads_exit_one(self, workspace, capsys):
+        sessions = synth_sessions(workspace)
+        code = main(
+            ["train", "--sessions", str(sessions), "--config", str(workspace / "run.cfg"),
+             "--threads", "0", "--out", str(workspace / "t_")]
+        )
+        assert code == 1
+        assert "threads must be at least 1" in capsys.readouterr().err
 
     def test_series_too_short(self, workspace, capsys):
         sessions = synth_sessions(workspace, n=30)

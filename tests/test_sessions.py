@@ -4,10 +4,14 @@ from __future__ import annotations
 
 import io
 import logging
+from dataclasses import replace
 from datetime import date, datetime, time, timedelta, timezone
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from sentrade.adaptive import PipelineParams
+from sentrade.backtest import evaluate
 from sentrade.errors import ConfigError, DataError
 from sentrade.sessions import (
     MarketCalendar,
@@ -27,6 +31,7 @@ from sentrade.sessions import (
     session_prices,
     write_sessions_csv,
 )
+from sentrade.synth import SyntheticScenario, generate
 
 UTC = timezone.utc
 
@@ -416,3 +421,57 @@ class TestSessionsCsv:
         )
         with pytest.raises(DataError, match="line 2"):
             read_sessions_csv(io.StringIO(text))
+
+
+MUTATIONS = ("inf", "nan", "-5", "1e-320", "0", "junk")
+MUTATED_N = 40
+SMALL_WINDOWS = PipelineParams(beta=0.4, gamma=0.5, tfw_min=8, tfw_max=10)
+
+
+def _sessions_rows(n: int) -> list[str]:
+    buffer = io.StringIO()
+    write_sessions_csv(generate(SyntheticScenario("B", n, seed=7)), buffer)
+    return buffer.getvalue().splitlines()
+
+
+_BASE_ROWS = _sessions_rows(MUTATED_N)
+
+# One field of one session; a close price and the next session's open
+# together, so that a mutated price can also pass the boundary check; or all
+# three counts of one session set to 0, which loads, so that runs get past
+# loading often enough to exercise evaluation.
+_field_edit = st.tuples(
+    st.integers(0, MUTATED_N - 1), st.integers(0, 8), st.sampled_from(MUTATIONS)
+).map(lambda edit: [edit])
+_price_pair_edit = st.tuples(st.integers(0, MUTATED_N - 2), st.sampled_from(MUTATIONS)).map(
+    lambda edit: [(edit[0], 5, edit[1]), (edit[0] + 1, 4, edit[1])]
+)
+_zero_counts_edit = st.integers(0, MUTATED_N - 1).map(
+    lambda index: [(index, column, "0") for column in (6, 7, 8)]
+)
+_edits = st.lists(
+    st.one_of(_field_edit, _price_pair_edit, _zero_counts_edit), min_size=1, max_size=3
+).map(
+    lambda groups: [edit for group in groups for edit in group]
+)
+
+
+class TestMutatedSessionsCsv:
+    @settings(deadline=None, max_examples=150)
+    @given(edits=_edits, normalize=st.booleans())
+    @example(edits=[(10, 5, "1e-320"), (11, 4, "1e-320")], normalize=False)
+    def test_fails_at_load_or_runs(self, edits, normalize):
+        """A mutated file raises DataError while loading, or evaluates."""
+        rows = list(_BASE_ROWS)
+        for index, column, text in edits:
+            fields = rows[index + 1].split(",")
+            fields[column] = text
+            rows[index + 1] = ",".join(fields)
+        try:
+            series = compute_returns(read_sessions_csv(io.StringIO("\n".join(rows) + "\n")))
+        except DataError:
+            return
+        try:
+            evaluate(series, replace(SMALL_WINDOWS, normalize_sentiment=normalize))
+        except DataError as exc:
+            assert "no sessions to evaluate" in str(exc)
