@@ -127,6 +127,13 @@ def _theta(financial: ClassOutcome, sentiment: ClassOutcome) -> int | None:
     return -1
 
 
+def check_decays(beta: float, gamma: float) -> None:
+    """The quality decay beta and the spread decay gamma each lie in [0, 1]."""
+    for name, value in (("beta", beta), ("gamma", gamma)):
+        if not 0.0 <= value <= 1.0:
+            raise ConfigError(f"{name}: must lie in [0, 1], got {value}")
+
+
 @dataclass(frozen=True)
 class PendingStep:
     """An engine's proposal for a session whose return is not yet known."""
@@ -175,11 +182,8 @@ class TfwEngine:
 
     def __post_init__(self) -> None:
         if self.w < 1:
-            raise ConfigError(f"w must be at least 1, got {self.w}")
-        if not 0.0 <= self.beta <= 1.0:
-            raise ConfigError(f"beta must lie in [0, 1], got {self.beta}")
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ConfigError(f"gamma must lie in [0, 1], got {self.gamma}")
+            raise ConfigError(f"w: must be at least 1, got {self.w}")
+        check_decays(self.beta, self.gamma)
         self.spread = float(self.initial_spread)
 
     def propose(
@@ -372,20 +376,19 @@ class PipelineParams:
     normalize_sentiment: bool = False
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.beta <= 1.0:
-            raise ConfigError(f"beta must lie in [0, 1], got {self.beta}")
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ConfigError(f"gamma must lie in [0, 1], got {self.gamma}")
+        check_decays(self.beta, self.gamma)
         if not 0.0 < self.p_threshold < 1.0:
-            raise ConfigError(f"p_threshold must lie in (0, 1), got {self.p_threshold}")
-        if self.tfw_min < 1:
-            raise ConfigError(f"tfw_min must be at least 1, got {self.tfw_min}")
+            raise ConfigError(f"p_threshold: must lie in (0, 1), got {self.p_threshold}")
+        if self.tfw_min < 3:
+            raise ConfigError(f"tfw_min: must be at least 3, got {self.tfw_min}")
         if self.tfw_max < self.tfw_min:
             raise ConfigError(
-                f"tfw_max ({self.tfw_max}) must not be below tfw_min ({self.tfw_min})"
+                f"tfw_max: must be at least tfw_min ({self.tfw_min}), got {self.tfw_max}"
             )
         if self.spread_scope not in SPREAD_SCOPES:
-            raise ConfigError(f"spread_scope must be one of {SPREAD_SCOPES}")
+            raise ConfigError(
+                f"spread_scope: must be one of {SPREAD_SCOPES}, got {self.spread_scope!r}"
+            )
 
     @property
     def windows(self) -> range:
@@ -436,7 +439,6 @@ def run_pipeline(
     *,
     start: int = 0,
     end: int | None = None,
-    threads: int = 1,
     fit_fn: FitFn | None = None,
 ) -> PipelineResult:
     """Run every window engine over sessions [start, end) with fresh state.
@@ -445,16 +447,12 @@ def run_pipeline(
     default every (session, window) fit comes from one ``FitTable`` built
     for the span; ``fit_fn`` replaces the per-(session, window) model
     fitting, which is how tests substitute the reference ``fit_window`` or
-    a fake.  The replay is one single-threaded loop: ``threads`` is
-    validated but starts no threads, because the fits come from the table
-    and thread pools only slowed the pure-Python replay down.
+    a fake.  The replay is one single-threaded loop.
     """
     n = len(series)
     end = n if end is None else end
     if not 0 <= start <= end <= n:
         raise DataError(f"invalid span [{start}, {end}) for {n} sessions")
-    if threads < 1:
-        raise ConfigError(f"threads must be at least 1, got {threads}")
     series.returns_array  # fail fast when returns are missing
 
     t0 = first_session(params, start)

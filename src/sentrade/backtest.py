@@ -83,6 +83,16 @@ class TradeLedger:
         return self.cum_optimal[-1] if self.cum_optimal else 0.0
 
 
+def check_cost_per_trade(cost_per_trade: float) -> None:
+    if cost_per_trade < 0:
+        raise ConfigError(f"cost_per_trade: must be non-negative, got {cost_per_trade}")
+
+
+def check_train_fraction(train_fraction: float) -> None:
+    if not 0.0 < train_fraction < 1.0:
+        raise ConfigError(f"train_fraction: must lie in (0, 1), got {train_fraction}")
+
+
 def simulate(
     records: Sequence[PredictionRecord],
     returns: Sequence[float],
@@ -91,8 +101,7 @@ def simulate(
     """Trade the prediction series against its aligned session returns."""
     if len(records) != len(returns):
         raise DataError(f"{len(records)} records but {len(returns)} returns")
-    if cost_per_trade < 0:
-        raise ConfigError(f"cost_per_trade must be non-negative, got {cost_per_trade}")
+    check_cost_per_trade(cost_per_trade)
     decisions = []
     step_pnl = []
     cum_strategy = []
@@ -153,8 +162,7 @@ class TrainingResult:
 
 
 def split_point(n_sessions: int, train_fraction: float) -> int:
-    if not 0.0 < train_fraction < 1.0:
-        raise ConfigError(f"train_fraction must lie in (0, 1), got {train_fraction}")
+    check_train_fraction(train_fraction)
     return math.floor(n_sessions * train_fraction)
 
 
@@ -164,7 +172,6 @@ def train_params(
     grid: Sequence[tuple[float, float]] | None = None,
     train_fraction: float = 0.30,
     *,
-    threads: int = 1,
     cost_per_trade: float = 0.0,
     fit_fn: FitFn | None = None,
 ) -> TrainingResult:
@@ -177,8 +184,7 @@ def train_params(
     so by default one ``FitTable`` over the scored sessions serves every
     grid point; ``fit_fn`` replaces it, which is how tests substitute the
     reference ``fit_window`` or a fake.  Grid points replay one after
-    another; ``threads`` is validated by ``run_pipeline`` and starts no
-    threads.
+    another.
     """
     split = split_point(len(series), train_fraction)
     minimum = base_params.tfw_max + 3
@@ -206,9 +212,7 @@ def train_params(
     train_returns = []
     for beta, gamma in points:
         params = replace(base_params, beta=beta, gamma=gamma)
-        result = run_pipeline(
-            series, params, start=0, end=split, threads=threads, fit_fn=fit_fn
-        )
+        result = run_pipeline(series, params, start=0, end=split, fit_fn=fit_fn)
         returns = series.returns[result.start : split]
         ledger = simulate(result.records, returns, cost_per_trade)
         train_returns.append(ledger.final_strategy)
@@ -246,7 +250,6 @@ def evaluate(
     eval_span: tuple[int, int] | None = None,
     train_fraction: float = 0.30,
     *,
-    threads: int = 1,
     cost_per_trade: float = 0.0,
     fit_fn: FitFn | None = None,
 ) -> EvaluationResult:
@@ -261,9 +264,7 @@ def evaluate(
         start, end = split_point(n, train_fraction), n
     else:
         start, end = eval_span
-    result = run_pipeline(
-        series, params, start=start, end=end, threads=threads, fit_fn=fit_fn
-    )
+    result = run_pipeline(series, params, start=start, end=end, fit_fn=fit_fn)
     if not result.records:
         raise DataError(
             f"no sessions to evaluate in [{start}, {end}) after warm-up; "

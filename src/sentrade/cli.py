@@ -46,6 +46,17 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _thread_count(raw: str) -> int:
+    """Check --threads, kept for compatibility; nothing reads it, as runs are single-threaded."""
+    try:
+        count = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"threads: expected an integer, got {raw!r}") from None
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"threads must be at least 1, got {count}")
+    return count
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="sentrade", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -61,7 +72,7 @@ def build_parser() -> _Parser:
     train = sub.add_parser("train", help="grid-search beta and gamma on the training prefix")
     train.add_argument("--sessions", required=True, help="sessions CSV from the aggregate step")
     train.add_argument("--config", help="run configuration file")
-    train.add_argument("--threads", type=int, default=1)
+    train.add_argument("--threads", type=_thread_count, default=1)
     train.add_argument("--out", default="", help="output path prefix")
     train.add_argument("--params", help="where to write the chosen parameters")
     train.set_defaults(func=cmd_train)
@@ -70,7 +81,7 @@ def build_parser() -> _Parser:
     backtest.add_argument("--sessions", required=True, help="sessions CSV from the aggregate step")
     backtest.add_argument("--config", help="run configuration file")
     backtest.add_argument("--params", help="parameters file written by train")
-    backtest.add_argument("--threads", type=int, default=1)
+    backtest.add_argument("--threads", type=_thread_count, default=1)
     backtest.add_argument("--out", default="", help="output path prefix")
     backtest.add_argument("--dump-models", action="store_true", help="also write per-window model diagnostics")
     backtest.set_defaults(func=cmd_backtest)
@@ -126,14 +137,12 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     series = _load_series(args.sessions)
-    base = config.with_params(config.beta or 0.0, config.gamma or 0.0).pipeline_params()
     grid = [(config.beta, config.gamma)] if config.has_params else None
     result = train_params(
         series,
-        base,
+        config.base_params(),
         grid=grid,
         train_fraction=config.train_fraction,
-        threads=args.threads,
         cost_per_trade=config.cost_per_trade,
     )
     training_path = f"{args.out}training.csv"
@@ -192,15 +201,12 @@ def cmd_backtest(args: argparse.Namespace) -> int:
         except OSError as exc:
             raise ConfigError(f"cannot read params: {exc}") from None
         config = config.with_params(beta, gamma)
-    if not config.has_params:
-        raise ConfigError("beta and gamma are unset; pass --params or set them in the config")
-    series = _load_series(args.sessions)
     params = config.pipeline_params()
+    series = _load_series(args.sessions)
     result = evaluate(
         series,
         params,
         train_fraction=config.train_fraction,
-        threads=args.threads,
         cost_per_trade=config.cost_per_trade,
     )
     predictions_path = f"{args.out}predictions.csv"

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
 
-from .adaptive import SPREAD_SCOPES, PipelineParams
+from .adaptive import PipelineParams
+from .backtest import check_cost_per_trade, check_train_fraction
 from .errors import ConfigError
 from .sessions import parse_key_values
 
@@ -34,28 +35,13 @@ class Config:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.p_threshold < 1.0:
-            raise ConfigError(f"p_threshold: must lie in (0, 1), got {self.p_threshold}")
-        if self.tfw_min < 3:
-            raise ConfigError(f"tfw_min: must be at least 3, got {self.tfw_min}")
-        if self.tfw_max < self.tfw_min:
-            raise ConfigError(
-                f"tfw_max: must be at least tfw_min ({self.tfw_min}), got {self.tfw_max}"
-            )
-        for name in ("beta", "gamma"):
-            value = getattr(self, name)
-            if value is not None and not 0.0 <= value <= 1.0:
-                raise ConfigError(f"{name}: must lie in [0, 1], got {value}")
-        if not 0.0 < self.train_fraction < 1.0:
-            raise ConfigError(f"train_fraction: must lie in (0, 1), got {self.train_fraction}")
+        self.base_params()  # PipelineParams checks the pipeline fields
+        if (self.beta is None) != (self.gamma is None):
+            raise ConfigError("beta and gamma must be set together")
+        check_train_fraction(self.train_fraction)
         if self.offset_minutes < 0:
             raise ConfigError(f"offset_minutes: must be non-negative, got {self.offset_minutes}")
-        if self.spread_scope not in SPREAD_SCOPES:
-            raise ConfigError(
-                f"spread_scope: must be one of {SPREAD_SCOPES}, got {self.spread_scope!r}"
-            )
-        if self.cost_per_trade < 0:
-            raise ConfigError(f"cost_per_trade: must be non-negative, got {self.cost_per_trade}")
+        check_cost_per_trade(self.cost_per_trade)
 
     @property
     def has_params(self) -> bool:
@@ -64,36 +50,37 @@ class Config:
     def with_params(self, beta: float, gamma: float) -> "Config":
         return replace(self, beta=beta, gamma=gamma)
 
+    def base_params(self) -> PipelineParams:
+        """The PipelineParams this config describes; 0.0 stands in for an unset beta or gamma."""
+        values = {f.name: getattr(self, f.name) for f in fields(PipelineParams)}
+        values.update(beta=self.beta or 0.0, gamma=self.gamma or 0.0)
+        return PipelineParams(**values)
+
     def pipeline_params(self) -> PipelineParams:
         if not self.has_params:
-            raise ConfigError("beta and gamma are unset; train first or set them in the config")
-        return PipelineParams(
-            beta=self.beta,
-            gamma=self.gamma,
-            p_threshold=self.p_threshold,
-            tfw_min=self.tfw_min,
-            tfw_max=self.tfw_max,
-            initial_spread=self.initial_spread,
-            spread_scope=self.spread_scope,
-            normalize_sentiment=self.normalize_sentiment,
-        )
+            raise ConfigError(
+                "beta and gamma are unset; train and pass --params, or set them in the config"
+            )
+        return self.base_params()
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(Config)}
 
 
 def _convert(key: str, raw: str):
-    if key in ("tfw_min", "tfw_max", "offset_minutes", "seed"):
+    """Convert by the field's annotation; ``float`` and ``float | None`` read a number."""
+    kind = _FIELD_TYPES[key]
+    if kind == "int":
         try:
             return int(raw)
         except ValueError:
             raise ConfigError(f"{key}: expected an integer, got {raw!r}") from None
-    if key == "normalize_sentiment":
+    if kind == "bool":
         try:
             return _BOOL_WORDS[raw.lower()]
         except KeyError:
             raise ConfigError(f"{key}: expected true or false, got {raw!r}") from None
-    if key == "spread_scope":
+    if kind == "str":
         return raw
     try:
         return float(raw)

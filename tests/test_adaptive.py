@@ -375,13 +375,6 @@ class TestRunPipeline:
         for engine in result.engines:
             assert [s.index for s in engine.history] == list(range(26, 60))
 
-    def test_thread_count_does_not_change_results(self, series_b, no_threads):
-        one = run_pipeline(series_b, SMALL, start=0, end=70, threads=1)
-        four = run_pipeline(series_b, SMALL, start=0, end=70, threads=4)
-        assert one.records == four.records
-        for a, b in zip(one.engines, four.engines):
-            assert a.history == b.history
-
     def test_engine_results_independent_of_other_windows(self, series_b):
         # Pin the same start for both runs; otherwise the wider run's later
         # warm-up would give the shared engine a shorter private history.
@@ -432,10 +425,6 @@ class TestRunPipeline:
     def test_invalid_span(self, series_b):
         with pytest.raises(DataError):
             run_pipeline(series_b, SMALL, start=50, end=20)
-
-    def test_threads_validated(self, series_b):
-        with pytest.raises(ConfigError):
-            run_pipeline(series_b, SMALL, threads=0)
 
     def test_missing_returns_rejected(self):
         series = make_series([0.01] * 60)

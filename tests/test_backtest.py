@@ -213,16 +213,6 @@ class TestTrainParams:
         )
         assert ledger.final_strategy == result.train_return
 
-    def test_threads_do_not_change_search(self, series_b, no_threads):
-        grid = [(0.0, 0.0), (0.4, 0.0), (0.4, 0.5)]
-        sequential = train_params(series_b, BASE, grid=grid, threads=1)
-        threaded = train_params(series_b, BASE, grid=grid, threads=3)
-        assert sequential == threaded
-
-    def test_threads_validated(self, series_b):
-        with pytest.raises(ConfigError, match="threads must be at least 1"):
-            train_params(series_b, BASE, grid=[(0.4, 0.0)], threads=0)
-
 
 class TestEvaluate:
     def test_default_span_follows_split(self, series_b):

@@ -230,6 +230,28 @@ class TestTrainCommand:
         assert code == 1
         assert "threads must be at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["train", "backtest"])
+    def test_invalid_threads_rejected_before_reading_files(self, workspace, capsys, command):
+        code = main(
+            [command, "--sessions", str(workspace / "absent.csv"), "--threads", "0",
+             "--out", str(workspace / "t_")]
+        )
+        assert code == 1
+        assert "threads must be at least 1" in capsys.readouterr().err
+
+    def test_half_set_pair_exit_one(self, workspace, capsys):
+        sessions = synth_sessions(workspace)
+        (workspace / "half.cfg").write_text(
+            "tfw_min = 10\ntfw_max = 12\nbeta = 0.4\n", encoding="utf-8"
+        )
+        code = main(
+            ["train", "--sessions", str(sessions), "--config", str(workspace / "half.cfg"),
+             "--out", str(workspace / "t_")]
+        )
+        assert code == 1
+        assert "beta and gamma must be set together" in capsys.readouterr().err
+        assert not (workspace / "t_training.csv").exists()
+
     def test_series_too_short(self, workspace, capsys):
         sessions = synth_sessions(workspace, n=30)
         code = main(
@@ -332,7 +354,7 @@ class TestBacktestCommand:
 
 
 class TestPipelineReproducibility:
-    def test_train_then_backtest_is_byte_stable(self, workspace):
+    def test_train_then_backtest_is_byte_stable(self, workspace, no_threads):
         sessions = synth_sessions(workspace)
 
         def run(prefix, threads):

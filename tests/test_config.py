@@ -4,8 +4,26 @@ from __future__ import annotations
 
 import pytest
 
+from sentrade.adaptive import PipelineParams, TfwEngine
+from sentrade.backtest import simulate, split_point
 from sentrade.config import Config, load_config, parse_config, parse_params_file
 from sentrade.errors import ConfigError
+
+PIPELINE_FIELDS = {"p_threshold", "tfw_min", "tfw_max", "beta", "gamma", "spread_scope"}
+
+
+def same_rule_elsewhere(kwargs):
+    """The library calls that check the rule Config applies to kwargs, given the same values."""
+    calls = []
+    if set(kwargs) <= PIPELINE_FIELDS:
+        calls.append(lambda: PipelineParams(**{"beta": 0.0, "gamma": 0.0, **kwargs}))
+    if set(kwargs) <= {"beta", "gamma"}:
+        calls.append(lambda: TfwEngine(w=20, **{"beta": 0.0, "gamma": 0.0, **kwargs}))
+    if "train_fraction" in kwargs:
+        calls.append(lambda: split_point(100, kwargs["train_fraction"]))
+    if "cost_per_trade" in kwargs:
+        calls.append(lambda: simulate([], [], kwargs["cost_per_trade"]))
+    return calls
 
 
 class TestConfig:
@@ -34,7 +52,19 @@ class TestConfig:
         ],
     )
     def test_validation_names_the_field(self, kwargs, field):
-        with pytest.raises(ConfigError, match=field):
+        with pytest.raises(ConfigError, match=field) as from_config:
+            Config(**kwargs)
+        # each rule has one message, whichever entry point checks it
+        calls = same_rule_elsewhere(kwargs)
+        assert calls or field == "offset_minutes"
+        for call in calls:
+            with pytest.raises(ConfigError) as elsewhere:
+                call()
+            assert str(elsewhere.value) == str(from_config.value)
+
+    @pytest.mark.parametrize("kwargs", [{"beta": 0.4}, {"gamma": 0.0}])
+    def test_half_set_pair_rejected(self, kwargs):
+        with pytest.raises(ConfigError, match="beta and gamma must be set together"):
             Config(**kwargs)
 
     def test_with_params(self):
