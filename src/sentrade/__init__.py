@@ -18,7 +18,6 @@ from .adaptive import (
     run_pipeline,
     select_class,
     select_tfw,
-    step_engine,
     update_quality,
     update_spread,
 )

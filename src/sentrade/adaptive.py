@@ -17,12 +17,13 @@ system-level prediction.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import IO, Callable, Iterable, Sequence
 
 from .errors import ConfigError, DataError
-from .model_space import P_THRESHOLD, FitTable, FittedModel, ModelClass, fit_window
+from .model_space import P_THRESHOLD, FitTable, FittedModel, ModelClass
 from .sessions import SessionSeries
 
 PREDICTIONS_HEADER = (
@@ -285,24 +286,6 @@ def update_quality(engine: TfwEngine, lam: int, realized_return: float) -> float
     return engine.beta * engine.quality + lam * abs(100.0 * realized_return)
 
 
-def step_engine(
-    engine: TfwEngine,
-    series: SessionSeries,
-    t: int,
-    p_threshold: float = P_THRESHOLD,
-    *,
-    normalize: bool = False,
-) -> int | None:
-    """Propose-and-resolve one session for a lone engine; returns the emission."""
-    if t - engine.w >= 2:
-        models = fit_window(series, t, engine.w, p_threshold, normalize=normalize)
-    else:
-        models = None
-    emitted = engine.propose(t, models)
-    engine.resolve(series.returns[t])
-    return emitted
-
-
 @dataclass(frozen=True)
 class PredictionRecord:
     """The system-level outcome of one session."""
@@ -377,6 +360,8 @@ class PipelineParams:
 
     def __post_init__(self) -> None:
         check_decays(self.beta, self.gamma)
+        if not math.isfinite(self.initial_spread):
+            raise ConfigError(f"initial_spread: must be finite, got {self.initial_spread}")
         if not 0.0 < self.p_threshold < 1.0:
             raise ConfigError(f"p_threshold: must lie in (0, 1), got {self.p_threshold}")
         if self.tfw_min < 3:
@@ -427,8 +412,10 @@ FitFn = Callable[[int, int], list[FittedModel]]
 def first_session(params: PipelineParams, start: int = 0) -> int:
     """The first session a run over [start, ...) scores.
 
-    It is pushed past tfw_max + 2 so that every window is feasible from the
-    outset; earlier sessions serve as history only.
+    It is pushed past tfw_max + 2 so that every window, which needs two
+    sessions of history before it, is feasible from the outset; earlier
+    sessions serve as history only.  This is the only statement of the
+    warm-up rule.
     """
     return max(start, params.tfw_max + 2)
 
@@ -445,9 +432,11 @@ def run_pipeline(
 
     The first processed session is ``first_session(params, start)``.  By
     default every (session, window) fit comes from one ``FitTable`` built
-    for the span; ``fit_fn`` replaces the per-(session, window) model
-    fitting, which is how tests substitute the reference ``fit_window`` or
-    a fake.  The replay is one single-threaded loop.
+    for the scored sessions and returned as ``fit_table``, so a later run
+    over the same span and fit settings can pass it back as ``fit_fn``;
+    ``fit_fn`` replaces the per-(session, window) model fitting, which is
+    also how tests substitute the reference ``fit_window`` or a fake.  The
+    replay is one single-threaded loop.
     """
     n = len(series)
     end = n if end is None else end
@@ -480,8 +469,7 @@ def run_pipeline(
         if params.spread_scope == "global":
             override = select_class(global_spread)
         for engine in engines:
-            models = fit_fn(t, engine.w) if t - engine.w >= 2 else None
-            engine.propose(t, models, class_override=override)
+            engine.propose(t, fit_fn(t, engine.w), class_override=override)
         records.append(select_tfw(engines, t, realized))
         steps = [engine.resolve(realized) for engine in engines]
         if params.spread_scope == "global":

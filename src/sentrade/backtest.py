@@ -84,8 +84,8 @@ class TradeLedger:
 
 
 def check_cost_per_trade(cost_per_trade: float) -> None:
-    if cost_per_trade < 0:
-        raise ConfigError(f"cost_per_trade: must be non-negative, got {cost_per_trade}")
+    if not (math.isfinite(cost_per_trade) and cost_per_trade >= 0):
+        raise ConfigError(f"cost_per_trade: must be finite and non-negative, got {cost_per_trade}")
 
 
 def check_train_fraction(train_fraction: float) -> None:
@@ -181,13 +181,13 @@ def train_params(
     sessions [0, split) and scores its final strategy sum; ties go to the
     smaller beta, then the smaller gamma.  The default grid crosses
     {0.0, 0.1, ..., 1.0} with itself.  Fits do not depend on beta or gamma,
-    so by default one ``FitTable`` over the scored sessions serves every
-    grid point; ``fit_fn`` replaces it, which is how tests substitute the
-    reference ``fit_window`` or a fake.  Grid points replay one after
-    another.
+    so by default the first grid point's run builds the ``FitTable`` and
+    every later point replays from it; ``fit_fn`` replaces it for every
+    point, which is how tests substitute the reference ``fit_window`` or a
+    fake.  Grid points replay one after another.
     """
     split = split_point(len(series), train_fraction)
-    minimum = base_params.tfw_max + 3
+    minimum = first_session(base_params) + 1
     if split < minimum:
         raise DataError(
             f"training span of {split} session(s) cannot warm up tfw_max="
@@ -199,20 +199,12 @@ def train_params(
         points = list(grid)
         if not points:
             raise ConfigError("grid must contain at least one (beta, gamma) point")
-    start = first_session(base_params)
-    if fit_fn is None:
-        fit_fn = FitTable(
-            series,
-            range(start, split),
-            base_params.windows,
-            base_params.p_threshold,
-            normalize=base_params.normalize_sentiment,
-        )
-
     train_returns = []
     for beta, gamma in points:
         params = replace(base_params, beta=beta, gamma=gamma)
-        result = run_pipeline(series, params, start=0, end=split, fit_fn=fit_fn)
+        result = run_pipeline(series, params, end=split, fit_fn=fit_fn)
+        if fit_fn is None:
+            fit_fn = result.fit_table
         returns = series.returns[result.start : split]
         ledger = simulate(result.records, returns, cost_per_trade)
         train_returns.append(ledger.final_strategy)
@@ -231,7 +223,7 @@ def train_params(
         train_return=train_returns[best],
         grid=grid_rows,
         split_index=split,
-        scored_sessions=split - start,
+        scored_sessions=len(result.records),
     )
 
 
@@ -247,7 +239,6 @@ class EvaluationResult:
 def evaluate(
     series: SessionSeries,
     params: PipelineParams,
-    eval_span: tuple[int, int] | None = None,
     train_fraction: float = 0.30,
     *,
     cost_per_trade: float = 0.0,
@@ -255,22 +246,18 @@ def evaluate(
 ) -> EvaluationResult:
     """Trade the pipeline's predictions over the evaluation span.
 
-    The span defaults to everything after the chronological split; its
-    start is pushed past the longest window's warm-up, so every engine
-    participates from the first traded session.
+    The span is everything after the chronological split; its start is
+    pushed past the longest window's warm-up, so every engine participates
+    from the first traded session.  ``run_pipeline`` replays any other span.
     """
-    n = len(series)
-    if eval_span is None:
-        start, end = split_point(n, train_fraction), n
-    else:
-        start, end = eval_span
-    result = run_pipeline(series, params, start=start, end=end, fit_fn=fit_fn)
+    start, end = split_point(len(series), train_fraction), len(series)
+    result = run_pipeline(series, params, start=start, fit_fn=fit_fn)
     if not result.records:
         raise DataError(
             f"no sessions to evaluate in [{start}, {end}) after warm-up; "
-            f"need sessions beyond {params.tfw_max + 2}"
+            f"need sessions beyond {first_session(params)}"
         )
-    returns = series.returns[result.start : end]
+    returns = series.returns[result.start :]
     ledger = simulate(result.records, returns, cost_per_trade)
     return EvaluationResult(
         ledger=ledger,

@@ -18,6 +18,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 from scipy.special import stdtrit
@@ -57,7 +58,7 @@ class Candidate:
         if len(set(self.variables)) != len(self.variables):
             raise ValueError("candidate variables must be distinct")
 
-    @property
+    @cached_property
     def model_class(self) -> ModelClass:
         if any(v.is_sentiment for v in self.variables):
             return ModelClass.SENTIMENT
@@ -143,19 +144,18 @@ def fit_window(
     p_threshold: float = P_THRESHOLD,
     *,
     normalize: bool = False,
-    min_residual_df: int = MIN_RESIDUAL_DF,
 ) -> list[FittedModel]:
     """Fit every candidate on the window ending just before session t.
 
     Candidates whose residual degrees of freedom would fall below
-    ``min_residual_df``, whose window is rank-deficient, or with any
+    ``MIN_RESIDUAL_DF``, whose window is rank-deficient, or with any
     regressor p-value at or above the threshold fail the filter; the fit
     and its prediction are still reported whenever the solve succeeded.
     """
     results = []
     for candidate in CANDIDATES:
         k = len(candidate.variables)
-        if w - k - 1 < min_residual_df:
+        if w - k - 1 < MIN_RESIDUAL_DF:
             results.append(FittedModel(candidate, None, None, False))
             continue
         design, prediction_row = build_design(series, candidate.variables, t, w, normalize)

@@ -238,23 +238,20 @@ def parse_key_values(
 
 @dataclass(frozen=True)
 class MarketCalendar:
-    """Per-weekday market hours in a local timezone, plus holiday closures.
+    """Monday-to-Friday market hours in a local timezone, plus holiday closures.
 
-    ``hours`` maps weekday ordinals (Monday == 0) to (open, close) wall
-    times; weekdays missing from the map never trade, so weekends fall out
-    naturally.
+    Every trading day opens at ``market_open`` and closes at
+    ``market_close`` local wall time; weekends and holidays never trade.
     """
 
     timezone: str
-    hours: Mapping[int, tuple[time, time]]
+    market_open: time
+    market_close: time
     holidays: frozenset[date] = frozenset()
 
     def __post_init__(self) -> None:
-        for weekday, (open_, close) in self.hours.items():
-            if not 0 <= weekday <= 6:
-                raise ConfigError(f"weekday {weekday} out of range")
-            if not open_ < close:
-                raise ConfigError(f"market_open must precede market_close on weekday {weekday}")
+        if not self.market_open < self.market_close:
+            raise ConfigError("market_open must precede market_close")
 
     @cached_property
     def tzinfo(self) -> ZoneInfo:
@@ -262,18 +259,6 @@ class MarketCalendar:
             return ZoneInfo(self.timezone)
         except Exception as exc:  # zoneinfo raises several lookup error types
             raise ConfigError(f"timezone: unknown zone {self.timezone!r}") from exc
-
-    @classmethod
-    def weekdays(
-        cls,
-        timezone: str,
-        open_: time,
-        close: time,
-        holidays: Iterable[date] = (),
-    ) -> "MarketCalendar":
-        """Calendar trading Monday through Friday with uniform hours."""
-        hours = {weekday: (open_, close) for weekday in range(5)}
-        return cls(timezone, hours, frozenset(holidays))
 
     @classmethod
     def from_config(cls, text: str) -> "MarketCalendar":
@@ -306,20 +291,20 @@ class MarketCalendar:
                 holidays.add(date.fromisoformat(piece))
             except ValueError as exc:
                 raise ConfigError(f"calendar: bad holiday date {piece!r}") from exc
-        calendar = cls.weekdays(values["timezone"], parse_wall_time("open"), parse_wall_time("close"), holidays)
+        calendar = cls(
+            values["timezone"], parse_wall_time("open"), parse_wall_time("close"), frozenset(holidays)
+        )
         calendar.tzinfo  # fail fast on unknown zones
         return calendar
 
     def is_trading_day(self, day: date) -> bool:
-        return day.weekday() in self.hours and day not in self.holidays
+        return day.weekday() < 5 and day not in self.holidays
 
     def market_open_utc(self, day: date) -> datetime:
-        open_, _ = self.hours[day.weekday()]
-        return datetime.combine(day, open_, tzinfo=self.tzinfo).astimezone(UTC)
+        return datetime.combine(day, self.market_open, tzinfo=self.tzinfo).astimezone(UTC)
 
     def market_close_utc(self, day: date) -> datetime:
-        _, close = self.hours[day.weekday()]
-        return datetime.combine(day, close, tzinfo=self.tzinfo).astimezone(UTC)
+        return datetime.combine(day, self.market_close, tzinfo=self.tzinfo).astimezone(UTC)
 
 
 @dataclass(frozen=True)

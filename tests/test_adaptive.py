@@ -20,7 +20,6 @@ from sentrade.adaptive import (
     run_pipeline,
     select_class,
     select_tfw,
-    step_engine,
     update_quality,
     update_spread,
     write_predictions_csv,
@@ -271,12 +270,6 @@ class TestTfwEngine:
         engine.resolve(0.01)
         with pytest.raises(DataError, match="expected session 31"):
             engine.propose(33, None)
-
-    def test_step_engine_infeasible_window(self):
-        series = make_series([0.01] * 10)
-        engine = TfwEngine(w=9, beta=0.4, gamma=0.0)
-        assert step_engine(engine, series, 5) is None
-        assert not engine.history[0].feasible
 
     def test_abstains_when_nothing_passes(self):
         # Pure noise rarely lets models through; feed an explicit empty pass set.

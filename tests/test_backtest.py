@@ -226,17 +226,19 @@ class TestEvaluate:
         assert result.ledger.final_benchmark == total
 
     def test_explicit_span(self, series_b):
-        result = evaluate(series_b, BASE, eval_span=(40, 80))
+        result = run_pipeline(series_b, BASE, start=40, end=80)
         assert result.start == 40
         assert [r.index for r in result.records] == list(range(40, 80))
 
-    def test_empty_span_rejected(self, series_b):
+    def test_empty_span_rejected(self):
+        # 26 sessions end exactly where the tfw_max=24 warm-up does
+        series = make_series([0.01, -0.01] * 13)
         with pytest.raises(DataError, match="no sessions to evaluate"):
-            evaluate(series_b, BASE, eval_span=(10, 12))
+            evaluate(series, BASE)
 
     def test_no_lookahead_in_predictions(self, series_b):
-        short = evaluate(series_b, BASE, eval_span=(40, 80))
-        longer = evaluate(series_b, BASE, eval_span=(40, 120))
+        short = run_pipeline(series_b, BASE, start=40, end=80)
+        longer = run_pipeline(series_b, BASE, start=40, end=120)
         assert longer.records[:40] == short.records
 
 

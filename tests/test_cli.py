@@ -326,6 +326,17 @@ class TestBacktestCommand:
         assert code == 1
         assert "unset" in capsys.readouterr().err
 
+    def test_non_finite_cost_exit_one(self, workspace, capsys):
+        sessions = synth_sessions(workspace)
+        (workspace / "nan.cfg").write_text(CONFIG + "cost_per_trade = nan\n", encoding="utf-8")
+        code = main(
+            ["backtest", "--sessions", str(sessions), "--config", str(workspace / "nan.cfg"),
+             "--out", str(workspace / "b_")]
+        )
+        assert code == 1
+        assert "cost_per_trade: must" in capsys.readouterr().err
+        assert not (workspace / "b_report.csv").exists()
+
     def test_params_file_overrides(self, workspace):
         sessions = synth_sessions(workspace)
         (workspace / "bare.cfg").write_text("tfw_min = 10\ntfw_max = 12\n", encoding="utf-8")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from sentrade.adaptive import PipelineParams, TfwEngine
@@ -9,7 +11,9 @@ from sentrade.backtest import simulate, split_point
 from sentrade.config import Config, load_config, parse_config, parse_params_file
 from sentrade.errors import ConfigError
 
-PIPELINE_FIELDS = {"p_threshold", "tfw_min", "tfw_max", "beta", "gamma", "spread_scope"}
+PIPELINE_FIELDS = {
+    "p_threshold", "tfw_min", "tfw_max", "beta", "gamma", "initial_spread", "spread_scope"
+}
 
 
 def same_rule_elsewhere(kwargs):
@@ -49,6 +53,10 @@ class TestConfig:
             ({"offset_minutes": -5}, "offset_minutes"),
             ({"spread_scope": "everywhere"}, "spread_scope"),
             ({"cost_per_trade": -0.01}, "cost_per_trade"),
+            ({"cost_per_trade": math.nan}, "cost_per_trade"),
+            ({"cost_per_trade": math.inf}, "cost_per_trade"),
+            ({"initial_spread": math.nan}, "initial_spread"),
+            ({"initial_spread": math.inf}, "initial_spread"),
         ],
     )
     def test_validation_names_the_field(self, kwargs, field):

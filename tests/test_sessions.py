@@ -35,7 +35,7 @@ from sentrade.synth import SyntheticScenario, generate
 
 UTC = timezone.utc
 
-CALENDAR = MarketCalendar.weekdays("America/New_York", time(9, 30), time(16, 0))
+CALENDAR = MarketCalendar("America/New_York", time(9, 30), time(16, 0))
 
 
 def utc(text: str) -> datetime:
@@ -164,7 +164,7 @@ class TestMarketCalendar:
 
     def test_open_must_precede_close(self):
         with pytest.raises(ConfigError):
-            MarketCalendar.weekdays("UTC", time(16, 0), time(9, 30))
+            MarketCalendar("UTC", time(16, 0), time(9, 30))
 
     def test_market_open_utc_handles_dst(self):
         # June: EDT is UTC-4, so 09:30 local is 13:30 UTC.
@@ -287,8 +287,8 @@ class TestBuildSessions:
 
     def test_holiday_merges_sessions(self):
         def build(holidays):
-            calendar = MarketCalendar.weekdays(
-                "America/New_York", time(9, 30), time(16, 0), holidays
+            calendar = MarketCalendar(
+                "America/New_York", time(9, 30), time(16, 0), frozenset(holidays)
             )
             ticks = []
             for day in ("2012-06-18", "2012-06-19", "2012-06-20"):
