@@ -43,6 +43,7 @@ from .model_space import (
     build_design,
     enumerate_candidates,
     fit_window,
+    votes,
 )
 from .regression import DesignMatrix, FitResult, fit_ols, two_sided_t_pvalue
 from .sessions import (

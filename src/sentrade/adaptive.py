@@ -20,10 +20,10 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import IO, Callable, Iterable, Sequence
+from typing import IO, Callable, Sequence
 
 from .errors import ConfigError, DataError
-from .model_space import P_THRESHOLD, FitTable, FittedModel, ModelClass
+from .model_space import P_THRESHOLD, FitTable, ModelClass, Votes
 from .sessions import SessionSeries
 
 PREDICTIONS_HEADER = (
@@ -36,21 +36,14 @@ PREDICTIONS_HEADER = (
 )
 
 
-def majority_sign(predictions: Iterable[float]) -> int | None:
-    """Strict-majority sign of a collection of predicted returns.
+def majority_sign(up: int, down: int) -> int | None:
+    """Strict-majority sign of up and down votes.
 
-    Exact zeros vote for neither side; a tie (including the empty
-    collection) yields None, meaning abstain.
+    A tie (including no votes at all) yields None, meaning abstain.
     """
-    positive = negative = 0
-    for value in predictions:
-        if value > 0:
-            positive += 1
-        elif value < 0:
-            negative += 1
-    if positive > negative:
+    if up > down:
         return 1
-    if negative > positive:
+    if down > up:
         return -1
     return None
 
@@ -75,34 +68,24 @@ class ClassOutcome:
         return self.n_correct / self.n_models
 
 
-def class_outcomes(
-    passed_models: Sequence[FittedModel],
-    realized_return: float,
-) -> tuple[ClassOutcome, ClassOutcome]:
-    """Score the passed-filter models of one session against its return.
+def class_outcomes(votes: Votes, realized_return: float) -> tuple[ClassOutcome, ClassOutcome]:
+    """Score one session's per-class vote counts against its return.
 
     A model counts correct only when its predicted sign matches a nonzero
     realized return, so a flat session scores zero correct in both classes.
     """
-    outcomes = []
-    for model_class in (ModelClass.FINANCIAL, ModelClass.SENTIMENT):
-        predictions = [
-            m.predicted_next
-            for m in passed_models
-            if m.passed_filter and m.candidate.model_class is model_class
-        ]
-        correct = 0
-        if realized_return != 0:
-            wanted = 1 if realized_return > 0 else -1
-            for predicted in predictions:
-                if predicted > 0 and wanted == 1:
-                    correct += 1
-                elif predicted < 0 and wanted == -1:
-                    correct += 1
-        outcomes.append(
-            ClassOutcome(model_class, len(predictions), correct, majority_sign(predictions))
+    financial, sentiment = (
+        ClassOutcome(
+            model_class,
+            n_models,
+            up if realized_return > 0 else down if realized_return < 0 else 0,
+            majority_sign(up, down),
         )
-    return outcomes[0], outcomes[1]
+        for model_class, (n_models, up, down) in zip(
+            (ModelClass.FINANCIAL, ModelClass.SENTIMENT), votes
+        )
+    )
+    return financial, sentiment
 
 
 def select_class(spread: float) -> ModelClass:
@@ -140,8 +123,7 @@ class PendingStep:
     """An engine's proposal for a session whose return is not yet known."""
 
     index: int
-    feasible: bool
-    passed: tuple[FittedModel, ...]
+    votes: Votes | None  # None when the window was infeasible
     chosen_class: ModelClass | None
     emitted: int | None
 
@@ -166,8 +148,8 @@ class EngineStep:
 class TfwEngine:
     """Adaptive engine for one trailing window length.
 
-    Step an engine in two phases: ``propose`` with the session's fitted
-    models (None when the window does not fit the available history) and,
+    Step an engine in two phases: ``propose`` with the session's vote
+    counts (None when the window does not fit the available history) and,
     once the session's return is known, ``resolve``.  State advances only
     in ``resolve``.
     """
@@ -190,16 +172,16 @@ class TfwEngine:
     def propose(
         self,
         t: int,
-        fitted_models: Sequence[FittedModel] | None,
+        votes: Votes | None,
         class_override: ModelClass | None = None,
     ) -> int | None:
         """Stage the engine's emission for session t and return it.
 
-        ``fitted_models`` holds the candidate models of this engine's
-        window, of which only those that passed the filter are read, or
-        None when the window was infeasible.  ``class_override`` substitutes
-        an externally arbitrated class for the engine's own spread-based
-        choice.
+        ``votes`` holds the per-class vote counts of this engine's window
+        (see ``model_space.votes``), or None when the window was infeasible;
+        the emission is the chosen class's majority sign.  ``class_override``
+        substitutes an externally arbitrated class for the engine's own
+        spread-based choice.
         """
         if self.pending is not None:
             raise DataError(f"engine w={self.w}: session {self.pending.index} is unresolved")
@@ -207,15 +189,13 @@ class TfwEngine:
             raise DataError(
                 f"engine w={self.w}: expected session {self.history[-1].index + 1}, got {t}"
             )
-        if fitted_models is None:
-            self.pending = PendingStep(t, False, (), None, None)
+        if votes is None:
+            self.pending = PendingStep(t, None, None, None)
             return None
-        passed = tuple(m for m in fitted_models if m.passed_filter)
         chosen = class_override if class_override is not None else select_class(self.spread)
-        emitted = majority_sign(
-            m.predicted_next for m in passed if m.candidate.model_class is chosen
-        )
-        self.pending = PendingStep(t, True, passed, chosen, emitted)
+        _, up, down = votes[0 if chosen is ModelClass.FINANCIAL else 1]
+        emitted = majority_sign(up, down)
+        self.pending = PendingStep(t, votes, chosen, emitted)
         return emitted
 
     def resolve(self, realized_return: float) -> EngineStep:
@@ -223,44 +203,31 @@ class TfwEngine:
         pending = self.pending
         if pending is None:
             raise DataError(f"engine w={self.w}: no pending session to resolve")
-        if not pending.feasible:
-            self.quality = update_quality(self, 0, realized_return)
-            step = EngineStep(
-                index=pending.index,
-                feasible=False,
-                financial=None,
-                sentiment=None,
-                chosen_class=None,
-                emitted=None,
-                realized_return=realized_return,
-                lam=0,
-                spread_after=self.spread,
-                quality_after=self.quality,
-            )
+        if pending.emitted is None:
+            lam = 0
+        elif realized_return > 0:
+            lam = 1 if pending.emitted == 1 else -1
+        elif realized_return < 0:
+            lam = 1 if pending.emitted == -1 else -1
         else:
-            financial, sentiment = class_outcomes(pending.passed, realized_return)
-            if pending.emitted is None:
-                lam = 0
-            elif realized_return > 0:
-                lam = 1 if pending.emitted == 1 else -1
-            elif realized_return < 0:
-                lam = 1 if pending.emitted == -1 else -1
-            else:
-                lam = -1
+            lam = -1
+        financial = sentiment = None
+        if pending.votes is not None:
+            financial, sentiment = class_outcomes(pending.votes, realized_return)
             self.spread = update_spread(self, financial, sentiment, realized_return)
-            self.quality = update_quality(self, lam, realized_return)
-            step = EngineStep(
-                index=pending.index,
-                feasible=True,
-                financial=financial,
-                sentiment=sentiment,
-                chosen_class=pending.chosen_class,
-                emitted=pending.emitted,
-                realized_return=realized_return,
-                lam=lam,
-                spread_after=self.spread,
-                quality_after=self.quality,
-            )
+        self.quality = update_quality(self, lam, realized_return)
+        step = EngineStep(
+            index=pending.index,
+            feasible=pending.votes is not None,
+            financial=financial,
+            sentiment=sentiment,
+            chosen_class=pending.chosen_class,
+            emitted=pending.emitted,
+            realized_return=realized_return,
+            lam=lam,
+            spread_after=self.spread,
+            quality_after=self.quality,
+        )
         self.history.append(step)
         self.pending = None
         return step
@@ -406,7 +373,7 @@ def _pooled_outcome(steps: Sequence[EngineStep], model_class: ModelClass) -> Cla
     return ClassOutcome(model_class, n_models, n_correct, None)
 
 
-FitFn = Callable[[int, int], list[FittedModel]]
+FitFn = Callable[[int, int], Votes]
 
 
 def first_session(params: PipelineParams, start: int = 0) -> int:
@@ -434,9 +401,9 @@ def run_pipeline(
     default every (session, window) fit comes from one ``FitTable`` built
     for the scored sessions and returned as ``fit_table``, so a later run
     over the same span and fit settings can pass it back as ``fit_fn``;
-    ``fit_fn`` replaces the per-(session, window) model fitting, which is
-    also how tests substitute the reference ``fit_window`` or a fake.  The
-    replay is one single-threaded loop.
+    ``fit_fn`` replaces the per-(session, window) vote counts, which is
+    also how tests substitute the reference, ``votes(fit_window(...))``, or
+    a fake.  The replay is one single-threaded loop.
     """
     n = len(series)
     end = n if end is None else end

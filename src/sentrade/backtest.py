@@ -183,7 +183,7 @@ def train_params(
     {0.0, 0.1, ..., 1.0} with itself.  Fits do not depend on beta or gamma,
     so by default the first grid point's run builds the ``FitTable`` and
     every later point replays from it; ``fit_fn`` replaces it for every
-    point, which is how tests substitute the reference ``fit_window`` or a
+    point, which is how tests substitute ``votes(fit_window(...))`` or a
     fake.  Grid points replay one after another.
     """
     split = split_point(len(series), train_fraction)

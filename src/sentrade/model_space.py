@@ -89,6 +89,7 @@ def enumerate_candidates() -> tuple[Candidate, ...]:
 
 
 CANDIDATES = enumerate_candidates()
+_SENTIMENT = np.array([c.model_class is ModelClass.SENTIMENT for c in CANDIDATES])
 
 
 @dataclass(frozen=True)
@@ -169,6 +170,28 @@ def fit_window(
     return results
 
 
+Votes = tuple[tuple[int, int, int], tuple[int, int, int]]
+"""(passed models, up votes, down votes) of the financial, then the sentiment class."""
+
+
+def votes(models: list[FittedModel]) -> Votes:
+    """The per-class vote counts an engine reads from ``fit_window``'s models.
+
+    Only models that passed the filter count.  A prediction above zero
+    votes up, one below zero votes down, and an exact zero votes neither way.
+    """
+    counts = []
+    for model_class in (ModelClass.FINANCIAL, ModelClass.SENTIMENT):
+        predictions = [
+            m.predicted_next
+            for m in models
+            if m.passed_filter and m.candidate.model_class is model_class
+        ]
+        up, down = sum(p > 0 for p in predictions), sum(p < 0 for p in predictions)
+        counts.append((len(predictions), up, down))
+    return counts[0], counts[1]
+
+
 # Cells whose outcome the batched arithmetic cannot settle go to fit_window:
 # p_max within P_BAND of the threshold, or a prediction within SIGN_BAND of
 # zero relative to the sum of its terms' magnitudes.  These floors cover the
@@ -216,9 +239,9 @@ class FitTable:
     those (session, window) pairs; ``build_seconds`` is the wall time of
     the whole build.
 
-    Calling the table with (t, w) returns that window's passed models, the
-    only ones an engine reads, so the table serves as a run's fit function.
-    Their ``fit`` is None: the table keeps no per-candidate ``FitResult``.
+    ``vote_counts``, shaped (sessions, windows, 2, 3), holds what ``votes``
+    makes of each cell.  Calling the table with (t, w) returns that cell's
+    counts as Python ints, so the table serves as a run's fit function.
     """
 
     def __init__(
@@ -269,18 +292,19 @@ class FitTable:
                 self.passed[i, j, c] = model.passed_filter
                 self.predicted_next[i, j, c] = model.predicted_next if rank_ok else np.nan
                 self.p_max[i, j, c] = model.fit.max_p_value if rank_ok else np.nan
-        self._models: list[list[list[FittedModel]]] = [[[] for _ in ws] for _ in ts]
-        for i, j, c in zip(*(index.tolist() for index in np.nonzero(self.passed))):
-            self._models[i][j].append(
-                FittedModel(CANDIDATES[c], None, float(self.predicted_next[i, j, c]), True)
-            )
+        passed, up, down = self.passed, self.predicted_next > 0, self.predicted_next < 0
+        tallies = np.stack([passed, passed & up, passed & down], axis=-1)
+        self.vote_counts = np.stack(
+            [tallies[:, :, ~_SENTIMENT].sum(axis=2), tallies[:, :, _SENTIMENT].sum(axis=2)], axis=2
+        )
         self.build_seconds = time.perf_counter() - began
 
-    def __call__(self, t: int, w: int) -> list[FittedModel]:
+    def __call__(self, t: int, w: int) -> Votes:
         i, j = t - self.sessions.start, w - self.windows.start
         if not (0 <= i < len(self.sessions) and 0 <= j < len(self.windows)):
             raise DataError(f"session {t}, window {w} lies outside the fitted table")
-        return self._models[i][j]
+        financial, sentiment = self.vote_counts[i, j].tolist()
+        return tuple(financial), tuple(sentiment)
 
 
 def _fit_cells(

@@ -251,7 +251,8 @@ class MarketCalendar:
 
     def __post_init__(self) -> None:
         if not self.market_open < self.market_close:
-            raise ConfigError("market_open must precede market_close")
+            raise ConfigError(f"calendar: open must precede close, got open = "
+                              f"{self.market_open:%H:%M}, close = {self.market_close:%H:%M}")
 
     @cached_property
     def tzinfo(self) -> ZoneInfo:

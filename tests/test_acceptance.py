@@ -24,6 +24,7 @@ from sentrade.model_space import (
     Variable,
     enumerate_candidates,
     fit_window,
+    votes,
 )
 from sentrade.regression import DesignMatrix, fit_ols
 from sentrade.synth import SyntheticScenario, generate
@@ -120,7 +121,7 @@ def _random_history(rng) -> TfwEngine:
                 models.append(
                     _stub(SENTIMENT_CAND, float(rng.normal(0, 0.01)), rng.random() < 0.7)
                 )
-            engine.propose(t, models)
+            engine.propose(t, votes(models))
         realized = 0.0 if rng.random() < 0.1 else float(rng.normal(0, 0.01))
         engine.resolve(realized)
     return engine
@@ -222,18 +223,24 @@ def test_criterion_5_planted_sentiment_regime(capfd):
     assert elapsed < 60.0
 
 
-def reference_fits(series, params):
-    """The reference ``fit_window`` as a ``fit_fn`` for ``series``."""
+def _reference_models(series, params):
+    """The reference ``fit_window`` over ``series`` with the run's fit settings."""
     return partial(
         fit_window, series, p_threshold=params.p_threshold, normalize=params.normalize_sentiment
     )
+
+
+def reference_fits(series, params):
+    """The reference ``fit_window``, reduced to vote counts, as a ``fit_fn`` for ``series``."""
+    fit = _reference_models(series, params)
+    return lambda t, w: votes(fit(t, w))
 
 
 class _RecordingFits:
     """Reference fit function tallying pass-rate per candidate label."""
 
     def __init__(self, series, params, tally):
-        self._fit = reference_fits(series, params)
+        self._fit = _reference_models(series, params)
         self._tally = tally
 
     def __call__(self, t, w):
@@ -242,7 +249,7 @@ class _RecordingFits:
             entry = self._tally.setdefault(model.candidate.label, [0, 0])
             entry[0] += int(model.passed_filter)
             entry[1] += 1
-        return models
+        return votes(models)
 
 
 def test_criterion_6_noise_regime(capfd):

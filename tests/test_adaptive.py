@@ -25,7 +25,7 @@ from sentrade.adaptive import (
     write_predictions_csv,
 )
 from sentrade.errors import ConfigError, DataError
-from sentrade.model_space import CANDIDATES, FittedModel, ModelClass, Variable, fit_window
+from sentrade.model_space import CANDIDATES, FittedModel, ModelClass, Variable, fit_window, votes
 
 FINANCIAL = next(c for c in CANDIDATES if c.model_class is ModelClass.FINANCIAL)
 SENTIMENT = next(c for c in CANDIDATES if c.variables == (Variable.P1,))
@@ -33,6 +33,12 @@ SENTIMENT = next(c for c in CANDIDATES if c.variables == (Variable.P1,))
 
 def fitted(candidate, predicted, passed=True) -> FittedModel:
     return FittedModel(candidate, fit=None, predicted_next=predicted, passed_filter=passed)
+
+
+def vote_sign(predictions) -> int | None:
+    """Majority sign of sentiment models predicting ``predictions``, through ``votes``."""
+    _, (_, up, down) = votes([fitted(SENTIMENT, p) for p in predictions])
+    return majority_sign(up, down)
 
 
 def outcome(model_class, n_models, n_correct) -> ClassOutcome:
@@ -53,18 +59,18 @@ class TestMajoritySign:
         ],
     )
     def test_cases(self, predictions, expected):
-        assert majority_sign(predictions) == expected
+        assert vote_sign(predictions) == expected
 
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=20))
     def test_negation_flips(self, predictions):
-        sign = majority_sign(predictions)
-        flipped = majority_sign([-p for p in predictions])
+        sign = vote_sign(predictions)
+        flipped = vote_sign([-p for p in predictions])
         assert flipped == (None if sign is None else -sign)
 
 
 class TestClassOutcomes:
     def test_single_financial_correct(self):
-        fin, sent = class_outcomes([fitted(FINANCIAL, 0.002)], realized_return=0.01)
+        fin, sent = class_outcomes(votes([fitted(FINANCIAL, 0.002)]), realized_return=0.01)
         assert fin.n_models == 1
         assert fin.n_correct == 1
         assert fin.correctness == 1.0
@@ -77,7 +83,7 @@ class TestClassOutcomes:
             fitted(SENTIMENT, 0.002),
             fitted(SENTIMENT, -0.001),
         ]
-        fin, sent = class_outcomes(models, realized_return=-0.02)
+        fin, sent = class_outcomes(votes(models), realized_return=-0.02)
         assert sent.n_models == 3
         assert sent.n_correct == 1
         assert sent.correctness == pytest.approx(1 / 3)
@@ -85,18 +91,18 @@ class TestClassOutcomes:
 
     def test_tied_votes_abstain(self):
         models = [fitted(SENTIMENT, 0.004), fitted(SENTIMENT, -0.002)]
-        _, sent = class_outcomes(models, realized_return=0.05)
+        _, sent = class_outcomes(votes(models), realized_return=0.05)
         assert sent.majority_sign is None
 
     def test_zero_realized_scores_nothing(self):
         models = [fitted(FINANCIAL, 0.002), fitted(SENTIMENT, -0.001)]
-        fin, sent = class_outcomes(models, realized_return=0.0)
+        fin, sent = class_outcomes(votes(models), realized_return=0.0)
         assert fin.n_correct == 0
         assert sent.n_correct == 0
 
     def test_failed_models_ignored(self):
         models = [fitted(FINANCIAL, 0.002, passed=False)]
-        fin, _ = class_outcomes(models, realized_return=0.01)
+        fin, _ = class_outcomes(votes(models), realized_return=0.01)
         assert fin.n_models == 0
 
     def test_invalid_counts_rejected(self):
@@ -198,7 +204,7 @@ class TestTfwEngine:
 
     def test_propose_resolve_round(self):
         engine = TfwEngine(w=20, beta=0.4, gamma=0.0)
-        emitted = engine.propose(30, [fitted(FINANCIAL, 0.004)])
+        emitted = engine.propose(30, votes([fitted(FINANCIAL, 0.004)]))
         assert emitted == 1
         step = engine.resolve(0.01)
         assert step.index == 30
@@ -210,7 +216,7 @@ class TestTfwEngine:
 
     def test_wrong_emission_penalized(self):
         engine = TfwEngine(w=20, beta=0.4, gamma=0.0)
-        engine.propose(30, [fitted(FINANCIAL, 0.004)])
+        engine.propose(30, votes([fitted(FINANCIAL, 0.004)]))
         step = engine.resolve(-0.02)
         assert step.lam == -1
         assert engine.quality == pytest.approx(-2.0)
@@ -218,7 +224,7 @@ class TestTfwEngine:
     def test_zero_realized_with_emission(self):
         engine = TfwEngine(w=20, beta=0.4, gamma=0.0)
         engine.quality = 5.0
-        engine.propose(30, [fitted(FINANCIAL, 0.004)])
+        engine.propose(30, votes([fitted(FINANCIAL, 0.004)]))
         step = engine.resolve(0.0)
         assert step.lam == -1
         # Magnitude weighting nulls the penalty; only the decay acts.
@@ -227,10 +233,12 @@ class TestTfwEngine:
 
     def test_spread_chooses_sentiment_after_flip(self):
         engine = TfwEngine(w=20, beta=0.4, gamma=0.0)
-        engine.propose(30, [fitted(SENTIMENT, -0.004)])
+        engine.propose(30, votes([fitted(SENTIMENT, -0.004)]))
         engine.resolve(-0.01)  # financial empty: spread goes negative
         assert engine.spread < 0
-        emitted = engine.propose(31, [fitted(SENTIMENT, -0.004), fitted(FINANCIAL, 0.002)])
+        emitted = engine.propose(
+            31, votes([fitted(SENTIMENT, -0.004), fitted(FINANCIAL, 0.002)])
+        )
         assert engine.pending.chosen_class is ModelClass.SENTIMENT
         assert emitted == -1
 
@@ -238,7 +246,7 @@ class TestTfwEngine:
         engine = TfwEngine(w=20, beta=0.4, gamma=0.0)
         emitted = engine.propose(
             30,
-            [fitted(SENTIMENT, -0.004), fitted(FINANCIAL, 0.002)],
+            votes([fitted(SENTIMENT, -0.004), fitted(FINANCIAL, 0.002)]),
             class_override=ModelClass.SENTIMENT,
         )
         assert emitted == -1
@@ -274,7 +282,7 @@ class TestTfwEngine:
     def test_abstains_when_nothing_passes(self):
         # Pure noise rarely lets models through; feed an explicit empty pass set.
         engine = TfwEngine(w=20, beta=0.4, gamma=0.0)
-        emitted = engine.propose(30, [fitted(FINANCIAL, 0.002, passed=False)])
+        emitted = engine.propose(30, votes([fitted(FINANCIAL, 0.002, passed=False)]))
         assert emitted is None
         step = engine.resolve(0.01)
         assert step.lam == 0
@@ -284,7 +292,7 @@ class TestSelectTfw:
     def make_emitting_engine(self, w, quality, prediction):
         engine = TfwEngine(w=w, beta=0.4, gamma=0.0)
         engine.quality = quality
-        engine.propose(50, [fitted(FINANCIAL, prediction)])
+        engine.propose(50, votes([fitted(FINANCIAL, prediction)]))
         return engine
 
     def test_highest_quality_wins(self):
@@ -304,7 +312,7 @@ class TestSelectTfw:
 
     def test_no_emission_anywhere(self):
         engine = TfwEngine(w=20, beta=0.4, gamma=0.0)
-        engine.propose(50, [fitted(FINANCIAL, 0.002, passed=False)])
+        engine.propose(50, votes([fitted(FINANCIAL, 0.002, passed=False)]))
         record = select_tfw([engine], 50, realized_return=0.01)
         assert record.chosen_tfw is None
         assert record.predicted_sign is None
@@ -402,7 +410,7 @@ class TestRunPipeline:
                 # gamma = 0 the class choice at t must not notice.
                 corrupted = TfwEngine(engine.w, engine.beta, engine.gamma, initial_spread=-999.0)
                 corrupted.quality = 123.0
-                corrupted.propose(step.index - 1, reference(step.index - 1, engine.w))
+                corrupted.propose(step.index - 1, votes(reference(step.index - 1, engine.w)))
                 corrupted.resolve(series_b.returns[step.index - 1])
                 assert select_class(corrupted.spread) is step.chosen_class
 

@@ -160,8 +160,8 @@ class TestSplitPoint:
             split_point(100, fraction)
 
 
-def abstain_fit(t: int, w: int) -> list:
-    return []
+def abstain_fit(t: int, w: int) -> tuple:
+    return (0, 0, 0), (0, 0, 0)
 
 
 BASE = PipelineParams(beta=0.0, gamma=0.0, tfw_min=20, tfw_max=24)

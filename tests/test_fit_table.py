@@ -17,6 +17,7 @@ from sentrade.model_space import (
     ModelClass,
     build_design,
     fit_window,
+    votes,
 )
 from sentrade.regression import CONDITION_LIMIT
 from sentrade.synth import SyntheticScenario, generate
@@ -25,13 +26,15 @@ WINDOWS = range(20, 41)
 
 
 def reference_cell(series, t, w, p_threshold, normalize):
-    """(rank_ok, passed, predicted sign) of every candidate from fit_window."""
+    """(rank_ok, passed, predicted sign) of every candidate from fit_window,
+    and the cell's vote counts."""
     cell = []
-    for model in fit_window(series, t, w, p_threshold, normalize=normalize):
+    models = fit_window(series, t, w, p_threshold, normalize=normalize)
+    for model in models:
         rank_ok = model.fit is not None and model.fit.rank_ok
         sign = int(np.sign(model.predicted_next)) if rank_ok else None
         cell.append((rank_ok, model.passed_filter, sign))
-    return cell
+    return cell, votes(models)
 
 
 def assert_matches_reference(series, sessions, windows, p_threshold=0.10, normalize=False):
@@ -46,8 +49,9 @@ def assert_matches_reference(series, sessions, windows, p_threshold=0.10, normal
                 )
                 for c in range(len(CANDIDATES))
             ]
-            want = reference_cell(series, t, w, p_threshold, normalize)
+            want, want_votes = reference_cell(series, t, w, p_threshold, normalize)
             assert got == want, f"session {t}, window {w}"
+            assert table(t, w) == want_votes, f"session {t}, window {w}"
             for c in range(len(CANDIDATES)):
                 assert math.isnan(table.p_max[i, j, c]) != bool(table.rank_ok[i, j, c])
     return table
@@ -142,14 +146,15 @@ def test_fallback_cells_are_exposed_and_served():
     assert table.fallback_cells
     for t, w in table.fallback_cells:
         assert 26 <= t < 41 and 20 <= w < 25
-        served = [m.candidate for m in table(t, w)]
-        assert served == [m.candidate for m in fit_window(series, t, w) if m.passed_filter]
+        assert table(t, w) == votes(fit_window(series, t, w))
 
 
-def test_call_returns_passed_models_only(series_b):
+def test_call_serves_vote_counts(series_b):
     table = FitTable(series_b, range(42, 50), WINDOWS)
-    models = table(45, 30)
-    assert models and all(m.passed_filter for m in models)
+    served = table(45, 30)
+    assert served == tuple(map(tuple, table.vote_counts[45 - 42, 30 - 20].tolist()))
+    assert all(type(count) is int for counts in served for count in counts)
+    assert sum(n_models for n_models, _, _ in served) == table.passed[45 - 42, 30 - 20].sum() > 0
     with pytest.raises(DataError):
         table(50, 30)
 

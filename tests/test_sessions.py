@@ -162,6 +162,11 @@ class TestMarketCalendar:
         with pytest.raises(ConfigError, match="timezone"):
             MarketCalendar.from_config("timezone = Mars/Olympus\nopen = 09:30\nclose = 16:00\n")
 
+    def test_open_after_close(self):
+        message = "^calendar: open must precede close, got open = 16:00, close = 09:30$"
+        with pytest.raises(ConfigError, match=message):
+            MarketCalendar.from_config("timezone = UTC\nopen = 16:00\nclose = 09:30\n")
+
     def test_open_must_precede_close(self):
         with pytest.raises(ConfigError):
             MarketCalendar("UTC", time(16, 0), time(9, 30))
