@@ -22,6 +22,8 @@ import time
 from dataclasses import dataclass, field
 from typing import IO, Callable, Sequence
 
+import numpy as np
+
 from .errors import ConfigError, DataError
 from .model_space import P_THRESHOLD, FitTable, ModelClass, Votes
 from .sessions import SessionSeries
@@ -399,11 +401,10 @@ def run_pipeline(
 
     The first processed session is ``first_session(params, start)``.  By
     default every (session, window) fit comes from one ``FitTable`` built
-    for the scored sessions and returned as ``fit_table``, so a later run
-    over the same span and fit settings can pass it back as ``fit_fn``;
-    ``fit_fn`` replaces the per-(session, window) vote counts, which is
-    also how tests substitute the reference, ``votes(fit_window(...))``, or
-    a fake.  The replay is one single-threaded loop.
+    for the scored sessions and returned as ``fit_table``; ``fit_fn``
+    replaces the per-(session, window) vote counts, which is how tests
+    substitute the reference, ``votes(fit_window(...))``, the table itself,
+    or a fake.  The replay is one single-threaded loop.
     """
     n = len(series)
     end = n if end is None else end
@@ -448,6 +449,79 @@ def run_pipeline(
             )
         session_seconds.append(time.perf_counter() - began)
     return PipelineResult(tuple(records), engines, t0, tuple(session_seconds), table)
+
+
+def _theta_array(n_models: np.ndarray, n_correct: np.ndarray) -> np.ndarray:
+    """``_theta`` over arrays whose last axis is (financial, sentiment); 0 stands for None."""
+    financial, sentiment = n_models[..., 0], n_models[..., 1]
+    cross = n_correct[..., 0] * sentiment >= n_correct[..., 1] * financial
+    theta = np.where(sentiment == 0, 1, np.where(financial == 0, -1, np.where(cross, 1, -1)))
+    return np.where((financial == 0) & (sentiment == 0), 0, theta)
+
+
+def replay_grid(
+    vote_counts: np.ndarray,
+    returns: Sequence[float],
+    points: Sequence[tuple[float, float]],
+    params: PipelineParams,
+    cost_per_trade: float = 0.0,
+) -> np.ndarray:
+    """Final strategy sum of every (beta, gamma) point over the same scored sessions.
+
+    The array form of ``run_pipeline`` followed by ``backtest.simulate``.
+    ``vote_counts`` is shaped (sessions, windows, 2, 3) like
+    ``FitTable.vote_counts``, as an array or as nested ``Votes`` per
+    session and window, and ``returns`` holds the same sessions' returns.
+    With the fits fixed, each (session, window) spread step direction
+    theta is the same at every point, so one loop over the sessions
+    updates (points, windows) arrays of spread (one column per point in
+    ``global`` scope), chosen class, emitted sign, lambda and quality, and
+    a (points,) strategy sum.  Every float operation keeps the engine's
+    form, so each sum equals, bit for bit, what the engine path gives at
+    that point; the tests compare the two.  ``params`` supplies the
+    initial spread and the spread scope; its own beta and gamma are not
+    read.
+    """
+    counts = np.asarray(vote_counts, dtype=np.int64)
+    if counts.shape != (len(returns), len(params.windows), 2, 3):
+        raise DataError(
+            f"vote counts shaped {counts.shape} do not match {len(returns)} sessions "
+            f"and {len(params.windows)} windows"
+        )
+    beta = np.array([b for b, _ in points], dtype=float)[:, None]
+    gamma = np.array([g for _, g in points], dtype=float)[:, None]
+    per_tfw = params.spread_scope == "per_tfw"
+    n_windows = counts.shape[1] if per_tfw else 1
+    spread = np.full((len(points), n_windows), float(params.initial_spread))
+    quality = np.zeros((len(points), counts.shape[1]))
+    strategy = np.zeros(len(points))
+    rows = np.arange(len(points))
+    n_models, up, down = counts[..., 0], counts[..., 1], counts[..., 2]
+    majority = np.sign(up - down)
+    for t, realized in enumerate(returns):
+        magnitude = abs(100.0 * realized)
+        correct = up[t] if realized > 0 else down[t] if realized < 0 else np.zeros_like(up[t])
+        emitted = np.where(spread < 0, majority[t, :, 1], majority[t, :, 0])
+        emits = emitted != 0
+        # with no emitting window, argmax picks window 0, whose emission is 0
+        best = np.argmax(np.where(emits, quality, -np.inf), axis=1)
+        direction = emitted[rows, best]
+        strategy += np.where(
+            direction != 0, direction * realized - cost_per_trade * np.abs(direction), 0.0
+        )
+        if realized == 0:
+            lam = np.where(emits, -1, 0)
+        else:
+            lam = emitted * (1 if realized > 0 else -1)
+        quality = beta * quality + lam * magnitude
+        if per_tfw:
+            theta = _theta_array(n_models[t], correct)
+            decayed = gamma * spread
+            spread = np.where(theta == 0, decayed, decayed + theta * magnitude)
+        else:
+            theta = int(_theta_array(n_models[t].sum(axis=0), correct.sum(axis=0)))
+            spread = gamma * spread + (theta * magnitude if theta != 0 else 0.0)
+    return strategy
 
 
 def write_predictions_csv(records: Sequence[PredictionRecord], stream: IO[str]) -> None:

@@ -12,7 +12,7 @@ of the data.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import IO, Sequence
 
@@ -20,7 +20,9 @@ from .adaptive import (
     FitFn,
     PipelineParams,
     PredictionRecord,
+    check_decays,
     first_session,
+    replay_grid,
     run_pipeline,
 )
 from .errors import ConfigError, DataError
@@ -177,21 +179,22 @@ def train_params(
 ) -> TrainingResult:
     """Grid-search beta and gamma on the chronological training prefix.
 
-    Each grid point reruns the full pipeline from fresh engine state over
-    sessions [0, split) and scores its final strategy sum; ties go to the
-    smaller beta, then the smaller gamma.  The default grid crosses
-    {0.0, 0.1, ..., 1.0} with itself.  Fits do not depend on beta or gamma,
-    so by default the first grid point's run builds the ``FitTable`` and
-    every later point replays from it; ``fit_fn`` replaces it for every
-    point, which is how tests substitute ``votes(fit_window(...))`` or a
-    fake.  Grid points replay one after another.
+    Each grid point starts from fresh engine state at the warm-up's first
+    session and is scored by the final strategy sum over sessions
+    [first_session, split); ties go to the smaller beta, then the smaller
+    gamma.  The default grid crosses {0.0, 0.1, ..., 1.0} with itself.
+    Fits depend on neither beta nor gamma, so the vote counts are built
+    once, from a ``FitTable`` or, when given, by calling ``fit_fn(t, w)``
+    for every cell (how tests substitute ``votes(fit_window(...))`` or a
+    fake), and ``replay_grid`` scores every point in one pass over them.
+    Every grid point and the cost are checked before any fit runs.
     """
     split = split_point(len(series), train_fraction)
-    minimum = first_session(base_params) + 1
-    if split < minimum:
+    t0 = first_session(base_params)
+    if split <= t0:
         raise DataError(
             f"training span of {split} session(s) cannot warm up tfw_max="
-            f"{base_params.tfw_max}; need at least {minimum}"
+            f"{base_params.tfw_max}; need at least {t0 + 1}"
         )
     if grid is None:
         points = [(b, g) for b in GRID_VALUES for g in GRID_VALUES]
@@ -199,15 +202,25 @@ def train_params(
         points = list(grid)
         if not points:
             raise ConfigError("grid must contain at least one (beta, gamma) point")
-    train_returns = []
     for beta, gamma in points:
-        params = replace(base_params, beta=beta, gamma=gamma)
-        result = run_pipeline(series, params, end=split, fit_fn=fit_fn)
-        if fit_fn is None:
-            fit_fn = result.fit_table
-        returns = series.returns[result.start : split]
-        ledger = simulate(result.records, returns, cost_per_trade)
-        train_returns.append(ledger.final_strategy)
+        check_decays(beta, gamma)
+    check_cost_per_trade(cost_per_trade)
+    series.returns_array  # fail fast when returns are missing
+
+    sessions, windows = range(t0, split), base_params.windows
+    if fit_fn is None:
+        counts = FitTable(
+            series,
+            sessions,
+            windows,
+            base_params.p_threshold,
+            normalize=base_params.normalize_sentiment,
+        ).vote_counts
+    else:
+        counts = [[fit_fn(t, w) for w in windows] for t in sessions]
+    train_returns = replay_grid(
+        counts, series.returns[t0:split], points, base_params, cost_per_trade
+    ).tolist()
 
     best = 0
     for i in range(1, len(points)):
@@ -223,7 +236,7 @@ def train_params(
         train_return=train_returns[best],
         grid=grid_rows,
         split_index=split,
-        scored_sessions=len(result.records),
+        scored_sessions=split - t0,
     )
 
 

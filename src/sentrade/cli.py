@@ -154,13 +154,27 @@ def cmd_train(args: argparse.Namespace) -> int:
         handle.write(f"gamma = {result.gamma!r}\n")
     print(f"beta = {result.beta!r}")
     print(f"gamma = {result.gamma!r}")
+    train_returns = [train_return for _, _, train_return in result.grid]
+    ties = train_returns.count(result.train_return)
     log.info(
-        "trained on %d scored sessions: best train return %s at beta=%s gamma=%s",
+        "trained on %d scored sessions: best train return %s at beta=%s gamma=%s; "
+        "%d of %d grid points tie at the best, %d distinct train returns",
         result.scored_sessions,
         result.train_return,
         result.beta,
         result.gamma,
+        ties,
+        len(train_returns),
+        len(set(train_returns)),
     )
+    if len(train_returns) > 1 and ties == len(train_returns):
+        log.warning(
+            "all %d grid points tie at train return %s: beta=%s gamma=%s won on the tie-break alone",
+            ties,
+            result.train_return,
+            result.beta,
+            result.gamma,
+        )
     return 0
 
 

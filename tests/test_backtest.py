@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import make_series
-from sentrade.adaptive import PipelineParams, PredictionRecord, run_pipeline
+from sentrade.adaptive import PipelineParams, PredictionRecord, first_session, run_pipeline
 from sentrade.backtest import (
     GRID_VALUES,
     REPORT_HEADER,
@@ -24,7 +24,8 @@ from sentrade.backtest import (
     write_training_csv,
 )
 from sentrade.errors import ConfigError, DataError
-from sentrade.model_space import ModelClass
+from sentrade.model_space import FitTable, ModelClass, fit_window, votes
+from sentrade.synth import SyntheticScenario, generate
 
 
 def rec(index: int, sign: int | None, realized: float) -> PredictionRecord:
@@ -203,6 +204,23 @@ class TestTrainParams:
         assert betas == sorted(betas)
         assert set(betas) == set(GRID_VALUES)
 
+    @pytest.mark.parametrize(
+        "grid, cost",
+        [
+            ([(0.1, 0.1), (1.5, 0.0)], 0.0),
+            ([(0.1, 0.1), (0.2, math.nan)], 0.0),
+            (None, math.nan),
+        ],
+        ids=["beta-out-of-range", "nan-gamma", "nan-cost"],
+    )
+    def test_rejects_bad_settings_before_any_fit(self, grid, cost):
+        def refuse(t, w):
+            raise AssertionError(f"fit ran for session {t}, window {w}")
+
+        series = make_series([0.01, -0.01] * 60)
+        with pytest.raises(ConfigError):
+            train_params(series, BASE, grid=grid, cost_per_trade=cost, fit_fn=refuse)
+
     def test_winner_replays_to_same_return(self, series_b):
         grid = [(0.4, 0.0), (0.8, 0.5)]
         result = train_params(series_b, BASE, grid=grid)
@@ -212,6 +230,79 @@ class TestTrainParams:
             rerun.records, series_b.returns[rerun.start : result.split_index]
         )
         assert ledger.final_strategy == result.train_return
+
+
+def engine_grid(series, base, points, split, cost, fit_fn):
+    """Per-point reference: one engine replay and one ledger per grid point."""
+    rows = []
+    for beta, gamma in points:
+        result = run_pipeline(series, replace(base, beta=beta, gamma=gamma), end=split, fit_fn=fit_fn)
+        ledger = simulate(result.records, series.returns[result.start : split], cost)
+        rows.append((beta, gamma, ledger.final_strategy))
+    return tuple(rows)
+
+
+A300 = SyntheticScenario("A", 300, signal_strength=1.0, ar2=-0.8, seed=3)
+B200 = SyntheticScenario("B", 200, seed=7)
+C120 = SyntheticScenario("C", 120, seed=100)
+FULL = [(b, g) for b in GRID_VALUES for g in GRID_VALUES]
+GLOBAL = {"spread_scope": "global", "normalize_sentiment": True}
+
+
+def with_flat_sessions(series, every=4):
+    """The series with every ``every``-th return set to exactly zero."""
+    returns = tuple(0.0 if t % every == 0 else r for t, r in enumerate(series.returns))
+    return replace(series, returns=returns)
+
+
+class TestGridMatchesEngine:
+    """``train_params`` scores every point as the per-point engine replay does, by repr."""
+
+    @pytest.mark.parametrize(
+        "scenario, fraction, settings, cost, points, flat",
+        [
+            (A300, 0.3, {}, 0.0, None, False),
+            (B200, 0.3, {}, 0.0, None, False),
+            (C120, 0.5, {}, 0.0, None, False),
+            (C120, 0.5, GLOBAL, 0.0, None, False),
+            (B200, 0.3, {"initial_spread": -2.0}, 0.001, None, False),
+            (A300, 0.3, {}, 0.0005, [(0.7, 0.3), (0.1, 0.9), (0.7, 0.3), (1.0, 0.0), (0.0, 1.0)],
+             False),
+            (B200, 0.4, {}, 0.0, None, True),
+            (B200, 0.4, GLOBAL, 0.0, None, True),
+        ],
+        ids=["A300", "B200", "C120", "C120-global-normalized", "B200-cost-negative-spread",
+             "A300-custom-grid", "B200-flat-sessions", "B200-flat-sessions-global"],
+    )
+    def test_every_point(self, scenario, fraction, settings, cost, points, flat):
+        series = generate(scenario)
+        if flat:
+            series = with_flat_sessions(series)
+        base = PipelineParams(beta=0.0, gamma=0.0, **settings)
+        trained = train_params(series, base, grid=points, train_fraction=fraction,
+                               cost_per_trade=cost)
+        t0, split = first_session(base), trained.split_index
+        table = FitTable(series, range(t0, split), base.windows, base.p_threshold,
+                         normalize=base.normalize_sentiment)
+        want = engine_grid(series, base, points or FULL, split, cost, table)
+        assert repr(trained.grid) == repr(want)
+        assert trained.scored_sessions == split - t0
+        if flat:
+            assert 0.0 in series.returns[t0:split]
+
+    def test_reference_fit_fn(self):
+        series = with_flat_sessions(generate(B200))
+        base = PipelineParams(beta=0.0, gamma=0.0, tfw_min=20, tfw_max=24)
+        points = [(0.0, 0.0), (0.5, 0.1), (1.0, 1.0), (0.2, 0.9)]
+
+        def reference(t, w):
+            return votes(fit_window(series, t, w, base.p_threshold))
+
+        trained = train_params(series, base, grid=points, train_fraction=0.2, fit_fn=reference)
+        table = FitTable(series, range(first_session(base), trained.split_index), base.windows,
+                         base.p_threshold)
+        want = engine_grid(series, base, points, trained.split_index, 0.0, table)
+        assert repr(trained.grid) == repr(want)
 
 
 class TestEvaluate:

@@ -202,6 +202,29 @@ class TestTrainCommand:
         assert "trained on 4 scored sessions" in caplog.text
 
     @pytest.mark.parametrize(
+        "seed, summary, warns",
+        [
+            (7, "66 of 121 grid points tie at the best, 3 distinct train returns", False),
+            (1, "121 of 121 grid points tie at the best, 1 distinct train returns", True),
+        ],
+        ids=["mixed", "all-tie"],
+    )
+    def test_log_reports_grid_ties(self, workspace, caplog, seed, summary, warns):
+        sessions = synth_sessions(workspace, seed=seed)
+        config = workspace / "search.cfg"
+        config.write_text("tfw_min = 10\ntfw_max = 12\n", encoding="utf-8")
+        with caplog.at_level(logging.INFO, logger="sentrade.cli"):
+            code = main(["train", "--sessions", str(sessions), "--config", str(config),
+                         "--out", str(workspace / "t_")])
+        assert code == 0
+        assert summary in caplog.text
+        warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+        assert bool(warnings) == warns
+        if warns:
+            assert "all 121 grid points tie" in warnings[0].getMessage()
+            assert "beta=0.0 gamma=0.0 won on the tie-break alone" in warnings[0].getMessage()
+
+    @pytest.mark.parametrize(
         "edits, line, message",
         [
             ([(10, 5, "inf"), (11, 4, "inf")], 13, "finite"),
