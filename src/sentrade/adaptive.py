@@ -18,9 +18,8 @@ system-level prediction.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
-from typing import IO, Callable, Sequence
+from typing import IO, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -295,20 +294,18 @@ def select_tfw(
         if best is None or engine.quality > best.quality:
             best = engine
     if best is None:
-        return PredictionRecord(t, None, None, None, realized_return, None)
-    emitted = best.pending.emitted
-    if realized_return == 0:
-        correct = None
-    else:
-        correct = emitted == (1 if realized_return > 0 else -1)
-    return PredictionRecord(
-        index=t,
-        chosen_tfw=best.w,
-        chosen_class=best.pending.chosen_class,
-        predicted_sign=emitted,
-        realized_return=realized_return,
-        correct=correct,
+        return prediction_record(t, None, None, None, realized_return)
+    return prediction_record(
+        t, best.w, best.pending.chosen_class, best.pending.emitted, realized_return
     )
+
+
+def prediction_record(
+    t: int, tfw: int | None, chosen_class: ModelClass | None, emitted: int | None, realized: float
+) -> PredictionRecord:
+    """Session t's record; a prediction is correct when it matches a nonzero return's sign."""
+    correct = None if emitted is None or realized == 0 else emitted == (1 if realized > 0 else -1)
+    return PredictionRecord(t, tfw, chosen_class, emitted, realized, correct)
 
 
 SPREAD_SCOPES = ("per_tfw", "global")
@@ -351,18 +348,11 @@ class PipelineParams:
 
 @dataclass(frozen=True)
 class PipelineResult:
-    """A run's records and engines.
-
-    ``fit_table`` is the table the run built for its fits, None when the
-    caller supplied ``fit_fn``; ``session_seconds`` times each session's
-    replay, which includes fitting only when ``fit_fn`` fits.
-    """
+    """A reference run's records and engines."""
 
     records: tuple[PredictionRecord, ...]
     engines: tuple[TfwEngine, ...]
     start: int
-    session_seconds: tuple[float, ...]
-    fit_table: FitTable | None
 
 
 def _pooled_outcome(steps: Sequence[EngineStep], model_class: ModelClass) -> ClassOutcome:
@@ -399,12 +389,12 @@ def run_pipeline(
 ) -> PipelineResult:
     """Run every window engine over sessions [start, end) with fresh state.
 
-    The first processed session is ``first_session(params, start)``.  By
-    default every (session, window) fit comes from one ``FitTable`` built
-    for the scored sessions and returned as ``fit_table``; ``fit_fn``
-    replaces the per-(session, window) vote counts, which is how tests
-    substitute the reference, ``votes(fit_window(...))``, the table itself,
-    or a fake.  The replay is one single-threaded loop.
+    The reference replay, which ``replay_grid`` must match; the tests and
+    the acceptance criteria read its engines.  The first processed session
+    is ``first_session(params, start)``.  By default every (session,
+    window) fit comes from one ``FitTable`` built for the scored sessions;
+    ``fit_fn`` replaces the per-(session, window) vote counts, which is how
+    tests substitute ``votes(fit_window(...))``, the table itself, or a fake.
     """
     n = len(series)
     end = n if end is None else end
@@ -413,25 +403,17 @@ def run_pipeline(
     series.returns_array  # fail fast when returns are missing
 
     t0 = first_session(params, start)
-    table = None
     if fit_fn is None:
-        fit_fn = table = FitTable(
-            series,
-            range(t0, max(t0, end)),
-            params.windows,
-            params.p_threshold,
-            normalize=params.normalize_sentiment,
-        )
+        fit_fn = FitTable(series, range(t0, max(t0, end)), params.windows, params.p_threshold,
+                          normalize=params.normalize_sentiment)
 
     engines = tuple(
         TfwEngine(w, params.beta, params.gamma, params.initial_spread)
         for w in params.windows
     )
     records: list[PredictionRecord] = []
-    session_seconds: list[float] = []
     global_spread = params.initial_spread
     for t in range(t0, end):
-        began = time.perf_counter()
         realized = series.returns[t]
         override = None
         if params.spread_scope == "global":
@@ -447,8 +429,7 @@ def run_pipeline(
             global_spread = params.gamma * global_spread + (
                 theta * abs(100.0 * realized) if theta is not None else 0.0
             )
-        session_seconds.append(time.perf_counter() - began)
-    return PipelineResult(tuple(records), engines, t0, tuple(session_seconds), table)
+    return PipelineResult(tuple(records), engines, t0)
 
 
 def _theta_array(n_models: np.ndarray, n_correct: np.ndarray) -> np.ndarray:
@@ -459,28 +440,42 @@ def _theta_array(n_models: np.ndarray, n_correct: np.ndarray) -> np.ndarray:
     return np.where((financial == 0) & (sentiment == 0), 0, theta)
 
 
+class GridReplay(NamedTuple):
+    """The (points,) final strategy sums, and (sessions, points) arrays of each pick.
+
+    A pick is the chosen window's position in ``params.windows`` (-1 when no
+    window emits), whether the sentiment class was chosen (the window's
+    pre-update spread, or in ``global`` scope the pooled one, was negative),
+    and the emitted sign (0 when nothing is emitted).
+    """
+
+    strategy: np.ndarray
+    window: np.ndarray
+    sentiment: np.ndarray
+    sign: np.ndarray
+
+
 def replay_grid(
     vote_counts: np.ndarray,
     returns: Sequence[float],
     points: Sequence[tuple[float, float]],
     params: PipelineParams,
     cost_per_trade: float = 0.0,
-) -> np.ndarray:
-    """Final strategy sum of every (beta, gamma) point over the same scored sessions.
+) -> GridReplay:
+    """Replay every (beta, gamma) point over the same scored sessions.
 
-    The array form of ``run_pipeline`` followed by ``backtest.simulate``.
-    ``vote_counts`` is shaped (sessions, windows, 2, 3) like
-    ``FitTable.vote_counts``, as an array or as nested ``Votes`` per
-    session and window, and ``returns`` holds the same sessions' returns.
-    With the fits fixed, each (session, window) spread step direction
-    theta is the same at every point, so one loop over the sessions
-    updates (points, windows) arrays of spread (one column per point in
-    ``global`` scope), chosen class, emitted sign, lambda and quality, and
-    a (points,) strategy sum.  Every float operation keeps the engine's
-    form, so each sum equals, bit for bit, what the engine path gives at
-    that point; the tests compare the two.  ``params`` supplies the
-    initial spread and the spread scope; its own beta and gamma are not
-    read.
+    The array form of ``run_pipeline`` followed by ``backtest.simulate``,
+    which ``train_params`` and ``evaluate`` both run.  ``vote_counts`` is
+    shaped (sessions, windows, 2, 3) like ``FitTable.vote_counts``, as an
+    array or as nested ``Votes``, and ``returns`` holds the same sessions'
+    returns.  With the fits fixed, each (session, window) spread step
+    direction theta is the same at every point, so one loop over the
+    sessions updates (points, windows) arrays of spread (one column per
+    point in ``global`` scope), chosen class, emitted sign, lambda and
+    quality.  Every float operation keeps the engine's form, so each sum
+    and pick equals, bit for bit, the engine path's at that point; the
+    tests compare the two.  ``params`` supplies the initial spread and the
+    spread scope; its own beta and gamma are not read.
     """
     counts = np.asarray(vote_counts, dtype=np.int64)
     if counts.shape != (len(returns), len(params.windows), 2, 3):
@@ -495,19 +490,23 @@ def replay_grid(
     spread = np.full((len(points), n_windows), float(params.initial_spread))
     quality = np.zeros((len(points), counts.shape[1]))
     strategy = np.zeros(len(points))
+    picks = np.zeros((3, len(returns), len(points)), dtype=np.int64)
     rows = np.arange(len(points))
     n_models, up, down = counts[..., 0], counts[..., 1], counts[..., 2]
     majority = np.sign(up - down)
     for t, realized in enumerate(returns):
         magnitude = abs(100.0 * realized)
         correct = up[t] if realized > 0 else down[t] if realized < 0 else np.zeros_like(up[t])
-        emitted = np.where(spread < 0, majority[t, :, 1], majority[t, :, 0])
+        sentiment = np.broadcast_to(spread < 0, quality.shape)
+        emitted = np.where(sentiment, majority[t, :, 1], majority[t, :, 0])
         emits = emitted != 0
         # with no emitting window, argmax picks window 0, whose emission is 0
         best = np.argmax(np.where(emits, quality, -np.inf), axis=1)
         direction = emitted[rows, best]
+        emitting = direction != 0
+        picks[:, t] = np.where(emitting, best, -1), emitting & sentiment[rows, best], direction
         strategy += np.where(
-            direction != 0, direction * realized - cost_per_trade * np.abs(direction), 0.0
+            emitting, direction * realized - cost_per_trade * np.abs(direction), 0.0
         )
         if realized == 0:
             lam = np.where(emits, -1, 0)
@@ -521,7 +520,7 @@ def replay_grid(
         else:
             theta = int(_theta_array(n_models[t].sum(axis=0), correct.sum(axis=0)))
             spread = gamma * spread + (theta * magnitude if theta != 0 else 0.0)
-    return strategy
+    return GridReplay(strategy, picks[0], picks[1].astype(bool), picks[2])
 
 
 def write_predictions_csv(records: Sequence[PredictionRecord], stream: IO[str]) -> None:

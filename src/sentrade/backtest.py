@@ -12,6 +12,7 @@ of the data.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 from enum import Enum
 from typing import IO, Sequence
@@ -22,11 +23,11 @@ from .adaptive import (
     PredictionRecord,
     check_decays,
     first_session,
+    prediction_record,
     replay_grid,
-    run_pipeline,
 )
 from .errors import ConfigError, DataError
-from .model_space import FitTable
+from .model_space import FitTable, ModelClass
 from .sessions import SessionSeries
 
 REPORT_HEADER = (
@@ -168,6 +169,19 @@ def split_point(n_sessions: int, train_fraction: float) -> int:
     return math.floor(n_sessions * train_fraction)
 
 
+def _vote_counts(series: SessionSeries, params: PipelineParams, span: range, fit_fn: FitFn | None):
+    """The (sessions, windows, 2, 3) vote counts of a span, and the FitTable built for them.
+
+    ``fit_fn(t, w)``, when given, serves every cell instead and no table is built.
+    """
+    series.returns_array  # fail fast when returns are missing
+    if fit_fn is not None:
+        return [[fit_fn(t, w) for w in params.windows] for t in span], None
+    table = FitTable(series, span, params.windows, params.p_threshold,
+                     normalize=params.normalize_sentiment)
+    return table.vote_counts, table
+
+
 def train_params(
     series: SessionSeries,
     base_params: PipelineParams,
@@ -184,10 +198,9 @@ def train_params(
     [first_session, split); ties go to the smaller beta, then the smaller
     gamma.  The default grid crosses {0.0, 0.1, ..., 1.0} with itself.
     Fits depend on neither beta nor gamma, so the vote counts are built
-    once, from a ``FitTable`` or, when given, by calling ``fit_fn(t, w)``
-    for every cell (how tests substitute ``votes(fit_window(...))`` or a
-    fake), and ``replay_grid`` scores every point in one pass over them.
-    Every grid point and the cost are checked before any fit runs.
+    once, from a ``FitTable`` or from ``fit_fn``, and ``replay_grid``
+    scores every point in one pass over them.  Every grid point and the
+    cost are checked before any fit runs.
     """
     split = split_point(len(series), train_fraction)
     t0 = first_session(base_params)
@@ -196,45 +209,23 @@ def train_params(
             f"training span of {split} session(s) cannot warm up tfw_max="
             f"{base_params.tfw_max}; need at least {t0 + 1}"
         )
-    if grid is None:
-        points = [(b, g) for b in GRID_VALUES for g in GRID_VALUES]
-    else:
-        points = list(grid)
-        if not points:
-            raise ConfigError("grid must contain at least one (beta, gamma) point")
+    points = [(b, g) for b in GRID_VALUES for g in GRID_VALUES] if grid is None else list(grid)
+    if not points:
+        raise ConfigError("grid must contain at least one (beta, gamma) point")
     for beta, gamma in points:
         check_decays(beta, gamma)
     check_cost_per_trade(cost_per_trade)
-    series.returns_array  # fail fast when returns are missing
 
-    sessions, windows = range(t0, split), base_params.windows
-    if fit_fn is None:
-        counts = FitTable(
-            series,
-            sessions,
-            windows,
-            base_params.p_threshold,
-            normalize=base_params.normalize_sentiment,
-        ).vote_counts
-    else:
-        counts = [[fit_fn(t, w) for w in windows] for t in sessions]
+    counts, _ = _vote_counts(series, base_params, range(t0, split), fit_fn)
     train_returns = replay_grid(
         counts, series.returns[t0:split], points, base_params, cost_per_trade
-    ).tolist()
-
-    best = 0
-    for i in range(1, len(points)):
-        if train_returns[i] > train_returns[best]:
-            best = i
-    beta, gamma = points[best]
-    grid_rows = tuple(
-        (b, g, ret) for (b, g), ret in zip(points, train_returns)
-    )
+    ).strategy.tolist()
+    best = max(range(len(points)), key=train_returns.__getitem__)  # the first of equal maxima
     return TrainingResult(
-        beta=beta,
-        gamma=gamma,
+        beta=points[best][0],
+        gamma=points[best][1],
         train_return=train_returns[best],
-        grid=grid_rows,
+        grid=tuple((b, g, ret) for (b, g), ret in zip(points, train_returns)),
         split_index=split,
         scored_sessions=split - t0,
     )
@@ -242,11 +233,13 @@ def train_params(
 
 @dataclass(frozen=True)
 class EvaluationResult:
+    """``fit_table`` is None under ``fit_fn``; ``replay_seconds`` excludes the fits."""
+
     ledger: TradeLedger
     records: tuple[PredictionRecord, ...]
     start: int
-    session_seconds: tuple[float, ...]
     fit_table: FitTable | None
+    replay_seconds: float
 
 
 def evaluate(
@@ -261,24 +254,34 @@ def evaluate(
 
     The span is everything after the chronological split; its start is
     pushed past the longest window's warm-up, so every engine participates
-    from the first traded session.  ``run_pipeline`` replays any other span.
+    from the first traded session.  ``replay_grid`` at the one point
+    (beta, gamma) picks each session's window, class and sign, giving the
+    records of the reference ``run_pipeline(series, params, start=split)``.
+    The cost is checked before any fit runs.
     """
     start, end = split_point(len(series), train_fraction), len(series)
-    result = run_pipeline(series, params, start=start, fit_fn=fit_fn)
-    if not result.records:
+    check_cost_per_trade(cost_per_trade)
+    t0 = first_session(params, start)
+    if t0 >= end:
         raise DataError(
             f"no sessions to evaluate in [{start}, {end}) after warm-up; "
             f"need sessions beyond {first_session(params)}"
         )
-    returns = series.returns[result.start :]
-    ledger = simulate(result.records, returns, cost_per_trade)
-    return EvaluationResult(
-        ledger=ledger,
-        records=result.records,
-        start=result.start,
-        session_seconds=result.session_seconds,
-        fit_table=result.fit_table,
+    counts, table = _vote_counts(series, params, range(t0, end), fit_fn)
+    began = time.perf_counter()
+    returns = series.returns[t0:]
+    replay = replay_grid(counts, returns, [(params.beta, params.gamma)], params)
+    picks = zip(*(pick[:, 0].tolist() for pick in (replay.window, replay.sentiment, replay.sign)))
+    classes = (ModelClass.FINANCIAL, ModelClass.SENTIMENT)
+    records = tuple(
+        prediction_record(t, params.windows[k], classes[sentiment], sign, r)
+        if sign
+        else prediction_record(t, None, None, None, r)
+        for t, r, (k, sentiment, sign) in zip(range(t0, end), returns, picks)
     )
+    replay_seconds = time.perf_counter() - began
+    ledger = simulate(records, returns, cost_per_trade)
+    return EvaluationResult(ledger, records, t0, table, replay_seconds)
 
 
 def write_report_csv(ledger: TradeLedger, stream: IO[str]) -> None:

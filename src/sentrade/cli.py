@@ -231,21 +231,16 @@ def cmd_backtest(args: argparse.Namespace) -> int:
         write_report_csv(result.ledger, handle)
     if args.dump_models:
         with _open_out(f"{args.out}models.csv") as handle:
-            end = result.start + len(result.records)
-            _write_models_csv(series, params, result.start, end, handle)
-    ledger = result.ledger
-    seconds = result.session_seconds
-    table = result.fit_table
+            _write_models_csv(series, params, result.start, len(series), handle)
+    ledger, table = result.ledger, result.fit_table
     log.info(
         "evaluated %d sessions: fit table %.2fs (%d of %d cells refitted by the reference), "
-        "replay %.2fs (mean %.1f ms, max %.1f ms per session)",
-        len(seconds),
+        "replay %.2fs",
+        len(result.records),
         table.build_seconds,
         len(table.fallback_cells),
         len(table.sessions) * len(table.windows),
-        sum(seconds),
-        1000.0 * sum(seconds) / len(seconds),
-        1000.0 * max(seconds),
+        result.replay_seconds,
     )
     hit = "na" if ledger.hit_rate is None else f"{ledger.hit_rate:.3f}"
     print(

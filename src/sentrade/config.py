@@ -21,16 +21,16 @@ _BOOL_WORDS = {"true": True, "false": False, "yes": True, "no": False, "1": True
 class Config:
     """Validated run parameters; beta and gamma stay None until trained."""
 
-    p_threshold: float = 0.10
-    tfw_min: int = 20
-    tfw_max: int = 40
+    p_threshold: float = PipelineParams.p_threshold
+    tfw_min: int = PipelineParams.tfw_min
+    tfw_max: int = PipelineParams.tfw_max
     beta: float | None = None
     gamma: float | None = None
-    initial_spread: float = 1.0
+    initial_spread: float = PipelineParams.initial_spread
     train_fraction: float = 0.30
     offset_minutes: int = 30
-    spread_scope: str = "per_tfw"
-    normalize_sentiment: bool = False
+    spread_scope: str = PipelineParams.spread_scope
+    normalize_sentiment: bool = PipelineParams.normalize_sentiment
     cost_per_trade: float = 0.0
     seed: int = 0
 

@@ -30,6 +30,12 @@ log = logging.getLogger(__name__)
 
 UTC = timezone.utc
 
+# The largest count, and the largest |return|, a session may hold.  Counts up
+# to it are exact as floats, and the cross-products a regression forms over a
+# window of such values stay finite; past it the fits overflow or fail to
+# converge instead of the file failing to load.
+VALUE_CAP = 2**53
+
 SESSIONS_HEADER = (
     "index",
     "kind",
@@ -91,8 +97,8 @@ class SentimentBucket:
                 f"bucket_start must sit on a 30-minute boundary, got {start.isoformat()}"
             )
         for name in ("positive", "negative", "neutral"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} count must be non-negative")
+            if not 0 <= getattr(self, name) <= VALUE_CAP:
+                raise ValueError(f"{name} count must be non-negative and at most 2**53")
 
 
 @dataclass(frozen=True)
@@ -112,11 +118,12 @@ class Session:
         object.__setattr__(self, "close_price", float(self.close_price))
         if not all(math.isfinite(p) and p > 0 for p in (self.open_price, self.close_price)):
             raise ValueError(f"session {self.index}: prices must be positive and finite")
-        if not math.isfinite((self.close_price - self.open_price) / self.open_price):
-            raise ValueError(f"session {self.index}: return (close - open) / open must be finite")
+        if not abs((self.close_price - self.open_price) / self.open_price) <= VALUE_CAP:
+            raise ValueError(f"session {self.index}: |return| must be finite and at most 2**53")
         for name in ("pos", "neg", "neu"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"session {self.index}: {name} count must be non-negative")
+            if not 0 <= getattr(self, name) <= VALUE_CAP:
+                raise ValueError(f"session {self.index}: {name} count must be non-negative "
+                                 "and at most 2**53")
         if not self.open_time < self.close_time:
             raise ValueError(f"session {self.index}: open_time must precede close_time")
 
@@ -487,10 +494,13 @@ def build_sessions(
     if discarded:
         log.warning("%d sentiment bucket(s) outside the session range discarded", discarded)
 
-    sessions = tuple(
-        Session(index=i, pos=c[0], neg=c[1], neu=c[2], **fields)
-        for i, (fields, c) in enumerate(zip(skeleton, counts))
-    )
+    try:
+        sessions = tuple(
+            Session(index=i, pos=c[0], neg=c[1], neu=c[2], **fields)
+            for i, (fields, c) in enumerate(zip(skeleton, counts))
+        )
+    except ValueError as exc:  # a summed count over VALUE_CAP
+        raise DataError(str(exc)) from None
     return SessionSeries(brand=brand, sessions=sessions)
 
 

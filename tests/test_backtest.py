@@ -10,7 +10,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import make_series
-from sentrade.adaptive import PipelineParams, PredictionRecord, first_session, run_pipeline
+from sentrade.adaptive import (
+    PipelineParams,
+    PredictionRecord,
+    first_session,
+    replay_grid,
+    run_pipeline,
+)
 from sentrade.backtest import (
     GRID_VALUES,
     REPORT_HEADER,
@@ -255,29 +261,34 @@ def with_flat_sessions(series, every=4):
     return replace(series, returns=returns)
 
 
+# (scenario, train fraction, settings, cost, grid points, flat sessions) of the
+# differentials between the array replay and the engine replay.
+REPLAY_CASES = [
+    pytest.param(A300, 0.3, {}, 0.0, None, False, id="A300"),
+    pytest.param(B200, 0.3, {}, 0.0, None, False, id="B200"),
+    pytest.param(C120, 0.5, {}, 0.0, None, False, id="C120"),
+    pytest.param(C120, 0.5, GLOBAL, 0.0, None, False, id="C120-global-normalized"),
+    pytest.param(B200, 0.3, {"initial_spread": -2.0}, 0.001, None, False,
+                 id="B200-cost-negative-spread"),
+    pytest.param(A300, 0.3, {}, 0.0005,
+                 [(0.7, 0.3), (0.1, 0.9), (0.7, 0.3), (1.0, 0.0), (0.0, 1.0)], False,
+                 id="A300-custom-grid"),
+    pytest.param(B200, 0.4, {}, 0.0, None, True, id="B200-flat-sessions"),
+    pytest.param(B200, 0.4, GLOBAL, 0.0, None, True, id="B200-flat-sessions-global"),
+]
+
+
+def case_series(scenario, flat):
+    series = generate(scenario)
+    return with_flat_sessions(series) if flat else series
+
+
 class TestGridMatchesEngine:
     """``train_params`` scores every point as the per-point engine replay does, by repr."""
 
-    @pytest.mark.parametrize(
-        "scenario, fraction, settings, cost, points, flat",
-        [
-            (A300, 0.3, {}, 0.0, None, False),
-            (B200, 0.3, {}, 0.0, None, False),
-            (C120, 0.5, {}, 0.0, None, False),
-            (C120, 0.5, GLOBAL, 0.0, None, False),
-            (B200, 0.3, {"initial_spread": -2.0}, 0.001, None, False),
-            (A300, 0.3, {}, 0.0005, [(0.7, 0.3), (0.1, 0.9), (0.7, 0.3), (1.0, 0.0), (0.0, 1.0)],
-             False),
-            (B200, 0.4, {}, 0.0, None, True),
-            (B200, 0.4, GLOBAL, 0.0, None, True),
-        ],
-        ids=["A300", "B200", "C120", "C120-global-normalized", "B200-cost-negative-spread",
-             "A300-custom-grid", "B200-flat-sessions", "B200-flat-sessions-global"],
-    )
+    @pytest.mark.parametrize("scenario, fraction, settings, cost, points, flat", REPLAY_CASES)
     def test_every_point(self, scenario, fraction, settings, cost, points, flat):
-        series = generate(scenario)
-        if flat:
-            series = with_flat_sessions(series)
+        series = case_series(scenario, flat)
         base = PipelineParams(beta=0.0, gamma=0.0, **settings)
         trained = train_params(series, base, grid=points, train_fraction=fraction,
                                cost_per_trade=cost)
@@ -305,6 +316,29 @@ class TestGridMatchesEngine:
         assert repr(trained.grid) == repr(want)
 
 
+class TestEvaluateMatchesEngine:
+    """``evaluate`` trades what the reference ``run_pipeline`` predicts, by repr."""
+
+    @pytest.mark.parametrize("scenario, fraction, settings, cost, points, flat", REPLAY_CASES)
+    def test_records_and_ledger(self, scenario, fraction, settings, cost, points, flat):
+        series = case_series(scenario, flat)
+        beta, gamma = (points or [(0.2, 1.0)])[0]  # gamma 1 keeps windows' spreads apart
+        params = PipelineParams(beta=beta, gamma=gamma, **settings)
+        result = evaluate(series, params, fraction, cost_per_trade=cost)
+        split = split_point(len(series), fraction)
+        t0 = first_session(params, split)
+        table = FitTable(series, range(t0, len(series)), params.windows, params.p_threshold,
+                         normalize=params.normalize_sentiment)
+        reference = run_pipeline(series, params, start=split, fit_fn=table)
+        ledger = simulate(reference.records, series.returns[t0:], cost)
+        assert result.start == reference.start == t0
+        assert repr(result.records) == repr(reference.records)
+        assert repr(result.ledger) == repr(ledger)
+        replay = replay_grid(table.vote_counts, series.returns[t0:], [(beta, gamma)], params, cost)
+        assert repr(replay.strategy.tolist()[0]) == repr(ledger.final_strategy)
+        assert any(r.predicted_sign is not None for r in result.records)
+
+
 class TestEvaluate:
     def test_default_span_follows_split(self, series_b):
         result = evaluate(series_b, BASE)
@@ -320,6 +354,14 @@ class TestEvaluate:
         result = run_pipeline(series_b, BASE, start=40, end=80)
         assert result.start == 40
         assert [r.index for r in result.records] == list(range(40, 80))
+
+    def test_rejects_bad_cost_before_any_fit(self):
+        def refuse(t, w):
+            raise AssertionError(f"fit ran for session {t}, window {w}")
+
+        series = make_series([0.01, -0.01] * 60)
+        with pytest.raises(ConfigError, match="cost_per_trade"):
+            evaluate(series, BASE, cost_per_trade=math.nan, fit_fn=refuse)
 
     def test_empty_span_rejected(self):
         # 26 sessions end exactly where the tfw_max=24 warm-up does

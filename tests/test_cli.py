@@ -386,8 +386,44 @@ class TestBacktestCommand:
         assert code == 2
         assert "absent.csv" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "edits, line, message",
+        [
+            ([(50, 6, "1" + "0" * 180)], 53, "pos count must be non-negative and at most 2**53"),
+            ([(50, 7, "1" + "0" * 400)], 53, "neg count must be non-negative and at most 2**53"),
+            ([(50, 5, "1e180"), (51, 4, "1e180")], 53, "must be finite and at most 2**53"),
+        ],
+        ids=["count-1e180", "count-1e400", "price-pair-1e180"],
+    )
+    def test_huge_values_exit_two(self, workspace, capsys, edits, line, message):
+        sessions = synth_sessions(workspace, n=80)
+        corrupt_sessions(sessions, edits)
+        (workspace / "wide.cfg").write_text(
+            "tfw_min = 20\ntfw_max = 24\nbeta = 0.4\ngamma = 0.5\n", encoding="utf-8"
+        )
+        code = main(
+            ["backtest", "--sessions", str(sessions), "--config", str(workspace / "wide.cfg"),
+             "--out", str(workspace / "b_")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"line {line}:" in err and message in err
+
 
 class TestPipelineReproducibility:
+    def test_readme_quick_start(self, tmp_path, capsys):
+        out = str(tmp_path / "demo_")
+        assert main(["synth", "--kind", "B", "--n", "200", "--seed", "7", "--out", out]) == 0
+        assert main(["train", "--sessions", f"{out}sessions.csv", "--out", out]) == 0
+        capsys.readouterr()
+        assert main(
+            ["backtest", "--sessions", f"{out}sessions.csv", "--params", f"{out}params.txt",
+             "--out", out]
+        ) == 0
+        assert capsys.readouterr().out == (
+            "strategy +1.6966 benchmark -0.2014 optimal +1.8115 trades 139 hit_rate 0.878\n"
+        )
+
     def test_train_then_backtest_is_byte_stable(self, workspace, no_threads):
         sessions = synth_sessions(workspace)
 

@@ -128,6 +128,21 @@ class TestParseBuckets:
         with pytest.raises(DataError, match="line 1"):
             parse_buckets(io.StringIO("start,p,n,z\n"))
 
+    @pytest.mark.parametrize(
+        "count", [2**53 + 1, 10**200, 10**400], ids=["past-cap", "1e200", "1e400"]
+    )
+    def test_huge_count_rejected(self, count):
+        body = (
+            "bucket_start,positive,negative,neutral\n2012-06-18T13:30:00Z,1,1,1\n"
+            f"2012-06-18T14:00:00Z,0,{count},0\n"
+        )
+        with pytest.raises(DataError, match="line 3: negative count must be non-negative and at"):
+            parse_buckets(io.StringIO(body))
+
+    def test_count_at_cap_accepted(self):
+        body = f"bucket_start,positive,negative,neutral\n2012-06-18T13:30:00Z,{2**53},0,0\n"
+        assert parse_buckets(io.StringIO(body))[0].positive == 2**53
+
 
 class TestMarketCalendar:
     def test_from_config(self):
@@ -290,6 +305,13 @@ class TestBuildSessions:
         assert sum(s.neg for s in series.sessions) == sum(b.negative for b in buckets)
         assert sum(s.neu for s in series.sessions) == sum(b.neutral for b in buckets)
 
+    def test_summed_count_over_cap_rejected(self):
+        daily = two_day_prices()
+        start = daily[0].open_time
+        buckets = [SentimentBucket(start, 2**52, 0, 0), SentimentBucket(start, 2**52 + 1, 0, 0)]
+        with pytest.raises(DataError, match="session 0: pos count must be non-negative and at"):
+            build_sessions(daily, buckets, CALENDAR)
+
     def test_holiday_merges_sessions(self):
         def build(holidays):
             calendar = MarketCalendar(
@@ -427,8 +449,27 @@ class TestSessionsCsv:
         with pytest.raises(DataError, match="line 2"):
             read_sessions_csv(io.StringIO(text))
 
+    @pytest.mark.parametrize(
+        "prices, counts, message",
+        [
+            ("100.0,101.0", f"1,{2**53 + 1},3", "neg count must be non-negative and at most"),
+            ("100.0,101.0", f"{10**200},2,3", "pos count must be non-negative and at most"),
+            ("100.0,101.0", f"1,2,{10**400}", "neu count must be non-negative and at most"),
+            ("1e-100,1e100", "1,2,3", "\\|return\\| must be finite and at most 2\\*\\*53"),
+        ],
+        ids=["count-past-cap", "count-1e200", "count-1e400", "return-1e200"],
+    )
+    def test_huge_values_report_line(self, prices, counts, message):
+        text = (
+            "index,kind,open_time,close_time,open_price,close_price,pos,neg,neu\n"
+            "0,day,2012-03-05T14:30:00Z,2012-03-05T20:30:00Z,100.0,100.0,1,2,3\n"
+            f"1,night,2012-03-05T20:30:00Z,2012-03-06T14:30:00Z,{prices},{counts}\n"
+        )
+        with pytest.raises(DataError, match=f"line 3: session 1: {message}"):
+            read_sessions_csv(io.StringIO(text))
 
-MUTATIONS = ("inf", "nan", "-5", "1e-320", "0", "junk")
+
+MUTATIONS = ("inf", "nan", "-5", "1e-320", "0", "junk", "1" + "0" * 200)
 MUTATED_N = 40
 SMALL_WINDOWS = PipelineParams(beta=0.4, gamma=0.5, tfw_min=8, tfw_max=10)
 
