@@ -32,7 +32,6 @@ class Config:
     spread_scope: str = PipelineParams.spread_scope
     normalize_sentiment: bool = PipelineParams.normalize_sentiment
     cost_per_trade: float = 0.0
-    seed: int = 0
 
     def __post_init__(self) -> None:
         self.base_params()  # PipelineParams checks the pipeline fields

@@ -9,8 +9,9 @@ one of its regressors is individually significant below the p threshold.
 
 ``fit_window`` fits one (session, window) cell through the SVD reference
 ``fit_ols``.  ``FitTable`` fits every cell of a span in one batched pass
-over cross-product matrices and hands the few cells it cannot decide with
-certainty back to ``fit_window``.
+over cross-product matrices, hands the few cells it cannot decide with
+certainty back to ``fit_window``, and keeps only each cell's per-class
+vote counts.
 """
 
 from __future__ import annotations
@@ -193,10 +194,10 @@ def votes(models: list[FittedModel]) -> Votes:
 
 
 # Cells whose outcome the batched arithmetic cannot settle go to fit_window:
-# p_max within P_BAND of the threshold, or a prediction within SIGN_BAND of
-# zero relative to the sum of its terms' magnitudes.  These floors cover the
-# rounding of the p-value and of the prediction's sum; _error_bounds widens
-# them by the fit's own conditioning.
+# the largest p-value within P_BAND of the threshold, or a prediction within
+# SIGN_BAND of zero relative to the sum of its terms' magnitudes.  These
+# floors cover the rounding of the p-value and of the prediction's sum;
+# _error_bounds widens them by the fit's own conditioning.
 P_BAND = 1e-6
 SIGN_BAND = 1e-6
 # A fit whose residual sum of squares is this small relative to y'y is exact
@@ -223,25 +224,20 @@ def _condition_band(w: np.ndarray, m: int) -> np.ndarray:
 
 
 class FitTable:
-    """Every candidate's filter outcome for each (session, window) of a span.
-
-    ``rank_ok``, ``passed``, ``predicted_next`` and ``p_max`` are arrays
-    shaped (sessions, windows, candidates), in ``CANDIDATES`` order, with
-    the meaning ``fit_window`` gives them: a candidate skipped for too few
-    residual degrees of freedom is not ``rank_ok``, and ``predicted_next``
-    and ``p_max`` are NaN wherever the fit is not ``rank_ok``.
-
-    All cells are fitted in one batched pass (see ``_fit_cells``).  A cell
-    with any candidate within the error bound of a decision is recomputed
-    by ``fit_window``, and the table takes its entries: cond^2 near
-    CONDITION_LIMIT, a t statistic or p_max near the threshold, a
-    prediction near zero, or a near-exact fit.  ``fallback_cells`` lists
-    those (session, window) pairs; ``build_seconds`` is the wall time of
-    the whole build.
+    """The per-class vote counts of each (session, window) of a span.
 
     ``vote_counts``, shaped (sessions, windows, 2, 3), holds what ``votes``
     makes of each cell.  Calling the table with (t, w) returns that cell's
     counts as Python ints, so the table serves as a run's fit function.
+
+    The cells are fitted in batched blocks of sessions (see ``_fit_cells``),
+    each folded into counts at once, so no per-candidate array outlives its
+    block.  A cell with any candidate within the error bound of a decision
+    takes its counts from ``fit_window`` instead: cond^2 near
+    CONDITION_LIMIT, a t statistic or p-value near the threshold, a
+    prediction near zero, or a near-exact fit.  ``fallback_cells`` lists
+    those (session, window) pairs; ``build_seconds`` is the wall time of
+    the whole build.
     """
 
     def __init__(
@@ -268,35 +264,24 @@ class FitTable:
         self.windows = windows
         L = _regressors(series, normalize)
         ts, ws = np.asarray(sessions), np.asarray(windows)
-        shape = (len(ts), len(ws), len(CANDIDATES))
-        self.rank_ok = np.zeros(shape, dtype=bool)
-        self.passed = np.zeros(shape, dtype=bool)
-        self.predicted_next = np.full(shape, np.nan)
-        self.p_max = np.full(shape, np.nan)
-        unsure = np.zeros(shape[:2], dtype=bool)
+        self.vote_counts = np.zeros((len(ts), len(ws), 2, 3), dtype=int)
+        unsure = np.zeros((len(ts), len(ws)), dtype=bool)
         for first in range(0, len(ts), _BLOCK_SESSIONS):
             block = slice(first, first + _BLOCK_SESSIONS)
-            (
-                self.rank_ok[block],
-                self.passed[block],
-                self.predicted_next[block],
-                self.p_max[block],
-                unsure[block],
-            ) = _fit_cells(L, series.returns_array, ts[block], ws, p_threshold)
+            passed, predicted, unsure[block] = _fit_cells(
+                L, series.returns_array, ts[block], ws, p_threshold
+            )
+            up, down = passed & (predicted > 0), passed & (predicted < 0)
+            tallies = np.stack([passed, up, down], axis=-1)
+            self.vote_counts[block] = np.stack(
+                [tallies[:, :, ~_SENTIMENT].sum(axis=2), tallies[:, :, _SENTIMENT].sum(axis=2)],
+                axis=2,
+            )
         self.fallback_cells = tuple((int(ts[i]), int(ws[j])) for i, j in zip(*np.nonzero(unsure)))
         for t, w in self.fallback_cells:
-            i, j = t - sessions.start, w - windows.start
-            for c, model in enumerate(fit_window(series, t, w, p_threshold, normalize=normalize)):
-                rank_ok = model.fit is not None and model.fit.rank_ok
-                self.rank_ok[i, j, c] = rank_ok
-                self.passed[i, j, c] = model.passed_filter
-                self.predicted_next[i, j, c] = model.predicted_next if rank_ok else np.nan
-                self.p_max[i, j, c] = model.fit.max_p_value if rank_ok else np.nan
-        passed, up, down = self.passed, self.predicted_next > 0, self.predicted_next < 0
-        tallies = np.stack([passed, passed & up, passed & down], axis=-1)
-        self.vote_counts = np.stack(
-            [tallies[:, :, ~_SENTIMENT].sum(axis=2), tallies[:, :, _SENTIMENT].sum(axis=2)], axis=2
-        )
+            self.vote_counts[t - sessions.start, w - windows.start] = votes(
+                fit_window(series, t, w, p_threshold, normalize=normalize)
+            )
         self.build_seconds = time.perf_counter() - began
 
     def __call__(self, t: int, w: int) -> Votes:
@@ -316,8 +301,9 @@ def _fit_cells(
 ) -> tuple[np.ndarray, ...]:
     """Fit all candidates on every (session ts[i], window ws[j]) cell.
 
-    Returns FitTable's four (sessions, windows, candidates) arrays and the
-    (sessions, windows) mask of cells to recompute.  Each window's rows
+    Returns the (sessions, windows, candidates) filter verdicts and
+    predictions, NaN wherever the fit is not rank-ok, and the (sessions,
+    windows) mask of cells to recompute.  Each window's rows
     [1 | R1 R2 P1 N1 Z1] and y are copied into zero-padded arrays; padding
     rows add nothing to a cross-product or a residual.
     Each candidate's sub-Gram gives its rank verdict from the eigenvalue
@@ -341,12 +327,8 @@ def _fit_cells(
     # |t| beyond which a coefficient's p-value is below the threshold, by df.
     t_critical = stdtrit(np.arange(1, w_max + 1), 1.0 - p_threshold / 2.0)
     n_c = len(CANDIDATES)
-    outputs = (
-        np.zeros((n_t * n_w, n_c), dtype=bool),
-        np.zeros((n_t * n_w, n_c), dtype=bool),
-        np.full((n_t * n_w, n_c), np.nan),
-        np.full((n_t * n_w, n_c), np.nan),
-    )
+    passed = np.zeros((n_t * n_w, n_c), dtype=bool)
+    predicted_next = np.full((n_t * n_w, n_c), np.nan)
     unsure = np.zeros(n_t * n_w, dtype=bool)
     for c, candidate in enumerate(CANDIDATES):
         cols = [0] + [_POSITION[v] for v in candidate.variables]
@@ -397,9 +379,13 @@ def _fit_cells(
             | (np.abs(predicted) <= SIGN_BAND * np.abs(terms).sum(axis=1) + prediction_error)
             | (rss <= EXACT_FIT_BAND * yty[cells])
         )
-        for out, values in zip(outputs, (True, worst < p_threshold, predicted, worst)):
-            out[cells, c] = values
-    return (*(out.reshape(n_t, n_w, n_c) for out in outputs), unsure.reshape(n_t, n_w))
+        passed[cells, c] = worst < p_threshold
+        predicted_next[cells, c] = predicted
+    return (
+        passed.reshape(n_t, n_w, n_c),
+        predicted_next.reshape(n_t, n_w, n_c),
+        unsure.reshape(n_t, n_w),
+    )
 
 
 def _error_bounds(

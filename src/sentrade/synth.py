@@ -11,6 +11,7 @@ signal strength reproduces C sample for sample.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 
@@ -48,6 +49,9 @@ class SyntheticScenario:
             raise ConfigError(f"kind must be one of {SCENARIO_KINDS}, got {self.kind!r}")
         if self.n_sessions < 1:
             raise ConfigError(f"n_sessions must be at least 1, got {self.n_sessions}")
+        for name in ("signal_strength", "noise_sigma", "ar2"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.noise_sigma < 0:
             raise ConfigError(f"noise_sigma must be non-negative, got {self.noise_sigma}")
         if self.kind == "A":
@@ -105,8 +109,8 @@ def generate(scenario: SyntheticScenario) -> SessionSeries:
             kind = SessionKind.NIGHT
             open_time, close_time = day_open + _DAY_SPAN, day_open + _FULL_SPAN
         close_price = price * (1.0 + returns[t])
-        sessions.append(
-            Session(
+        try:
+            session = Session(
                 index=t,
                 kind=kind,
                 open_time=open_time,
@@ -117,7 +121,9 @@ def generate(scenario: SyntheticScenario) -> SessionSeries:
                 neg=int(neg[t]),
                 neu=int(neu[t]),
             )
-        )
+        except ValueError as exc:  # a price or return beyond Session's bounds
+            raise DataError(f"{exc}; lower the noise or signal") from None
+        sessions.append(session)
         price = close_price
     series = SessionSeries(brand=f"synthetic_{scenario.kind.lower()}", sessions=tuple(sessions))
     return compute_returns(series)

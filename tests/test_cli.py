@@ -103,6 +103,20 @@ class TestSynthCommand:
         assert code == 1
         assert "stationary" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--noise-sigma", "--signal-strength", "--ar2"])
+    def test_non_finite_parameter_exits_one(self, tmp_path, capsys, flag):
+        code = main(["synth", "--kind", "B", "--n", "60", flag, "nan", "--out", str(tmp_path / "x_")])
+        assert code == 1
+        assert "must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "x_sessions.csv").exists()
+
+    def test_overflowing_return_exits_two(self, tmp_path, capsys):
+        code = main(["synth", "--kind", "B", "--n", "1", "--noise-sigma", "1e200", "--seed", "3",
+                     "--out", str(tmp_path / "x_")])
+        assert code == 2
+        assert "|return| must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "x_sessions.csv").exists()
+
 
 class TestAggregateCommand:
     def test_week_produces_nine_sessions(self, workspace, capsys):

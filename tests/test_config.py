@@ -105,7 +105,6 @@ class TestParseConfig:
 
             normalize_sentiment = true
             spread_scope = global
-            seed = 42
             """
         )
         assert config.p_threshold == 0.05
@@ -113,7 +112,6 @@ class TestParseConfig:
         assert config.has_params
         assert config.normalize_sentiment is True
         assert config.spread_scope == "global"
-        assert config.seed == 42
 
     def test_empty_text_gives_defaults(self):
         assert parse_config("") == Config()
@@ -121,6 +119,10 @@ class TestParseConfig:
     def test_unknown_key_with_line_number(self):
         with pytest.raises(ConfigError, match=r"line 2: unknown key 'betta'"):
             parse_config("beta = 0.4\nbetta = 0.2")
+
+    def test_seed_is_unknown_key(self):
+        with pytest.raises(ConfigError, match=r"line 1: unknown key 'seed'"):
+            parse_config("seed = 42")
 
     def test_duplicate_key(self):
         with pytest.raises(ConfigError, match=r"line 3: duplicate key 'beta'"):

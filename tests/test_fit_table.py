@@ -8,13 +8,17 @@ import numpy as np
 import pytest
 
 from conftest import make_series
+from sentrade import model_space
 from sentrade.adaptive import PipelineParams, run_pipeline
 from sentrade.errors import DataError
 from sentrade.model_space import (
+    _BLOCK_SESSIONS,
     CANDIDATES,
     MIN_RESIDUAL_DF,
     FitTable,
     ModelClass,
+    _fit_cells,
+    _regressors,
     build_design,
     fit_window,
     votes,
@@ -25,36 +29,51 @@ from sentrade.synth import SyntheticScenario, generate
 WINDOWS = range(20, 41)
 
 
-def reference_cell(series, t, w, p_threshold, normalize):
-    """(rank_ok, passed, predicted sign) of every candidate from fit_window,
-    and the cell's vote counts."""
-    cell = []
-    models = fit_window(series, t, w, p_threshold, normalize=normalize)
-    for model in models:
-        rank_ok = model.fit is not None and model.fit.rank_ok
-        sign = int(np.sign(model.predicted_next)) if rank_ok else None
-        cell.append((rank_ok, model.passed_filter, sign))
-    return cell, votes(models)
+def block_outputs(series, sessions, windows, p_threshold, normalize):
+    """_fit_cells's passed, predicted_next and unsure arrays over the span,
+    computed in the same session blocks as FitTable."""
+    L = _regressors(series, normalize)
+    ts, ws = np.asarray(sessions), np.asarray(windows)
+    blocks = [
+        _fit_cells(L, series.returns_array, ts[first : first + _BLOCK_SESSIONS], ws, p_threshold)
+        for first in range(0, len(ts), _BLOCK_SESSIONS)
+    ]
+    return tuple(np.concatenate(parts) for parts in zip(*blocks))
 
 
 def assert_matches_reference(series, sessions, windows, p_threshold=0.10, normalize=False):
+    """Check the table and its block verdicts against fit_window on every cell.
+
+    Outside the fallback cells, each candidate's rank verdict, filter
+    verdict and predicted sign from ``_fit_cells`` must equal fit_window's;
+    on every cell the table must serve ``votes`` of fit_window's models.
+    Returns the table and fit_window's (sessions, windows, candidates)
+    rank_ok and passed arrays.
+    """
     table = FitTable(series, sessions, windows, p_threshold, normalize=normalize)
+    passed, predicted, unsure = block_outputs(series, sessions, windows, p_threshold, normalize)
+    assert table.fallback_cells == tuple(
+        (sessions[i], windows[j]) for i, j in zip(*np.nonzero(unsure))
+    )
+    shape = (len(sessions), len(windows), len(CANDIDATES))
+    rank_ok, reference_passed = np.zeros(shape, dtype=bool), np.zeros(shape, dtype=bool)
     for i, t in enumerate(sessions):
         for j, w in enumerate(windows):
-            got = [
-                (
-                    bool(table.rank_ok[i, j, c]),
-                    bool(table.passed[i, j, c]),
-                    int(np.sign(table.predicted_next[i, j, c])) if table.rank_ok[i, j, c] else None,
-                )
-                for c in range(len(CANDIDATES))
-            ]
-            want, want_votes = reference_cell(series, t, w, p_threshold, normalize)
-            assert got == want, f"session {t}, window {w}"
-            assert table(t, w) == want_votes, f"session {t}, window {w}"
-            for c in range(len(CANDIDATES)):
-                assert math.isnan(table.p_max[i, j, c]) != bool(table.rank_ok[i, j, c])
-    return table
+            models = fit_window(series, t, w, p_threshold, normalize=normalize)
+            want = []
+            for c, model in enumerate(models):
+                rank_ok[i, j, c] = model.fit is not None and model.fit.rank_ok
+                reference_passed[i, j, c] = model.passed_filter
+                sign = int(np.sign(model.predicted_next)) if rank_ok[i, j, c] else None
+                want.append((bool(rank_ok[i, j, c]), model.passed_filter, sign))
+            if not unsure[i, j]:
+                got = [
+                    (not math.isnan(p), bool(ok), None if math.isnan(p) else int(np.sign(p)))
+                    for ok, p in zip(passed[i, j], predicted[i, j])
+                ]
+                assert got == want, f"session {t}, window {w}"
+            assert table(t, w) == votes(models), f"session {t}, window {w}"
+    return table, rank_ok, reference_passed
 
 
 @pytest.mark.parametrize(
@@ -91,9 +110,9 @@ def near_collinear_series(base, n=70, seed=0):
 def test_near_collinear_counts_match_reference(base, normalize):
     series = near_collinear_series(base)
     sessions = range(WINDOWS[-1] + 2, len(series) + 1)
-    table = assert_matches_reference(series, sessions, WINDOWS, normalize=normalize)
+    _, rank_ok, _ = assert_matches_reference(series, sessions, WINDOWS, normalize=normalize)
     worst = 0.0
-    for i, j, c in zip(*np.nonzero(table.rank_ok)):
+    for i, j, c in zip(*np.nonzero(rank_ok)):
         design, _ = build_design(
             series, CANDIDATES[c].variables, sessions[i], WINDOWS[j], normalize
         )
@@ -106,27 +125,28 @@ def test_flat_counts_are_rank_deficient():
     rng = np.random.default_rng(5)
     flat = [50] * 60
     series = make_series(rng.normal(0, 0.01, 60).tolist(), pos=flat, neg=flat, neu=flat)
-    table = assert_matches_reference(series, range(26, 61), range(20, 25))
+    _, rank_ok, _ = assert_matches_reference(series, range(26, 61), range(20, 25))
     sentiment = [c for c, cand in enumerate(CANDIDATES) if cand.model_class is ModelClass.SENTIMENT]
-    assert not table.rank_ok[:, :, sentiment].any()
-    assert table.rank_ok[:, :, 0].all()
+    assert not rank_ok[:, :, sentiment].any()
+    assert rank_ok[:, :, 0].all()
 
 
 def test_all_zero_returns_fall_back_everywhere():
     series = make_series([0.0] * 40)
-    table = assert_matches_reference(series, range(26, 41), range(20, 25))
+    table, _, passed = assert_matches_reference(series, range(26, 41), range(20, 25))
     assert len(table.fallback_cells) == 15 * 5
-    assert not table.passed.any()
+    assert not passed.any()
+    assert not table.vote_counts.any()
 
 
 def test_small_windows_skip_large_candidates():
     series = generate(SyntheticScenario("B", 60, seed=7))
-    table = assert_matches_reference(series, range(10, 61), range(6, 9))
+    _, rank_ok, _ = assert_matches_reference(series, range(10, 61), range(6, 9))
     sizes = np.array([len(c.variables) for c in CANDIDATES])
     for j, w in enumerate(range(6, 9)):
         skipped = w - sizes - 1 < MIN_RESIDUAL_DF
         assert skipped.any() and not skipped.all()
-        assert not table.rank_ok[:, j, skipped].any()
+        assert not rank_ok[:, j, skipped].any()
 
 
 def test_threshold_at_a_reference_p_value_falls_back(series_b):
@@ -136,11 +156,19 @@ def test_threshold_at_a_reference_p_value_falls_back(series_b):
     exact = float(target.fit.max_p_value)
     table = FitTable(series_b, range(t, t + 1), range(w, w + 1), p_threshold=exact)
     assert table.fallback_cells == ((t, w),)
-    assert not table.passed[0, 0, c]
-    assert table.p_max[0, 0, c] == exact
+    at_threshold = fit_window(series_b, t, w, p_threshold=exact)
+    assert not at_threshold[c].passed_filter
+    assert table(t, w) == votes(at_threshold)
 
 
-def test_fallback_cells_are_exposed_and_served():
+def test_fallback_cells_are_exposed_and_served(monkeypatch):
+    def garbled(*args):
+        """_fit_cells with every candidate of an unsure cell passing and voting up."""
+        passed, predicted, unsure = _fit_cells(*args)
+        passed[unsure], predicted[unsure] = True, 1.0
+        return passed, predicted, unsure
+
+    monkeypatch.setattr(model_space, "_fit_cells", garbled)
     series = make_series([0.0] * 30 + [0.01, -0.02] * 5)
     table = FitTable(series, range(26, 41), range(20, 25))
     assert table.fallback_cells
@@ -154,7 +182,8 @@ def test_call_serves_vote_counts(series_b):
     served = table(45, 30)
     assert served == tuple(map(tuple, table.vote_counts[45 - 42, 30 - 20].tolist()))
     assert all(type(count) is int for counts in served for count in counts)
-    assert sum(n_models for n_models, _, _ in served) == table.passed[45 - 42, 30 - 20].sum() > 0
+    passed = sum(model.passed_filter for model in fit_window(series_b, 45, 30))
+    assert sum(n_models for n_models, _, _ in served) == passed > 0
     with pytest.raises(DataError):
         table(50, 30)
 
@@ -172,3 +201,9 @@ def test_non_finite_returns_rejected():
 def test_history_before_first_window_required(series_b):
     with pytest.raises(DataError, match="history"):
         FitTable(series_b, range(41, 50), WINDOWS)
+
+
+def test_table_keeps_only_vote_counts(series_b):
+    table = FitTable(series_b, range(42, 50), WINDOWS)
+    arrays = [name for name, value in vars(table).items() if isinstance(value, np.ndarray)]
+    assert arrays == ["vote_counts"]

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import io
+import math
 
 import numpy as np
 import pytest
 
-from sentrade.errors import ConfigError
+from sentrade.errors import ConfigError, DataError
 from sentrade.sessions import compute_returns, read_sessions_csv, write_sessions_csv
 from sentrade.synth import SCENARIO_KINDS, SyntheticScenario, generate
 
@@ -24,6 +25,13 @@ class TestScenarioValidation:
     def test_negative_sigma(self):
         with pytest.raises(ConfigError, match="noise_sigma"):
             SyntheticScenario("C", 50, noise_sigma=-0.1)
+
+    @pytest.mark.parametrize("kind", SCENARIO_KINDS)
+    @pytest.mark.parametrize("field", ["signal_strength", "noise_sigma", "ar2"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_parameters_rejected(self, kind, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be finite"):
+            SyntheticScenario(kind, 50, **{field: value})
 
     @pytest.mark.parametrize("a1,a2", [(0.6, 0.5), (1.1, 0.0), (-0.5, 1.0), (0.0, -1.0)])
     def test_nonstationary_lag_pairs_rejected(self, a1, a2):
@@ -85,8 +93,12 @@ class TestGenerate:
             assert (sb.pos, sb.neg, sb.neu) == (sc.pos, sc.neg, sc.neu)
 
     def test_blowup_rejected(self):
-        with pytest.raises(Exception, match="-100%"):
+        with pytest.raises(DataError, match="-100%"):
             generate(SyntheticScenario("C", 500, noise_sigma=1.0, seed=0))
+
+    def test_overflowing_return_rejected(self):
+        with pytest.raises(DataError, match=r"session 0: \|return\| must be finite"):
+            generate(SyntheticScenario("B", 1, noise_sigma=1e200, seed=3))
 
 
 class TestPlantedStructure:
