@@ -54,7 +54,6 @@ from .sessions import (
     SessionKind,
     SessionSeries,
     build_sessions,
-    compute_returns,
     match_brand,
     parse_buckets,
     parse_ticks,

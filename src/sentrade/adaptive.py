@@ -400,7 +400,6 @@ def run_pipeline(
     end = n if end is None else end
     if not 0 <= start <= end <= n:
         raise DataError(f"invalid span [{start}, {end}) for {n} sessions")
-    series.returns_array  # fail fast when returns are missing
 
     t0 = first_session(params, start)
     if fit_fn is None:

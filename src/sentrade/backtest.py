@@ -174,7 +174,6 @@ def _vote_counts(series: SessionSeries, params: PipelineParams, span: range, fit
 
     ``fit_fn(t, w)``, when given, serves every cell instead and no table is built.
     """
-    series.returns_array  # fail fast when returns are missing
     if fit_fn is not None:
         return [[fit_fn(t, w) for w in params.windows] for t in span], None
     table = FitTable(series, span, params.windows, params.p_threshold,

@@ -25,7 +25,6 @@ from .sessions import (
     MarketCalendar,
     SessionSeries,
     build_sessions,
-    compute_returns,
     parse_buckets,
     parse_ticks,
     read_sessions_csv,
@@ -109,8 +108,8 @@ def _load_config(path: str | None) -> Config:
 
 
 def _load_series(path: str):
-    with open(path, encoding="utf-8") as handle:
-        return compute_returns(read_sessions_csv(handle))
+    with open(path, encoding="utf-8", newline="") as handle:
+        return read_sessions_csv(handle)
 
 
 def _open_out(path: str) -> IO[str]:

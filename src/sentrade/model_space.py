@@ -204,9 +204,15 @@ SIGN_BAND = 1e-6
 # up to rounding, so its standard errors (zero in fit_ols's special case)
 # are rounding noise in either path.
 EXACT_FIT_BAND = 1e-8
-# Sessions per batch: bounds the padded design arrays to a few MB.
-_BLOCK_SESSIONS = 64
+# Padded design rows per batch.  A block of sessions pads sessions x windows
+# x max(windows) rows, so its size follows the window span: at least one
+# session, and 64 at the default 21 windows of up to 40.
+_BLOCK_ROWS = 64 * 21 * 40
 _EPS = float(np.finfo(float).eps)
+
+
+def _block_sessions(windows: range) -> int:
+    return max(1, _BLOCK_ROWS // (len(windows) * windows[-1]))
 
 
 def _condition_band(w: np.ndarray, m: int) -> np.ndarray:
@@ -266,8 +272,9 @@ class FitTable:
         ts, ws = np.asarray(sessions), np.asarray(windows)
         self.vote_counts = np.zeros((len(ts), len(ws), 2, 3), dtype=int)
         unsure = np.zeros((len(ts), len(ws)), dtype=bool)
-        for first in range(0, len(ts), _BLOCK_SESSIONS):
-            block = slice(first, first + _BLOCK_SESSIONS)
+        step = _block_sessions(windows)
+        for first in range(0, len(ts), step):
+            block = slice(first, first + step)
             passed, predicted, unsure[block] = _fit_cells(
                 L, series.returns_array, ts[block], ws, p_threshold
             )
@@ -320,7 +327,6 @@ def _fit_cells(
     y = np.where(valid, r[rows], 0.0).reshape(n_t * n_w, w_max)
     x_next = np.repeat(L[ts], n_w, axis=0)
     w_cell = np.tile(ws, n_t)
-    finite = np.isfinite(A).all(axis=1) & np.isfinite(y).all(axis=1)[:, None]
     gram = np.matmul(A.transpose(0, 2, 1), A)
     xty = np.einsum("cni,cn->ci", A, y)
     yty = np.einsum("cn,cn->c", y, y)
@@ -336,8 +342,6 @@ def _fit_cells(
         fitted = np.flatnonzero(w_cell - k - 1 >= MIN_RESIDUAL_DF)
         if not fitted.size:
             continue
-        if not finite[np.ix_(fitted, cols)].all():
-            raise DataError("design matrix entries must be finite")
         G = gram[np.ix_(fitted, cols, cols)]
         eigenvalues = np.linalg.eigvalsh(G)
         low, high = eigenvalues[:, 0], eigenvalues[:, -1]

@@ -15,11 +15,11 @@ import logging
 import math
 import re
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import date, datetime, time, timedelta, timezone
 from enum import Enum
 from functools import cached_property
-from typing import IO, Iterable, Mapping, Sequence
+from typing import IO, Callable, Iterable, Mapping, Sequence, TypeVar
 from zoneinfo import ZoneInfo
 
 import numpy as np
@@ -29,6 +29,7 @@ from .errors import ConfigError, DataError
 log = logging.getLogger(__name__)
 
 UTC = timezone.utc
+_T = TypeVar("_T")
 
 # The largest count, and the largest |return|, a session may hold.  Counts up
 # to it are exact as floats, and the cross-products a regression forms over a
@@ -79,8 +80,8 @@ class PriceTick:
     price: float
 
     def __post_init__(self) -> None:
-        if not self.price > 0:
-            raise ValueError(f"tick price must be positive, got {self.price}")
+        if not (math.isfinite(self.price) and self.price > 0):
+            raise ValueError(f"price must be positive and finite, got {self.price}")
 
 
 @dataclass(frozen=True)
@@ -132,8 +133,8 @@ class Session:
 class SessionSeries:
     """An ordered, gap-free alternation of Day and Night sessions for one brand.
 
-    ``returns`` is empty until :func:`compute_returns` fills it; once present
-    it holds one simple return per session.
+    ``returns`` holds one return per session: (close - open) / open unless
+    given.  Either way each must be finite and at most VALUE_CAP in size.
     """
 
     brand: str
@@ -141,12 +142,19 @@ class SessionSeries:
     returns: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.returns and len(self.returns) != len(self.sessions):
+        if self.returns:
+            returns = tuple(float(r) for r in self.returns)
+        else:
+            returns = tuple((s.close_price - s.open_price) / s.open_price for s in self.sessions)
+        if len(returns) != len(self.sessions):
             raise DataError("returns length must match session count")
+        object.__setattr__(self, "returns", returns)
         previous: Session | None = None
-        for position, session in enumerate(self.sessions):
+        for position, (session, r) in enumerate(zip(self.sessions, returns)):
             if session.index != position:
                 raise DataError(f"session index {session.index} out of order at {position}")
+            if not abs(r) <= VALUE_CAP:
+                raise DataError(f"session {position}: |return| must be finite and at most 2**53")
             if previous is not None:
                 if session.kind == previous.kind:
                     raise DataError(f"sessions {position - 1} and {position} do not alternate")
@@ -163,8 +171,6 @@ class SessionSeries:
 
     @cached_property
     def returns_array(self) -> np.ndarray:
-        if not self.returns:
-            raise DataError("returns have not been computed for this series")
         return np.asarray(self.returns, dtype=float)
 
     @cached_property
@@ -326,62 +332,56 @@ class DayPrices:
     close_price: float
 
 
+def _read_csv(
+    stream: IO[str], header: Sequence[str], parse_row: Callable[[list[str]], _T]
+) -> list[_T]:
+    """Parse a CSV with a fixed header into one ``parse_row`` value per row.
+
+    Blank and ``#`` lines are skipped and fields stripped.  A wrong or
+    missing header, a wrong field count, and a ValueError or OverflowError
+    (a timestamp outside years 1-9999 in UTC) from ``parse_row`` are
+    DataErrors naming the physical line where the reader stopped.
+    """
+    reader = csv.reader(stream)
+    lines = ([field.strip() for field in raw] for raw in reader)
+    lines = (f for f in lines if f not in ([], [""]) and not f[0].startswith("#"))
+    try:
+        if next(lines, None) != list(header):
+            raise ValueError(f"expected header {','.join(header)!r}")
+        rows = []
+        for fields in lines:
+            if len(fields) != len(header):
+                raise ValueError(f"expected {len(header)} fields, got {len(fields)}")
+            rows.append(parse_row(fields))
+        return rows
+    except (ValueError, OverflowError, csv.Error) as exc:
+        raise DataError(f"line {max(reader.line_num, 1)}: {exc}") from None
+
+
+def _parse_field(parse: Callable[[str], _T], what: str, text: str) -> _T:
+    try:
+        return parse(text)
+    except ValueError as exc:
+        detail = f" ({exc})" if parse is parse_utc else ""
+        raise ValueError(f"bad {what} {text!r}{detail}") from None
+
+
 def parse_ticks(stream: IO[str]) -> list[PriceTick]:
     """Parse a ``timestamp,price`` CSV into time-ordered ticks.
 
     Duplicate timestamps keep the value appearing last in the input.
     """
-    reader = csv.reader(stream)
-    header = next(reader, None)
-    if header is None or [h.strip() for h in header] != ["timestamp", "price"]:
-        raise DataError("line 1: expected header 'timestamp,price'")
-    by_time: dict[datetime, float] = {}
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != 2:
-            raise DataError(f"line {lineno}: expected 2 fields, got {len(row)}")
-        try:
-            instant = parse_utc(row[0])
-        except ValueError as exc:
-            raise DataError(f"line {lineno}: bad timestamp {row[0]!r} ({exc})") from None
-        try:
-            price = float(row[1])
-        except ValueError:
-            raise DataError(f"line {lineno}: bad price {row[1]!r}") from None
-        if not np.isfinite(price) or not price > 0:
-            raise DataError(f"line {lineno}: price must be positive and finite, got {row[1]}")
-        by_time[instant] = price
-    return [PriceTick(instant, price) for instant, price in sorted(by_time.items())]
+    ticks = _read_csv(stream, ("timestamp", "price"), lambda row: PriceTick(
+        _parse_field(parse_utc, "timestamp", row[0]), _parse_field(float, "price", row[1])))
+    return sorted({tick.timestamp: tick for tick in ticks}.values())
 
 
 def parse_buckets(stream: IO[str]) -> list[SentimentBucket]:
     """Parse a ``bucket_start,positive,negative,neutral`` CSV."""
-    reader = csv.reader(stream)
-    header = next(reader, None)
-    expected = ["bucket_start", "positive", "negative", "neutral"]
-    if header is None or [h.strip() for h in header] != expected:
-        raise DataError("line 1: expected header 'bucket_start,positive,negative,neutral'")
-    buckets = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != 4:
-            raise DataError(f"line {lineno}: expected 4 fields, got {len(row)}")
-        try:
-            start = parse_utc(row[0])
-        except ValueError as exc:
-            raise DataError(f"line {lineno}: bad timestamp {row[0]!r} ({exc})") from None
-        counts = []
-        for field in row[1:]:
-            try:
-                counts.append(int(field))
-            except ValueError:
-                raise DataError(f"line {lineno}: bad count {field!r}") from None
-        try:
-            buckets.append(SentimentBucket(start, *counts))
-        except ValueError as exc:
-            raise DataError(f"line {lineno}: {exc}") from None
+    header = ("bucket_start", "positive", "negative", "neutral")
+    buckets = _read_csv(stream, header, lambda row: SentimentBucket(
+        _parse_field(parse_utc, "timestamp", row[0]),
+        *(_parse_field(int, "count", field) for field in row[1:])))
     return sorted(buckets, key=lambda b: b.bucket_start)
 
 
@@ -504,14 +504,6 @@ def build_sessions(
     return SessionSeries(brand=brand, sessions=sessions)
 
 
-def compute_returns(series: SessionSeries) -> SessionSeries:
-    """Fill in the simple return (close - open) / open of every session."""
-    returns = tuple(
-        float((s.close_price - s.open_price) / s.open_price) for s in series.sessions
-    )
-    return replace(series, returns=returns)
-
-
 def match_brand(text: str, brand_keywords: Mapping[str, Iterable[str]]) -> str | None:
     """Return the single brand whose keyword occurs as a whole word in text.
 
@@ -552,38 +544,8 @@ def write_sessions_csv(series: SessionSeries, stream: IO[str], comments: Iterabl
 
 
 def read_sessions_csv(stream: IO[str], brand: str = "brand") -> SessionSeries:
-    """Parse a sessions CSV back into a SessionSeries (returns not computed)."""
-    sessions = []
-    header_seen = False
-    for lineno, line in enumerate(stream, start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        fields = stripped.split(",")
-        if not header_seen:
-            if tuple(f.strip() for f in fields) != SESSIONS_HEADER:
-                raise DataError(f"line {lineno}: expected header {','.join(SESSIONS_HEADER)!r}")
-            header_seen = True
-            continue
-        if len(fields) != len(SESSIONS_HEADER):
-            raise DataError(f"line {lineno}: expected {len(SESSIONS_HEADER)} fields")
-        try:
-            kind = SessionKind(fields[1])
-            sessions.append(
-                Session(
-                    index=int(fields[0]),
-                    kind=kind,
-                    open_time=parse_utc(fields[2]),
-                    close_time=parse_utc(fields[3]),
-                    open_price=float(fields[4]),
-                    close_price=float(fields[5]),
-                    pos=int(fields[6]),
-                    neg=int(fields[7]),
-                    neu=int(fields[8]),
-                )
-            )
-        except (ValueError, KeyError) as exc:
-            raise DataError(f"line {lineno}: {exc}") from None
-    if not header_seen:
-        raise DataError("line 1: empty sessions file")
+    """Parse a sessions CSV back into a SessionSeries."""
+    sessions = _read_csv(stream, SESSIONS_HEADER, lambda row: Session(
+        int(row[0]), SessionKind(row[1]), parse_utc(row[2]), parse_utc(row[3]),
+        float(row[4]), float(row[5]), *map(int, row[6:])))
     return SessionSeries(brand=brand, sessions=tuple(sessions))

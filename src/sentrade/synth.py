@@ -18,7 +18,7 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .sessions import Session, SessionKind, SessionSeries, compute_returns
+from .sessions import Session, SessionKind, SessionSeries
 
 SCENARIO_KINDS = ("A", "B", "C")
 
@@ -125,5 +125,4 @@ def generate(scenario: SyntheticScenario) -> SessionSeries:
             raise DataError(f"{exc}; lower the noise or signal") from None
         sessions.append(session)
         price = close_price
-    series = SessionSeries(brand=f"synthetic_{scenario.kind.lower()}", sessions=tuple(sessions))
-    return compute_returns(series)
+    return SessionSeries(brand=f"synthetic_{scenario.kind.lower()}", sessions=tuple(sessions))

@@ -8,7 +8,6 @@ from functools import partial
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import make_series
 from oracles import replay_engine
 from sentrade.adaptive import (
     ClassOutcome,
@@ -426,12 +425,6 @@ class TestRunPipeline:
     def test_invalid_span(self, series_b):
         with pytest.raises(DataError):
             run_pipeline(series_b, SMALL, start=50, end=20)
-
-    def test_missing_returns_rejected(self):
-        series = make_series([0.01] * 60)
-        bare = series.__class__(brand=series.brand, sessions=series.sessions)
-        with pytest.raises(DataError):
-            run_pipeline(bare, SMALL)
 
 
 class TestPredictionsCsv:

@@ -9,7 +9,7 @@ import pytest
 
 from sentrade.cli import main
 from sentrade.model_space import fit_window
-from sentrade.sessions import compute_returns, read_sessions_csv
+from sentrade.sessions import read_sessions_csv
 
 CALENDAR = """
 timezone = America/New_York
@@ -332,7 +332,7 @@ class TestBacktestCommand:
         # every (session, window) pair carries one row per candidate
         assert (len(models) - 1) == (60 - 18) * 3 * 29
         with open(sessions, encoding="utf-8") as handle:
-            series = compute_returns(read_sessions_csv(handle))
+            series = read_sessions_csv(handle)
         expected = []
         for t in range(18, 60):
             for w in range(10, 13):

@@ -9,14 +9,14 @@ import pytest
 
 from conftest import make_series
 from sentrade import model_space
-from sentrade.adaptive import PipelineParams, run_pipeline
+from sentrade.adaptive import PipelineParams
 from sentrade.errors import DataError
 from sentrade.model_space import (
-    _BLOCK_SESSIONS,
     CANDIDATES,
     MIN_RESIDUAL_DF,
     FitTable,
     ModelClass,
+    _block_sessions,
     _fit_cells,
     _regressors,
     build_design,
@@ -34,9 +34,10 @@ def block_outputs(series, sessions, windows, p_threshold, normalize):
     computed in the same session blocks as FitTable."""
     L = _regressors(series, normalize)
     ts, ws = np.asarray(sessions), np.asarray(windows)
+    step = _block_sessions(windows)
     blocks = [
-        _fit_cells(L, series.returns_array, ts[first : first + _BLOCK_SESSIONS], ws, p_threshold)
-        for first in range(0, len(ts), _BLOCK_SESSIONS)
+        _fit_cells(L, series.returns_array, ts[first : first + step], ws, p_threshold)
+        for first in range(0, len(ts), step)
     ]
     return tuple(np.concatenate(parts) for parts in zip(*blocks))
 
@@ -90,6 +91,19 @@ def test_every_cell_matches_reference(scenario, normalize):
     series = generate(scenario)
     sessions = range(WINDOWS[-1] + 2, len(series) + 1)
     assert_matches_reference(series, sessions, WINDOWS, normalize=normalize)
+
+
+def test_block_size_follows_window_span():
+    assert _block_sessions(PipelineParams(beta=0.4, gamma=0.0).windows) == 64
+    assert _block_sessions(range(3, 61)) == 15
+    assert _block_sessions(range(3, 121)) == 3
+    assert _block_sessions(range(1, 2001)) == 1
+
+
+def test_wide_windows_match_reference():
+    """Windows 3-60 split 39 sessions into blocks of 15, 15 and 9."""
+    series = generate(SyntheticScenario("B", 100, seed=7))
+    assert_matches_reference(series, range(62, 101), range(3, 61))
 
 
 def near_collinear_series(base, n=70, seed=0):
@@ -191,11 +205,8 @@ def test_call_serves_vote_counts(series_b):
 def test_non_finite_returns_rejected():
     returns = [0.01, -0.01] * 30
     returns[33] = math.inf
-    series = make_series(returns)
     with pytest.raises(DataError, match="finite"):
-        FitTable(series, range(30, 61), range(20, 25))
-    with pytest.raises(DataError, match="finite"):
-        run_pipeline(series, PipelineParams(beta=0.4, gamma=0.0, tfw_min=20, tfw_max=24))
+        make_series(returns)
 
 
 def test_history_before_first_window_required(series_b):

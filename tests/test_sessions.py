@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import logging
+import math
 from dataclasses import replace
 from datetime import date, datetime, time, timedelta, timezone
 
@@ -21,7 +22,6 @@ from sentrade.sessions import (
     SessionKind,
     SessionSeries,
     build_sessions,
-    compute_returns,
     format_utc,
     match_brand,
     parse_buckets,
@@ -107,6 +107,64 @@ class TestParseTicks:
         with pytest.raises(DataError, match="line 2"):
             parse_ticks(io.StringIO("timestamp,price\n2012-06-18T13:30:00,5\n"))
 
+    def test_comments_and_blank_lines_skipped(self):
+        body = (
+            "# ticks for one morning\n\n"
+            "timestamp,price\n"
+            "2012-06-18T13:30:00Z,41.25\n"
+            "   \n"
+            "# a gap in the feed\n"
+            " 2012-06-18T14:00:00Z , 41.5 \n"
+        )
+        assert [t.price for t in parse_ticks(io.StringIO(body))] == [41.25, 41.5]
+
+    def test_bad_row_after_comment_and_blank_reports_physical_line(self):
+        body = "timestamp,price\n2012-06-18T13:30:00Z,12\n# note\n\n2012-06-18T14:00:00Z,oops\n"
+        with pytest.raises(DataError, match="^line 5: bad price 'oops'$"):
+            parse_ticks(io.StringIO(body))
+
+    def test_header_after_comments_reports_its_line(self):
+        with pytest.raises(DataError, match="^line 3: expected header 'timestamp,price'$"):
+            parse_ticks(io.StringIO("# prices\n\ntime,price\n"))
+
+    @pytest.mark.parametrize(
+        "body, line", [("", 1), ("# only a comment\n\n", 2)], ids=["empty", "comments"]
+    )
+    def test_missing_header_reports_where_the_file_ends(self, body, line):
+        with pytest.raises(DataError, match=f"^line {line}: expected header 'timestamp,price'$"):
+            parse_ticks(io.StringIO(body))
+
+    def test_field_count_reports_line(self):
+        body = "timestamp,price\n2012-06-18T13:30:00Z,12,3\n"
+        with pytest.raises(DataError, match="^line 2: expected 2 fields, got 3$"):
+            parse_ticks(io.StringIO(body))
+
+    @pytest.mark.parametrize("price", ["inf", "-inf", "nan", "-1"])
+    def test_non_finite_price_reports_line(self, price):
+        body = f"timestamp,price\n2012-06-18T13:30:00Z,12\n2012-06-18T14:00:00Z,{price}\n"
+        with pytest.raises(DataError, match="^line 3: price must be positive and finite"):
+            parse_ticks(io.StringIO(body))
+
+    def test_out_of_range_timestamp_reports_line(self):
+        body = "timestamp,price\n0001-01-01T00:00:00+01:00,12\n"
+        with pytest.raises(DataError, match="^line 2: date value out of range$"):
+            parse_ticks(io.StringIO(body))
+
+    def test_oversized_field_reports_line(self):
+        body = "timestamp,price\n2012-06-18T13:30:00Z,12\n2012-06-18T14:00:00Z," + "1" * 200_000
+        with pytest.raises(DataError, match="^line 3: field larger than field limit"):
+            parse_ticks(io.StringIO(body))
+
+
+class TestPriceTick:
+    @pytest.mark.parametrize("price", [math.inf, -math.inf, math.nan, 0.0, -1.0])
+    def test_price_must_be_positive_and_finite(self, price):
+        with pytest.raises(ValueError, match="price must be positive and finite"):
+            PriceTick(utc("2012-06-18T13:30:00Z"), price)
+
+    def test_smallest_positive_price_accepted(self):
+        assert PriceTick(utc("2012-06-18T13:30:00Z"), 5e-324).price == 5e-324
+
 
 class TestParseBuckets:
     def test_basic(self):
@@ -142,6 +200,29 @@ class TestParseBuckets:
     def test_count_at_cap_accepted(self):
         body = f"bucket_start,positive,negative,neutral\n2012-06-18T13:30:00Z,{2**53},0,0\n"
         assert parse_buckets(io.StringIO(body))[0].positive == 2**53
+
+    def test_comments_and_blank_lines_skipped(self):
+        body = (
+            "# buckets from the stream\n"
+            "bucket_start,positive,negative,neutral\n\n"
+            "2012-06-18T14:00:00Z,1,2,3\n"
+            "# out of order on purpose\n"
+            "2012-06-18T13:30:00Z, 3 ,1,2\n"
+        )
+        assert parse_buckets(io.StringIO(body)) == [
+            SentimentBucket(utc("2012-06-18T13:30:00Z"), 3, 1, 2),
+            SentimentBucket(utc("2012-06-18T14:00:00Z"), 1, 2, 3),
+        ]
+
+    def test_bad_row_after_comment_and_blank_reports_physical_line(self):
+        body = (
+            "bucket_start,positive,negative,neutral\n"
+            "2012-06-18T13:30:00Z,3,1,2\n"
+            "# note\n\n"
+            "2012-06-18T14:00:00Z,3,x,2\n"
+        )
+        with pytest.raises(DataError, match="^line 5: bad count 'x'$"):
+            parse_buckets(io.StringIO(body))
 
 
 class TestMarketCalendar:
@@ -370,6 +451,23 @@ class TestSessionSeriesValidation:
         with pytest.raises(DataError, match="length"):
             SessionSeries("x", series.sessions, returns=(0.1,))
 
+    @pytest.mark.parametrize(
+        "bad",
+        [math.nan, math.inf, -math.inf, 2.0**53 * (1 + 2**-52)],
+        ids=["nan", "inf", "-inf", "past-cap"],
+    )
+    def test_explicit_returns_must_be_bounded(self, bad):
+        series = build_sessions(two_day_prices(), [], CALENDAR)
+        with pytest.raises(DataError, match="session 1: \\|return\\| must be finite and at most"):
+            SessionSeries("x", series.sessions, returns=(0.01, bad, 0.02))
+        at_cap = SessionSeries("x", series.sessions, returns=(0.01, 2.0**53, 0.02))
+        assert at_cap.returns[1] == 2**53
+
+    def test_replaced_nan_last_return_rejected(self):
+        series = generate(SyntheticScenario("B", 120, seed=7))
+        with pytest.raises(DataError, match="session 119: "):
+            replace(series, returns=series.returns[:-1] + (math.nan,))
+
 
 class TestComputeReturns:
     @pytest.mark.parametrize(
@@ -380,13 +478,25 @@ class TestComputeReturns:
         ticks = ny_ticks("2012-06-18", ("10:00", open_price), ("15:30", close_price)) + ny_ticks(
             "2012-06-19", ("10:00", close_price), ("15:30", close_price)
         )
-        series = compute_returns(build_sessions(session_prices(ticks, CALENDAR), [], CALENDAR))
+        series = build_sessions(session_prices(ticks, CALENDAR), [], CALENDAR)
         assert series.returns[0] == pytest.approx(expected, abs=1e-15)
 
     def test_return_identity(self, series_b):
         for session, r in zip(series_b.sessions, series_b.returns):
             reconstructed = session.open_price * (1.0 + r)
             assert abs(reconstructed - session.close_price) <= 1e-12 * session.close_price
+
+    def test_series_computes_returns_from_prices(self, series_b):
+        """A series built from sessions alone holds (close - open) / open,
+        bit for bit, also after a round trip through the sessions CSV."""
+        want = repr(tuple(float((s.close_price - s.open_price) / s.open_price)
+                          for s in series_b.sessions))
+        assert repr(SessionSeries(series_b.brand, series_b.sessions).returns) == want
+        buffer = io.StringIO()
+        write_sessions_csv(series_b, buffer)
+        buffer.seek(0)
+        assert repr(read_sessions_csv(buffer).returns) == want
+        assert repr(tuple(series_b.returns_array.tolist())) == want
 
 
 class TestMatchBrand:
@@ -447,6 +557,17 @@ class TestSessionsCsv:
             "0,day,2012-03-05T14:30:00Z,2012-03-05T20:30:00Z,100.0,abc,1,2,3\n"
         )
         with pytest.raises(DataError, match="line 2"):
+            read_sessions_csv(io.StringIO(text))
+
+    def test_bad_row_after_comment_and_blank_reports_physical_line(self):
+        text = (
+            "# synthetic\n"
+            "index,kind,open_time,close_time,open_price,close_price,pos,neg,neu\n"
+            "0,day,2012-03-05T14:30:00Z,2012-03-05T20:30:00Z,100.0,101.0,1,2,3\n"
+            "\n# note\n"
+            "1,night,2012-03-05T20:30:00Z,2012-03-06T14:30:00Z,101.0,102.0,1,2\n"
+        )
+        with pytest.raises(DataError, match="^line 6: expected 9 fields, got 8$"):
             read_sessions_csv(io.StringIO(text))
 
     @pytest.mark.parametrize(
@@ -514,10 +635,95 @@ class TestMutatedSessionsCsv:
             fields[column] = text
             rows[index + 1] = ",".join(fields)
         try:
-            series = compute_returns(read_sessions_csv(io.StringIO("\n".join(rows) + "\n")))
+            series = read_sessions_csv(io.StringIO("\n".join(rows) + "\n"))
         except DataError:
             return
         try:
             evaluate(series, replace(SMALL_WINDOWS, normalize_sentiment=normalize))
         except DataError as exc:
             assert "no sessions to evaluate" in str(exc)
+
+
+# Trading days 2012-06-18 to 2012-06-22: a tick every 30 minutes of New York
+# market hours (13:30Z to 20:00Z) and a bucket every three hours of the sessions.
+_WEEK = datetime(2012, 6, 18, tzinfo=UTC)
+_TICK_ROWS = ["timestamp,price"] + [
+    f"{format_utc(_WEEK + timedelta(days=day, hours=13.5 + half / 2))},{100 + day + half / 8!r}"
+    for day in range(5)
+    for half in range(14)
+]
+_BUCKET_ROWS = ["bucket_start,positive,negative,neutral"] + [
+    f"{format_utc(_WEEK + timedelta(hours=13.5 + 3 * k))},{k % 7},{k % 5},{k % 3}"
+    for k in range(34)
+]
+TEXT_MUTATIONS = MUTATIONS + (
+    "",
+    '"',
+    "# note",
+    str(2**53),
+    "2012-06-18T14:00:00",  # no UTC offset
+    "2012-06-18T14:15:00Z",  # off the half hour
+    "2012-06-16T15:00:00Z",  # a Saturday
+    "2012-06-20T03:00:00Z",  # overnight, outside market hours
+    "0001-01-01T00:00:00+01:00",  # before year 1 in UTC
+)
+_text_field_edit = st.tuples(
+    st.booleans(), st.integers(1, 70), st.integers(0, 3), st.sampled_from(TEXT_MUTATIONS)
+).map(lambda edit: ("field",) + edit)
+_text_line_edit = st.tuples(
+    st.sampled_from(["blank", "comment", "drop", "repeat", "extra"]),
+    st.booleans(),
+    st.integers(0, 70),
+).map(lambda edit: (edit[0], edit[1], edit[2], 0, ""))
+_text_edits = st.lists(st.one_of(_text_field_edit, _text_line_edit), min_size=1, max_size=3)
+
+
+def _edited(rows: list[str], edit) -> list[str]:
+    kind, _, line, column, text = edit
+    rows = list(rows)
+    line = min(line, len(rows) - 1)
+    if kind == "field":
+        fields = rows[line].split(",")
+        fields[column % len(fields)] = text
+        rows[line] = ",".join(fields)
+    elif kind in ("blank", "comment"):
+        rows.insert(line, "" if kind == "blank" else "# inserted")
+    elif kind == "drop":
+        del rows[line]
+    elif kind == "repeat":
+        rows.insert(line, rows[line])
+    else:
+        rows[line] += ",1"
+    return rows
+
+
+class TestMutatedTickAndBucketCsv:
+    @settings(deadline=None, max_examples=200)
+    @given(edits=_text_edits)
+    @example(edits=[("field", True, 3, 1, "1e-320")])
+    @example(edits=[("field", True, 3, 0, "0001-01-01T00:00:00+01:00")])
+    @example(edits=[("field", False, 5, 1, str(2**53)), ("field", False, 6, 1, str(2**53))])
+    def test_fails_at_load_or_aggregates(self, edits):
+        """Mutated tick and bucket files raise DataError while loading, or
+        aggregate into a series; aggregation fails only on a sum or a price
+        ratio that no single row shows."""
+        ticks, buckets = _TICK_ROWS, _BUCKET_ROWS
+        for edit in edits:
+            if edit[1]:
+                ticks = _edited(ticks, edit)
+            else:
+                buckets = _edited(buckets, edit)
+        try:
+            loaded_ticks = parse_ticks(io.StringIO("\n".join(ticks) + "\n"))
+            loaded_buckets = parse_buckets(io.StringIO("\n".join(buckets) + "\n"))
+        except DataError:
+            return
+        try:
+            daily = session_prices(loaded_ticks, CALENDAR)
+            series = build_sessions(daily, loaded_buckets, CALENDAR)
+        except DataError as exc:
+            message = str(exc)
+            assert "|return| must be finite" in message or "count must be non-negative" in message
+            return
+        assert len(series) >= 7
+        assert all(abs(r) <= 2**53 for r in series.returns)

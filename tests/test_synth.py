@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from sentrade.errors import ConfigError, DataError
-from sentrade.sessions import compute_returns, read_sessions_csv, write_sessions_csv
+from sentrade.sessions import read_sessions_csv, write_sessions_csv
 from sentrade.synth import SCENARIO_KINDS, SyntheticScenario, generate
 
 
@@ -70,7 +70,7 @@ class TestGenerate:
         buffer = io.StringIO()
         write_sessions_csv(series, buffer)
         buffer.seek(0)
-        recovered = compute_returns(read_sessions_csv(buffer, brand=series.brand))
+        recovered = read_sessions_csv(buffer, brand=series.brand)
         assert recovered == series
 
     def test_kind_a_counts_flat(self):
