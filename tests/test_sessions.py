@@ -162,9 +162,6 @@ class TestPriceTick:
         with pytest.raises(ValueError, match="price must be positive and finite"):
             PriceTick(utc("2012-06-18T13:30:00Z"), price)
 
-    def test_smallest_positive_price_accepted(self):
-        assert PriceTick(utc("2012-06-18T13:30:00Z"), 5e-324).price == 5e-324
-
 
 class TestParseBuckets:
     def test_basic(self):
