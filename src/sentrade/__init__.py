@@ -54,7 +54,6 @@ from .sessions import (
     SessionKind,
     SessionSeries,
     build_sessions,
-    match_brand,
     parse_buckets,
     parse_ticks,
     read_sessions_csv,

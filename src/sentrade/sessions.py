@@ -1,4 +1,4 @@
-"""Session assembly from raw price ticks and half-hour sentiment buckets.
+"""Sessions of one traded instrument from raw price ticks and half-hour sentiment buckets.
 
 Each trading day yields one Day session clipped a configurable number of
 minutes inside the market open/close; the gap to the next trading day
@@ -13,13 +13,12 @@ from __future__ import annotations
 import csv
 import logging
 import math
-import re
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import date, datetime, time, timedelta, timezone
 from enum import Enum
 from functools import cached_property
-from typing import IO, Callable, Iterable, Mapping, Sequence, TypeVar
+from typing import IO, Callable, Iterable, Sequence, TypeVar
 from zoneinfo import ZoneInfo
 
 import numpy as np
@@ -131,30 +130,22 @@ class Session:
 
 @dataclass(frozen=True)
 class SessionSeries:
-    """An ordered, gap-free alternation of Day and Night sessions for one brand.
+    """An ordered, gap-free alternation of Day and Night sessions.
 
-    ``returns`` holds one return per session: (close - open) / open unless
-    given.  Either way each must be finite and at most VALUE_CAP in size.
+    ``returns`` holds each session's (close - open) / open, derived from its
+    prices; ``Session`` already bounds it to finite and at most VALUE_CAP.
     """
 
-    brand: str
     sessions: tuple[Session, ...]
-    returns: tuple[float, ...] = ()
+    returns: tuple[float, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.returns:
-            returns = tuple(float(r) for r in self.returns)
-        else:
-            returns = tuple((s.close_price - s.open_price) / s.open_price for s in self.sessions)
-        if len(returns) != len(self.sessions):
-            raise DataError("returns length must match session count")
-        object.__setattr__(self, "returns", returns)
+        object.__setattr__(self, "returns", tuple(
+            (s.close_price - s.open_price) / s.open_price for s in self.sessions))
         previous: Session | None = None
-        for position, (session, r) in enumerate(zip(self.sessions, returns)):
+        for position, session in enumerate(self.sessions):
             if session.index != position:
                 raise DataError(f"session index {session.index} out of order at {position}")
-            if not abs(r) <= VALUE_CAP:
-                raise DataError(f"session {position}: |return| must be finite and at most 2**53")
             if previous is not None:
                 if session.kind == previous.kind:
                     raise DataError(f"sessions {position - 1} and {position} do not alternate")
@@ -174,16 +165,10 @@ class SessionSeries:
         return np.asarray(self.returns, dtype=float)
 
     @cached_property
-    def pos_array(self) -> np.ndarray:
-        return np.asarray([s.pos for s in self.sessions], dtype=float)
-
-    @cached_property
-    def neg_array(self) -> np.ndarray:
-        return np.asarray([s.neg for s in self.sessions], dtype=float)
-
-    @cached_property
-    def neu_array(self) -> np.ndarray:
-        return np.asarray([s.neu for s in self.sessions], dtype=float)
+    def counts(self) -> np.ndarray:
+        """The (pos, neg, neu) counts of each session, one row per session."""
+        rows = [(s.pos, s.neg, s.neu) for s in self.sessions]
+        return np.asarray(rows, dtype=float).reshape(-1, 3)
 
     @cached_property
     def lagged_regressors(self) -> np.ndarray:
@@ -194,14 +179,13 @@ class SessionSeries:
         run to i = len(self), the out-of-sample row; rows 0 and 1 lack history
         and hold NaN.  Every regression design is a slice of it.
         """
-        counts = np.column_stack([self.pos_array, self.neg_array, self.neu_array])
-        return self._lagged(counts)
+        return self._lagged(self.counts)
 
     @cached_property
     def lagged_share_regressors(self) -> np.ndarray:
         """``lagged_regressors`` with each session's counts as shares of their
         total (all zero for a session without messages)."""
-        counts = np.column_stack([self.pos_array, self.neg_array, self.neu_array])
+        counts = self.counts
         total = counts.sum(axis=1, keepdims=True)
         with np.errstate(invalid="ignore", divide="ignore"):
             return self._lagged(np.where(total > 0, counts / total, 0.0))
@@ -343,7 +327,7 @@ def _read_csv(
     DataErrors naming the physical line where the reader stopped.
     """
     reader = csv.reader(stream)
-    lines = ([field.strip() for field in raw] for raw in reader)
+    lines = ([text.strip() for text in raw] for raw in reader)
     lines = (f for f in lines if f not in ([], [""]) and not f[0].startswith("#"))
     try:
         if next(lines, None) != list(header):
@@ -381,7 +365,7 @@ def parse_buckets(stream: IO[str]) -> list[SentimentBucket]:
     header = ("bucket_start", "positive", "negative", "neutral")
     buckets = _read_csv(stream, header, lambda row: SentimentBucket(
         _parse_field(parse_utc, "timestamp", row[0]),
-        *(_parse_field(int, "count", field) for field in row[1:])))
+        *(_parse_field(int, "count", text) for text in row[1:])))
     return sorted(buckets, key=lambda b: b.bucket_start)
 
 
@@ -396,7 +380,7 @@ def session_prices(
     offset, the effective close the latest tick at or before market close
     minus the offset; only ticks inside that day's market hours are
     eligible.  Days where either instant has no eligible tick are dropped
-    with a warning.
+    with a warning; a run of trading days without any tick gets one warning.
     """
     if not ticks:
         return []
@@ -410,29 +394,33 @@ def session_prices(
             return None
         return ordered[position]
 
+    # An eligible tick lies inside its own local day's market hours, so only
+    # the local dates that hold a tick can yield prices.
     tz = calendar.tzinfo
-    first_day = ordered[0].timestamp.astimezone(tz).date()
-    last_day = ordered[-1].timestamp.astimezone(tz).date()
+    tick_days = sorted({t.timestamp.astimezone(tz).date() for t in ordered})
+    holidays = np.array(sorted(calendar.holidays), dtype="datetime64[D]")
     days: list[DayPrices] = []
-    day = first_day
-    while day <= last_day:
-        if calendar.is_trading_day(day):
-            market_open = calendar.market_open_utc(day)
-            open_instant = market_open + offset
-            close_instant = calendar.market_close_utc(day) - offset
-            if not open_instant < close_instant:
-                raise ConfigError(
-                    f"offset_minutes: {offset_minutes} leaves no session on {day}"
-                )
-            open_tick = latest_at_or_before(market_open, open_instant)
-            close_tick = latest_at_or_before(market_open, close_instant)
-            if open_tick is None or close_tick is None:
-                log.warning("%s: no tick at or before the sampling instant; day dropped", day)
-            else:
-                days.append(
-                    DayPrices(day, open_instant, close_instant, open_tick.price, close_tick.price)
-                )
-        day += timedelta(days=1)
+    for previous, day in zip([None, *tick_days], tick_days):
+        if previous is not None:
+            skipped = int(np.busday_count(previous + timedelta(days=1), day, holidays=holidays))
+            if skipped:
+                log.warning("%d trading day(s) between %s and %s hold no tick; dropped",
+                            skipped, previous, day)
+        if not calendar.is_trading_day(day):
+            continue
+        market_open = calendar.market_open_utc(day)
+        open_instant = market_open + offset
+        close_instant = calendar.market_close_utc(day) - offset
+        if not open_instant < close_instant:
+            raise ConfigError(f"offset_minutes: {offset_minutes} leaves no session on {day}")
+        open_tick = latest_at_or_before(market_open, open_instant)
+        close_tick = latest_at_or_before(market_open, close_instant)
+        if open_tick is None or close_tick is None:
+            log.warning("%s: no tick at or before the sampling instant; day dropped", day)
+        else:
+            days.append(
+                DayPrices(day, open_instant, close_instant, open_tick.price, close_tick.price)
+            )
     return days
 
 
@@ -440,7 +428,6 @@ def build_sessions(
     daily_prices: Sequence[DayPrices],
     buckets: Iterable[SentimentBucket],
     calendar: MarketCalendar,
-    brand: str = "brand",
 ) -> SessionSeries:
     """Assemble the alternating Day/Night series and bin sentiment counts.
 
@@ -501,26 +488,7 @@ def build_sessions(
         )
     except ValueError as exc:  # a summed count over VALUE_CAP
         raise DataError(str(exc)) from None
-    return SessionSeries(brand=brand, sessions=sessions)
-
-
-def match_brand(text: str, brand_keywords: Mapping[str, Iterable[str]]) -> str | None:
-    """Return the single brand whose keyword occurs as a whole word in text.
-
-    Matching is case-insensitive; text matching keywords of more than one
-    brand is treated as ambiguous and returns None.
-    """
-    lowered = text.lower()
-    hits = set()
-    for brand, keywords in brand_keywords.items():
-        for keyword in keywords:
-            pattern = rf"(?<![0-9a-z]){re.escape(keyword.lower())}(?![0-9a-z])"
-            if re.search(pattern, lowered):
-                hits.add(brand)
-                break
-    if len(hits) == 1:
-        return hits.pop()
-    return None
+    return SessionSeries(sessions)
 
 
 def write_sessions_csv(series: SessionSeries, stream: IO[str], comments: Iterable[str] = ()) -> None:
@@ -543,9 +511,9 @@ def write_sessions_csv(series: SessionSeries, stream: IO[str], comments: Iterabl
         stream.write(",".join(row) + "\n")
 
 
-def read_sessions_csv(stream: IO[str], brand: str = "brand") -> SessionSeries:
+def read_sessions_csv(stream: IO[str]) -> SessionSeries:
     """Parse a sessions CSV back into a SessionSeries."""
     sessions = _read_csv(stream, SESSIONS_HEADER, lambda row: Session(
         int(row[0]), SessionKind(row[1]), parse_utc(row[2]), parse_utc(row[3]),
         float(row[4]), float(row[5]), *map(int, row[6:])))
-    return SessionSeries(brand=brand, sessions=tuple(sessions))
+    return SessionSeries(tuple(sessions))

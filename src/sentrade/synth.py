@@ -125,4 +125,4 @@ def generate(scenario: SyntheticScenario) -> SessionSeries:
             raise DataError(f"{exc}; lower the noise or signal") from None
         sessions.append(session)
         price = close_price
-    return SessionSeries(brand=f"synthetic_{scenario.kind.lower()}", sessions=tuple(sessions))
+    return SessionSeries(tuple(sessions))

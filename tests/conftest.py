@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import threading
+from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -19,12 +20,26 @@ settings.load_profile("default")
 _BASE = datetime(2012, 3, 5, 14, 30, tzinfo=timezone.utc)
 
 
-def make_series(returns, pos=None, neg=None, neu=None, brand="test") -> SessionSeries:
-    """Series with the given returns and alternating synthetic sessions.
+def plant_returns(series: SessionSeries, returns) -> SessionSeries:
+    """A fresh copy of ``series`` whose ``returns`` are ``returns``, exactly.
 
-    Prices are a flat 100 so the structural invariants hold regardless of
-    the returns injected; tests that care about price arithmetic build
-    real sessions instead.
+    A series derives its returns from its prices; tests that need exact
+    returns on flat-price sessions set them here, before any cached array of
+    the copy is read.
+    """
+    returns = tuple(float(r) for r in returns)
+    assert len(returns) == len(series)
+    planted = replace(series)
+    object.__setattr__(planted, "returns", returns)
+    return planted
+
+
+def make_series(returns, pos=None, neg=None, neu=None) -> SessionSeries:
+    """Series with the given returns planted on alternating synthetic sessions.
+
+    Prices are a flat 100 so the structural invariants hold whatever the
+    returns; tests that care about price arithmetic build real sessions
+    instead.
     """
     n = len(returns)
     if pos is None:
@@ -58,7 +73,7 @@ def make_series(returns, pos=None, neg=None, neu=None, brand="test") -> SessionS
                 neu=int(neu[t]),
             )
         )
-    return SessionSeries(brand=brand, sessions=tuple(sessions), returns=tuple(float(r) for r in returns))
+    return plant_returns(SessionSeries(tuple(sessions)), returns)
 
 
 @pytest.fixture(scope="session")

@@ -9,7 +9,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import make_series
+from conftest import make_series, plant_returns
 from sentrade.adaptive import (
     PipelineParams,
     PredictionRecord,
@@ -258,7 +258,7 @@ GLOBAL = {"spread_scope": "global", "normalize_sentiment": True}
 def with_flat_sessions(series, every=4):
     """The series with every ``every``-th return set to exactly zero."""
     returns = tuple(0.0 if t % every == 0 else r for t, r in enumerate(series.returns))
-    return replace(series, returns=returns)
+    return plant_returns(series, returns)
 
 
 # (scenario, train fraction, settings, cost, grid points, flat sessions) of the

@@ -202,13 +202,6 @@ def test_call_serves_vote_counts(series_b):
         table(50, 30)
 
 
-def test_non_finite_returns_rejected():
-    returns = [0.01, -0.01] * 30
-    returns[33] = math.inf
-    with pytest.raises(DataError, match="finite"):
-        make_series(returns)
-
-
 def test_history_before_first_window_required(series_b):
     with pytest.raises(DataError, match="history"):
         FitTable(series_b, range(41, 50), WINDOWS)

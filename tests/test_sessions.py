@@ -7,6 +7,7 @@ import logging
 import math
 from dataclasses import replace
 from datetime import date, datetime, time, timedelta, timezone
+from time import perf_counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -23,7 +24,6 @@ from sentrade.sessions import (
     SessionSeries,
     build_sessions,
     format_utc,
-    match_brand,
     parse_buckets,
     parse_ticks,
     parse_utc,
@@ -308,6 +308,20 @@ class TestSessionPrices:
         days = session_prices(ticks, CALENDAR)
         assert [d.day for d in days] == [date(2012, 6, 15), date(2012, 6, 18)]
 
+    def test_far_tick_walks_only_days_with_ticks(self, caplog):
+        """A stray tick at the end of the calendar costs one warning for the
+        trading days before it, not one for each of them."""
+        text = ("timestamp,price\n2012-06-18T14:00:00Z,100.0\n2012-06-18T19:30:00Z,101.0\n"
+                "2012-06-19T14:00:00Z,102.0\n2012-06-19T19:30:00Z,101.5\n"
+                "9999-12-31T15:00:00Z,103.0\n")
+        started = perf_counter()
+        with caplog.at_level(logging.WARNING, logger="sentrade.sessions"):
+            days = session_prices(parse_ticks(io.StringIO(text)), CALENDAR)
+        assert perf_counter() - started < 1.0
+        assert [d.day for d in days] == [date(2012, 6, 18), date(2012, 6, 19), date(9999, 12, 31)]
+        assert len(caplog.records) == 1
+        assert "between 2012-06-19 and 9999-12-31 hold no tick" in caplog.text
+
     def test_offset_swallowing_whole_day_rejected(self):
         ticks = ny_ticks("2012-06-18", ("10:00", 1.0))
         with pytest.raises(ConfigError, match="offset_minutes"):
@@ -423,7 +437,7 @@ class TestSessionSeriesValidation:
             neu=0,
         )
         with pytest.raises(DataError, match="alternate"):
-            SessionSeries("x", tuple(broken))
+            SessionSeries(tuple(broken))
 
     def test_boundary_price_mismatch_rejected(self):
         series = build_sessions(two_day_prices(), [], CALENDAR)
@@ -441,29 +455,7 @@ class TestSessionSeriesValidation:
             neu=0,
         )
         with pytest.raises(DataError, match="price"):
-            SessionSeries("x", tuple(broken))
-
-    def test_returns_length_checked(self):
-        series = build_sessions(two_day_prices(), [], CALENDAR)
-        with pytest.raises(DataError, match="length"):
-            SessionSeries("x", series.sessions, returns=(0.1,))
-
-    @pytest.mark.parametrize(
-        "bad",
-        [math.nan, math.inf, -math.inf, 2.0**53 * (1 + 2**-52)],
-        ids=["nan", "inf", "-inf", "past-cap"],
-    )
-    def test_explicit_returns_must_be_bounded(self, bad):
-        series = build_sessions(two_day_prices(), [], CALENDAR)
-        with pytest.raises(DataError, match="session 1: \\|return\\| must be finite and at most"):
-            SessionSeries("x", series.sessions, returns=(0.01, bad, 0.02))
-        at_cap = SessionSeries("x", series.sessions, returns=(0.01, 2.0**53, 0.02))
-        assert at_cap.returns[1] == 2**53
-
-    def test_replaced_nan_last_return_rejected(self):
-        series = generate(SyntheticScenario("B", 120, seed=7))
-        with pytest.raises(DataError, match="session 119: "):
-            replace(series, returns=series.returns[:-1] + (math.nan,))
+            SessionSeries(tuple(broken))
 
 
 class TestComputeReturns:
@@ -484,11 +476,14 @@ class TestComputeReturns:
             assert abs(reconstructed - session.close_price) <= 1e-12 * session.close_price
 
     def test_series_computes_returns_from_prices(self, series_b):
-        """A series built from sessions alone holds (close - open) / open,
-        bit for bit, also after a round trip through the sessions CSV."""
+        """A series holds (close - open) / open of its own sessions, bit for
+        bit, also after a round trip through the sessions CSV and after
+        ``replace`` swaps its sessions."""
         want = repr(tuple(float((s.close_price - s.open_price) / s.open_price)
                           for s in series_b.sessions))
-        assert repr(SessionSeries(series_b.brand, series_b.sessions).returns) == want
+        assert repr(SessionSeries(series_b.sessions).returns) == want
+        other = generate(SyntheticScenario("C", 60, seed=8))
+        assert repr(replace(series_b, sessions=other.sessions).returns) == repr(other.returns)
         buffer = io.StringIO()
         write_sessions_csv(series_b, buffer)
         buffer.seek(0)
@@ -496,34 +491,12 @@ class TestComputeReturns:
         assert repr(tuple(series_b.returns_array.tolist())) == want
 
 
-class TestMatchBrand:
-    KEYWORDS = {
-        "brandia": {"brandia", "model x"},
-        "rivalco": {"rivalco"},
-    }
-
-    def test_direct_hit(self):
-        assert match_brand("new model from Brandia is great", self.KEYWORDS) == "brandia"
-
-    def test_no_match(self):
-        assert match_brand("nothing relevant here", self.KEYWORDS) is None
-
-    def test_ambiguous(self):
-        assert match_brand("brandia versus rivalco", self.KEYWORDS) is None
-
-    def test_whole_word_only(self):
-        assert match_brand("rebrandiare is not a brand", self.KEYWORDS) is None
-
-    def test_phrase_keyword(self):
-        assert match_brand("the model x launch", self.KEYWORDS) == "brandia"
-
-
 class TestSessionsCsv:
     def test_round_trip_exact(self, series_b):
         buffer = io.StringIO()
         write_sessions_csv(series_b, buffer)
         buffer.seek(0)
-        parsed = read_sessions_csv(buffer, brand=series_b.brand)
+        parsed = read_sessions_csv(buffer)
         assert parsed.sessions == series_b.sessions
 
     def test_comments_skipped(self):

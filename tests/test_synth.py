@@ -56,7 +56,6 @@ class TestGenerate:
     def test_baseline_shape(self):
         series = generate(SyntheticScenario("B", 75, seed=3))
         assert len(series) == 75
-        assert series.brand == "synthetic_b"
         assert series.sessions[0].open_price == 100.0
         assert len(series.returns) == 75
 
@@ -70,7 +69,7 @@ class TestGenerate:
         buffer = io.StringIO()
         write_sessions_csv(series, buffer)
         buffer.seek(0)
-        recovered = read_sessions_csv(buffer, brand=series.brand)
+        recovered = read_sessions_csv(buffer)
         assert recovered == series
 
     def test_kind_a_counts_flat(self):
@@ -115,7 +114,7 @@ class TestPlantedStructure:
         for seed in range(20):
             series = generate(SyntheticScenario("B", 120, seed=seed))
             r = np.asarray(series.returns[1:])
-            signal = series.pos_array[:-1] - series.neg_array[:-1]
+            signal = series.counts[:-1, 0] - series.counts[:-1, 1]
             correlations.append(np.corrcoef(signal, r)[0, 1])
         assert min(correlations) > 0.9
 
@@ -124,7 +123,7 @@ class TestPlantedStructure:
         for seed in range(20):
             series = generate(SyntheticScenario("C", 120, seed=seed))
             r = np.asarray(series.returns[1:])
-            signal = series.pos_array[:-1] - series.neg_array[:-1]
+            signal = series.counts[:-1, 0] - series.counts[:-1, 1]
             correlations.append(abs(np.corrcoef(signal, r)[0, 1]))
         assert max(correlations) < 0.3
         assert np.mean(correlations) < 0.12
