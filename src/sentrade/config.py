@@ -12,7 +12,7 @@ from dataclasses import dataclass, fields, replace
 from .adaptive import PipelineParams
 from .backtest import check_cost_per_trade, check_train_fraction
 from .errors import ConfigError
-from .sessions import parse_key_values
+from .sessions import check_offset_minutes, parse_key_values
 
 _BOOL_WORDS = {"true": True, "false": False, "yes": True, "no": False, "1": True, "0": False}
 
@@ -38,8 +38,7 @@ class Config:
         if (self.beta is None) != (self.gamma is None):
             raise ConfigError("beta and gamma must be set together")
         check_train_fraction(self.train_fraction)
-        if self.offset_minutes < 0:
-            raise ConfigError(f"offset_minutes: must be non-negative, got {self.offset_minutes}")
+        check_offset_minutes(self.offset_minutes)
         check_cost_per_trade(self.cost_per_trade)
 
     @property

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.special import stdtrit
 
 from .errors import DataError
-from .regression import CONDITION_LIMIT, DesignMatrix, FitResult, fit_ols, two_sided_t_pvalue
+from .regression import CONDITION_LIMIT, DesignMatrix, FitResult, fit_ols
 from .sessions import SessionSeries
 
 P_THRESHOLD = 0.10
@@ -194,10 +194,10 @@ def votes(models: list[FittedModel]) -> Votes:
 
 
 # Cells whose outcome the batched arithmetic cannot settle go to fit_window:
-# the largest p-value within P_BAND of the threshold, or a prediction within
-# SIGN_BAND of zero relative to the sum of its terms' magnitudes.  These
-# floors cover the rounding of the p-value and of the prediction's sum;
-# _error_bounds widens them by the fit's own conditioning.
+# any |t| whose p-value lies within P_BAND of the threshold, or a prediction
+# within SIGN_BAND of zero relative to the sum of its terms' magnitudes.
+# These floors cover fit_window's rounding of the p-value and of the
+# prediction's sum; _error_bounds widens them by the fit's own conditioning.
 P_BAND = 1e-6
 SIGN_BAND = 1e-6
 # A fit whose residual sum of squares is this small relative to y'y is exact
@@ -240,7 +240,7 @@ class FitTable:
     each folded into counts at once, so no per-candidate array outlives its
     block.  A cell with any candidate within the error bound of a decision
     takes its counts from ``fit_window`` instead: cond^2 near
-    CONDITION_LIMIT, a t statistic or p-value near the threshold, a
+    CONDITION_LIMIT, a t statistic near the threshold, a
     prediction near zero, or a near-exact fit.  ``fallback_cells`` lists
     those (session, window) pairs; ``build_seconds`` is the wall time of
     the whole build.
@@ -315,8 +315,8 @@ def _fit_cells(
     rows add nothing to a cross-product or a residual.
     Each candidate's sub-Gram gives its rank verdict from the eigenvalue
     condition number (cond(A'A) = cond(A)^2), its coefficients and standard
-    errors from the inverse of its Jacobi-scaled form, and its p-values
-    from one vectorised incomplete-beta call.
+    errors from the inverse of its Jacobi-scaled form, and its filter
+    verdict from comparing each |t| with the critical value of its df.
     """
     n_t, n_w, w_max = len(ts), len(ws), int(ws.max())
     offsets = np.arange(w_max)
@@ -330,8 +330,12 @@ def _fit_cells(
     gram = np.matmul(A.transpose(0, 2, 1), A)
     xty = np.einsum("cni,cn->ci", A, y)
     yty = np.einsum("cn,cn->c", y, y)
-    # |t| beyond which a coefficient's p-value is below the threshold, by df.
-    t_critical = stdtrit(np.arange(1, w_max + 1), 1.0 - p_threshold / 2.0)
+    # |t| beyond which a coefficient's p-value is below the threshold, and the
+    # |t| span of p-values within P_BAND of it (to inf below P_BAND), by df.
+    all_df = np.arange(1, w_max + 1)
+    t_critical = stdtrit(all_df, 1.0 - p_threshold / 2.0)
+    t_low = stdtrit(all_df, 1.0 - (p_threshold + P_BAND) / 2.0)
+    t_high = stdtrit(all_df, min(1.0, 1.0 - (p_threshold - P_BAND) / 2.0))
     n_c = len(CANDIDATES)
     passed = np.zeros((n_t * n_w, n_c), dtype=bool)
     predicted_next = np.full((n_t * n_w, n_c), np.nan)
@@ -371,19 +375,18 @@ def _fit_cells(
         std_errors = np.sqrt(np.maximum(variances, 0.0))
         with np.errstate(divide="ignore", invalid="ignore"):
             t_abs = np.abs(beta[:, 1:]) / std_errors
-        worst = two_sided_t_pvalue(t_abs, df[:, None]).max(axis=1)
         terms = x_next[np.ix_(cells, cols)] * beta
         predicted = terms.sum(axis=1)
         t_error, prediction_error = _error_bounds(
             d, S_inv, beta, t_abs, x_next[np.ix_(cells, cols)], rss, yty[cells], w_cell[cells]
         )
         unsure[cells] |= (
-            (np.abs(worst - p_threshold) <= P_BAND)
-            | (np.abs(t_abs - t_critical[df - 1, None]) <= t_error).any(axis=1)
+            ((t_low[df - 1, None] - t_error <= t_abs) & (t_abs <= t_high[df - 1, None] + t_error))
+            .any(axis=1)
             | (np.abs(predicted) <= SIGN_BAND * np.abs(terms).sum(axis=1) + prediction_error)
             | (rss <= EXACT_FIT_BAND * yty[cells])
         )
-        passed[cells, c] = worst < p_threshold
+        passed[cells, c] = (t_abs > t_critical[df - 1, None]).all(axis=1)
         predicted_next[cells, c] = predicted
     return (
         passed.reshape(n_t, n_w, n_c),

@@ -138,22 +138,13 @@ def fit_ols(design: DesignMatrix) -> FitResult:
     variances = sigma2 * xtx_inv_diag[1:]
     std_errors = np.sqrt(np.maximum(variances, 0.0))
     coefficients = beta[1:]
-
-    t_stats = np.empty(k)
-    p_values = np.empty(k)
-    for i in range(k):
-        if std_errors[i] == 0.0:
-            # Degenerate exact fit: a nonzero coefficient is infinitely
-            # significant, a zero one carries no evidence at all.
-            if coefficients[i] != 0.0:
-                t_stats[i] = np.inf if coefficients[i] > 0 else -np.inf
-                p_values[i] = 0.0
-            else:
-                t_stats[i] = 0.0
-                p_values[i] = 1.0
-        else:
-            t_stats[i] = coefficients[i] / std_errors[i]
-            p_values[i] = two_sided_t_pvalue(abs(t_stats[i]), df)
+    # Degenerate exact fit: a nonzero coefficient is infinitely significant,
+    # a zero one carries no evidence at all.
+    exact, zero = std_errors == 0.0, coefficients == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_stats = np.where(exact, np.copysign(np.inf, coefficients), coefficients / std_errors)
+    t_stats[exact & zero] = 0.0
+    p_values = np.where(exact, zero * 1.0, two_sided_t_pvalue(np.abs(t_stats), df))
 
     return FitResult(
         intercept=float(beta[0]),

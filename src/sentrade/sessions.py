@@ -369,6 +369,13 @@ def parse_buckets(stream: IO[str]) -> list[SentimentBucket]:
     return sorted(buckets, key=lambda b: b.bucket_start)
 
 
+def check_offset_minutes(offset_minutes: int) -> None:
+    # A local market day lasts under 25 hours even across a DST change, so
+    # an offset of a day or more can never leave a session.
+    if not 0 <= offset_minutes < 1440:
+        raise ConfigError(f"offset_minutes: must lie in [0, 1440), got {offset_minutes}")
+
+
 def session_prices(
     ticks: Sequence[PriceTick],
     calendar: MarketCalendar,
@@ -381,7 +388,10 @@ def session_prices(
     minus the offset; only ticks inside that day's market hours are
     eligible.  Days where either instant has no eligible tick are dropped
     with a warning; a run of trading days without any tick gets one warning.
+    A tick whose local date or sampling instants fall outside years 1-9999
+    is a DataError.
     """
+    check_offset_minutes(offset_minutes)
     if not ticks:
         return []
     ordered = sorted(ticks, key=lambda t: t.timestamp)
@@ -397,7 +407,18 @@ def session_prices(
     # An eligible tick lies inside its own local day's market hours, so only
     # the local dates that hold a tick can yield prices.
     tz = calendar.tzinfo
-    tick_days = sorted({t.timestamp.astimezone(tz).date() for t in ordered})
+
+    def out_of_range(tick: PriceTick) -> DataError:
+        return DataError(f"tick {tick.timestamp.isoformat()}: its session in "
+                         f"{calendar.timezone} falls outside years 1-9999")
+
+    first_ticks: dict[date, PriceTick] = {}
+    for tick in ordered:
+        try:
+            first_ticks.setdefault(tick.timestamp.astimezone(tz).date(), tick)
+        except OverflowError:
+            raise out_of_range(tick) from None
+    tick_days = sorted(first_ticks)
     holidays = np.array(sorted(calendar.holidays), dtype="datetime64[D]")
     days: list[DayPrices] = []
     for previous, day in zip([None, *tick_days], tick_days):
@@ -408,9 +429,12 @@ def session_prices(
                             skipped, previous, day)
         if not calendar.is_trading_day(day):
             continue
-        market_open = calendar.market_open_utc(day)
-        open_instant = market_open + offset
-        close_instant = calendar.market_close_utc(day) - offset
+        try:
+            market_open = calendar.market_open_utc(day)
+            open_instant = market_open + offset
+            close_instant = calendar.market_close_utc(day) - offset
+        except OverflowError:
+            raise out_of_range(first_ticks[day]) from None
         if not open_instant < close_instant:
             raise ConfigError(f"offset_minutes: {offset_minutes} leaves no session on {day}")
         open_tick = latest_at_or_before(market_open, open_instant)

@@ -168,6 +168,46 @@ class TestAggregateCommand:
         assert code == 1
         assert "unknown key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "zone,stamp",
+        [("Asia/Tokyo", "9999-12-31T20:00:00Z"), ("America/New_York", "0001-01-01T01:00:00Z")],
+    )
+    def test_tick_outside_the_calendar_range_exits_two(self, workspace, capsys, zone, stamp):
+        write_week_inputs(workspace)
+        with open(workspace / "ticks.csv", "a", encoding="utf-8") as handle:
+            handle.write(f"{stamp},100.0\n")
+        (workspace / "zone.txt").write_text(
+            CALENDAR.replace("America/New_York", zone), encoding="utf-8"
+        )
+        code = main(
+            [
+                "aggregate",
+                "--prices", str(workspace / "ticks.csv"),
+                "--sentiment", str(workspace / "buckets.csv"),
+                "--calendar", str(workspace / "zone.txt"),
+                "--out", str(workspace / "agg_"),
+            ]
+        )
+        assert code == 2
+        assert f"tick {stamp[:19]}" in capsys.readouterr().err
+        assert not (workspace / "agg_sessions.csv").exists()
+
+    def test_offset_of_a_day_exits_one(self, workspace, capsys):
+        write_week_inputs(workspace)
+        (workspace / "far.cfg").write_text("offset_minutes = 99999999999999\n", encoding="utf-8")
+        code = main(
+            [
+                "aggregate",
+                "--prices", str(workspace / "ticks.csv"),
+                "--sentiment", str(workspace / "buckets.csv"),
+                "--calendar", str(workspace / "calendar.txt"),
+                "--config", str(workspace / "far.cfg"),
+                "--out", str(workspace / "agg_"),
+            ]
+        )
+        assert code == 1
+        assert "offset_minutes: must lie in [0, 1440)" in capsys.readouterr().err
+
 
 class TestTrainCommand:
     def test_configured_params_become_singleton_search(self, workspace, capsys):

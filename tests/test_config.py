@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from datetime import time
 
 import pytest
 
@@ -10,6 +11,7 @@ from sentrade.adaptive import PipelineParams, TfwEngine
 from sentrade.backtest import simulate, split_point
 from sentrade.config import Config, load_config, parse_config, parse_params_file
 from sentrade.errors import ConfigError
+from sentrade.sessions import MarketCalendar, session_prices
 
 PIPELINE_FIELDS = {
     "p_threshold", "tfw_min", "tfw_max", "beta", "gamma", "initial_spread", "spread_scope"
@@ -27,6 +29,9 @@ def same_rule_elsewhere(kwargs):
         calls.append(lambda: split_point(100, kwargs["train_fraction"]))
     if "cost_per_trade" in kwargs:
         calls.append(lambda: simulate([], [], kwargs["cost_per_trade"]))
+    if "offset_minutes" in kwargs:
+        calendar = MarketCalendar("America/New_York", time(9, 30), time(16, 0))
+        calls.append(lambda: session_prices([], calendar, kwargs["offset_minutes"]))
     return calls
 
 
@@ -57,6 +62,8 @@ class TestConfig:
             ({"cost_per_trade": math.inf}, "cost_per_trade"),
             ({"initial_spread": math.nan}, "initial_spread"),
             ({"initial_spread": math.inf}, "initial_spread"),
+            ({"offset_minutes": 1440}, "offset_minutes"),
+            ({"offset_minutes": 99999999999999}, "offset_minutes"),
         ],
     )
     def test_validation_names_the_field(self, kwargs, field):
@@ -64,7 +71,7 @@ class TestConfig:
             Config(**kwargs)
         # each rule has one message, whichever entry point checks it
         calls = same_rule_elsewhere(kwargs)
-        assert calls or field == "offset_minutes"
+        assert calls
         for call in calls:
             with pytest.raises(ConfigError) as elsewhere:
                 call()

@@ -173,6 +173,24 @@ def test_threshold_at_a_reference_p_value_falls_back(series_b):
     at_threshold = fit_window(series_b, t, w, p_threshold=exact)
     assert not at_threshold[c].passed_filter
     assert table(t, w) == votes(at_threshold)
+    # Below P_BAND the band of |t| near the threshold reaches infinity, so a
+    # candidate passing with a p-value far below the threshold still falls back.
+    tiny = model_space.P_BAND / 2
+    assert any(m.passed_filter and m.fit.max_p_value < tiny for m in models)
+    table = FitTable(series_b, range(t, t + 1), range(w, w + 1), p_threshold=tiny)
+    assert table.fallback_cells == ((t, w),)
+    assert table(t, w) == votes(fit_window(series_b, t, w, p_threshold=tiny))
+
+
+def test_cells_are_fitted_without_p_values(series_b, monkeypatch):
+    """The table decides the filter on t statistics alone."""
+    def refuse(*args):
+        raise AssertionError("the table computed a p-value")
+
+    monkeypatch.setattr("sentrade.regression.two_sided_t_pvalue", refuse)
+    monkeypatch.setattr("sentrade.model_space.two_sided_t_pvalue", refuse, raising=False)
+    passed, predicted, _ = block_outputs(series_b, range(42, 200), WINDOWS, 0.10, False)
+    assert passed.any() and np.isfinite(predicted[passed]).all()
 
 
 def test_fallback_cells_are_exposed_and_served(monkeypatch):

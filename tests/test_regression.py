@@ -62,6 +62,16 @@ class TestFitOls:
         assert fit.t_stats[0] == 0.0
         assert fit.p_values[0] == 1.0
 
+    @pytest.mark.parametrize("y,t_stat", [([3.0, 1.0, 3.0, 1.0], math.inf),
+                                          ([-1.5, -0.5, -1.5, -0.5], -math.inf)])
+    def test_exact_nonzero_slope_is_infinitely_significant(self, y, t_stat):
+        # y = 2 + x and y = -1 - 0.5x on x = +-1: both fit with residual
+        # variance exactly zero in floating point.
+        fit = fit_ols(design([[1.0, -1.0, 1.0, -1.0]], y))
+        assert fit.std_errors.tolist() == [0.0]
+        assert fit.t_stats.tolist() == [t_stat]
+        assert fit.p_values.tolist() == [0.0]
+
     def test_noisy_line_against_frozen_oracle_values(self):
         # Frozen from ols_oracle([[1],[2],[3],[4],[5]], [1.1,1.9,3.2,3.9,5.1]).
         fit = fit_ols(design([[1.0, 2.0, 3.0, 4.0, 5.0]], [1.1, 1.9, 3.2, 3.9, 5.1]))

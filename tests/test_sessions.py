@@ -322,6 +322,20 @@ class TestSessionPrices:
         assert len(caplog.records) == 1
         assert "between 2012-06-19 and 9999-12-31 hold no tick" in caplog.text
 
+    @pytest.mark.parametrize(
+        "zone,opens,stamp,offset",
+        [
+            ("Asia/Tokyo", time(9, 0), "9999-12-31T20:00:00Z", 30),  # local date in year 10000
+            ("America/New_York", time(9, 30), "0001-01-01T01:00:00Z", 30),  # local date in year 0
+            ("Asia/Tokyo", time(8, 0), "0001-01-01T00:30:00Z", 30),  # open in year 0 UTC
+            ("America/New_York", time(9, 30), "9999-12-31T15:00:00Z", 600),  # open + offset
+        ],
+    )
+    def test_session_outside_years_1_to_9999_is_a_data_error(self, zone, opens, stamp, offset):
+        calendar = MarketCalendar(zone, opens, time(16, 0))
+        with pytest.raises(DataError, match=f"tick {stamp[:19]}.*outside years 1-9999"):
+            session_prices([PriceTick(utc(stamp), 100.0)], calendar, offset)
+
     def test_offset_swallowing_whole_day_rejected(self):
         ticks = ny_ticks("2012-06-18", ("10:00", 1.0))
         with pytest.raises(ConfigError, match="offset_minutes"):
