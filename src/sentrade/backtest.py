@@ -11,11 +11,13 @@ of the data.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 import time
 from dataclasses import dataclass
 from enum import Enum
-from typing import IO, Sequence
+from typing import IO, Iterable, Sequence
 
 from .adaptive import (
     FitFn,
@@ -96,6 +98,14 @@ def check_train_fraction(train_fraction: float) -> None:
         raise ConfigError(f"train_fraction: must lie in (0, 1), got {train_fraction}")
 
 
+_ACTIONS = {1: Action.LONG, -1: Action.SHORT, 0: Action.NOOP}
+
+
+def _running(values: Iterable[float], op=operator.add, start: float = 0.0) -> tuple[float, ...]:
+    """The running ``op`` from ``start``; a sum from 0.0 turns a first -0.0 step into 0.0."""
+    return tuple(itertools.accumulate(values, op, initial=start))[1:]
+
+
 def simulate(
     records: Sequence[PredictionRecord],
     returns: Sequence[float],
@@ -105,52 +115,21 @@ def simulate(
     if len(records) != len(returns):
         raise DataError(f"{len(records)} records but {len(returns)} returns")
     check_cost_per_trade(cost_per_trade)
-    decisions = []
-    step_pnl = []
-    cum_strategy = []
-    cum_benchmark = []
-    cum_benchmark_compounded = []
-    cum_optimal = []
-    strategy = benchmark = optimal = 0.0
-    growth = 1.0
-    hits = predicted_nonzero = n_trades = 0
-    for record, r in zip(records, returns):
-        if record.predicted_sign is None:
-            direction = 0
-            action = Action.NOOP
-        elif record.predicted_sign > 0:
-            direction = 1
-            action = Action.LONG
-        else:
-            direction = -1
-            action = Action.SHORT
-        if direction != 0:
-            n_trades += 1
-            if r != 0:
-                predicted_nonzero += 1
-                if direction == (1 if r > 0 else -1):
-                    hits += 1
-        step = direction * r - cost_per_trade * abs(direction) if direction else 0.0
-        strategy += step
-        benchmark += r
-        growth *= 1.0 + r
-        optimal += abs(r)
-        decisions.append(TradeDecision(record.index, action))
-        step_pnl.append(step)
-        cum_strategy.append(strategy)
-        cum_benchmark.append(benchmark)
-        cum_benchmark_compounded.append(growth - 1.0)
-        cum_optimal.append(optimal)
-    hit_rate = hits / predicted_nonzero if predicted_nonzero else None
+    directions = [record.predicted_sign or 0 for record in records]
+    steps = [d * r - cost_per_trade if d else 0.0 for d, r in zip(directions, returns)]
+    scored = [d * r > 0 for d, r in zip(directions, returns) if d and r]
+    growth = _running([1.0 + r for r in returns], operator.mul, 1.0)
     return TradeLedger(
-        decisions=tuple(decisions),
-        step_pnl=tuple(step_pnl),
-        cum_strategy=tuple(cum_strategy),
-        cum_benchmark=tuple(cum_benchmark),
-        cum_benchmark_compounded=tuple(cum_benchmark_compounded),
-        cum_optimal=tuple(cum_optimal),
-        hit_rate=hit_rate,
-        n_trades=n_trades,
+        decisions=tuple(
+            TradeDecision(record.index, _ACTIONS[d]) for record, d in zip(records, directions)
+        ),
+        step_pnl=tuple(steps),
+        cum_strategy=_running(steps),
+        cum_benchmark=_running(returns),
+        cum_benchmark_compounded=tuple(g - 1.0 for g in growth),
+        cum_optimal=_running(map(abs, returns)),
+        hit_rate=sum(scored) / len(scored) if scored else None,
+        n_trades=len(directions) - directions.count(0),
     )
 
 

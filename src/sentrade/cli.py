@@ -18,7 +18,7 @@ from .backtest import (
     write_report_csv,
     write_training_csv,
 )
-from .config import Config, load_config, parse_params_file
+from .config import Config, format_params, load_config, parse_params_file
 from .errors import ConfigError, DataError
 from .model_space import fit_window
 from .sessions import (
@@ -148,11 +148,10 @@ def cmd_train(args: argparse.Namespace) -> int:
     with _open_out(training_path) as handle:
         write_training_csv(result, handle)
     params_path = args.params or f"{args.out}params.txt"
+    params_text = format_params(result.beta, result.gamma)
     with _open_out(params_path) as handle:
-        handle.write(f"beta = {result.beta!r}\n")
-        handle.write(f"gamma = {result.gamma!r}\n")
-    print(f"beta = {result.beta!r}")
-    print(f"gamma = {result.gamma!r}")
+        handle.write(params_text)
+    print(params_text, end="")
     train_returns = [train_return for _, _, train_return in result.grid]
     ties = train_returns.count(result.train_return)
     log.info(

@@ -96,8 +96,13 @@ def load_config(path: str) -> Config:
         return parse_config(handle.read())
 
 
+def format_params(beta: float, gamma: float) -> str:
+    """The params file the train command writes; ``parse_params_file`` reads it back exactly."""
+    return f"beta = {beta!r}\ngamma = {gamma!r}\n"
+
+
 def parse_params_file(text: str) -> tuple[float, float]:
-    """Read the beta/gamma pair written by the train command."""
+    """Read the beta/gamma pair written by ``format_params``."""
     pairs = parse_key_values(text, "params", ("beta", "gamma"), required=("beta", "gamma"))
 
     def number(key: str) -> float:

@@ -65,7 +65,8 @@ def parse_utc(text: str) -> datetime:
 
 
 def format_utc(instant: datetime) -> str:
-    return instant.astimezone(UTC).strftime("%Y-%m-%dT%H:%M:%SZ")
+    """``YYYY-MM-DDTHH:MM:SSZ`` in UTC; a four-digit year keeps every year readable."""
+    return instant.astimezone(UTC).replace(tzinfo=None).isoformat(timespec="seconds") + "Z"
 
 
 class SessionKind(str, Enum):
@@ -250,6 +251,7 @@ class MarketCalendar:
         if not self.market_open < self.market_close:
             raise ConfigError(f"calendar: open must precede close, got open = "
                               f"{self.market_open:%H:%M}, close = {self.market_close:%H:%M}")
+        self.tzinfo  # an unknown zone fails here, not at the first session
 
     @cached_property
     def tzinfo(self) -> ZoneInfo:
@@ -289,11 +291,9 @@ class MarketCalendar:
                 holidays.add(date.fromisoformat(piece))
             except ValueError as exc:
                 raise ConfigError(f"calendar: bad holiday date {piece!r}") from exc
-        calendar = cls(
+        return cls(
             values["timezone"], parse_wall_time("open"), parse_wall_time("close"), frozenset(holidays)
         )
-        calendar.tzinfo  # fail fast on unknown zones
-        return calendar
 
     def is_trading_day(self, day: date) -> bool:
         return day.weekday() < 5 and day not in self.holidays
@@ -467,32 +467,16 @@ def build_sessions(
         if not calendar.is_trading_day(dp.day):
             raise DataError(f"{dp.day} is not a trading day in the supplied calendar")
 
-    skeleton: list[dict] = []
-    for i, dp in enumerate(ordered):
-        if i:
-            prev = ordered[i - 1]
-            skeleton.append(
-                dict(
-                    kind=SessionKind.NIGHT,
-                    open_time=prev.close_time,
-                    close_time=dp.open_time,
-                    open_price=prev.close_price,
-                    close_price=dp.open_price,
-                )
-            )
-        skeleton.append(
-            dict(
-                kind=SessionKind.DAY,
-                open_time=dp.open_time,
-                close_time=dp.close_time,
-                open_price=dp.open_price,
-                close_price=dp.close_price,
-            )
-        )
+    spans = []
+    for previous, dp in zip([None, *ordered], ordered):
+        if previous is not None:
+            spans.append((SessionKind.NIGHT, previous.close_time, dp.open_time,
+                          previous.close_price, dp.open_price))
+        spans.append((SessionKind.DAY, dp.open_time, dp.close_time, dp.open_price, dp.close_price))
 
-    counts = [[0, 0, 0] for _ in skeleton]
-    opens = [s["open_time"] for s in skeleton]
-    last_close = skeleton[-1]["close_time"]
+    opens = [span[1] for span in spans]
+    last_close = spans[-1][2]
+    counts = [[0, 0, 0] for _ in spans]
     discarded = 0
     for bucket in buckets:
         position = bisect_right(opens, bucket.bucket_start) - 1
@@ -506,10 +490,7 @@ def build_sessions(
         log.warning("%d sentiment bucket(s) outside the session range discarded", discarded)
 
     try:
-        sessions = tuple(
-            Session(index=i, pos=c[0], neg=c[1], neu=c[2], **fields)
-            for i, (fields, c) in enumerate(zip(skeleton, counts))
-        )
+        sessions = tuple(Session(i, *s, *c) for i, (s, c) in enumerate(zip(spans, counts)))
     except ValueError as exc:  # a summed count over VALUE_CAP
         raise DataError(str(exc)) from None
     return SessionSeries(sessions)

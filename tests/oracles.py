@@ -2,10 +2,11 @@
 
 Everything here deliberately avoids the package's own numerics: the
 regression oracle solves the normal equations in 50-digit arithmetic, the
-p-value oracle integrates the Student t density by quadrature, and the
-engine replay recomputes the spread and quality recursions step by step
-from recorded outcomes.  Agreement between these routes and the package is
-the point of the comparison, so none of them may call into it.
+p-value oracle integrates the Student t density by quadrature, the engine
+replay recomputes the spread and quality recursions step by step from
+recorded outcomes, and the ledger oracle trades signs one session at a
+time.  Agreement between these routes and the package is the point of the
+comparison, so none of them may call into it.
 """
 
 from __future__ import annotations
@@ -103,3 +104,48 @@ def replay_engine(history, beta: float, gamma: float, initial_spread: float = 1.
         spreads.append(spread)
         qualities.append(quality)
     return spreads, qualities
+
+
+def ledger_oracle(signs, returns, cost_per_trade: float = 0.0) -> dict:
+    """Trade one stake per session: long on +1, short on -1, flat on None.
+
+    A trade pays ``sign * r - cost_per_trade``.  The curves are running
+    sums started at 0.0 (the compounded benchmark a running product started
+    at 1.0, less 1.0), and a trade is a hit only on a nonzero return of its
+    own sign.  Returns the fields of a ledger, with actions as their words.
+    """
+    actions, steps, strategies, benchmarks, compounded, optimals = [], [], [], [], [], []
+    strategy = benchmark = optimal = 0.0
+    growth = 1.0
+    trades = scored = hits = 0
+    for sign, r in zip(signs, returns):
+        if sign is None:
+            actions.append("none")
+            step = 0.0
+        else:
+            actions.append("long" if sign == 1 else "short")
+            step = sign * r - cost_per_trade
+            trades += 1
+            if r != 0:
+                scored += 1
+                if (r > 0) == (sign == 1):
+                    hits += 1
+        strategy = strategy + step
+        benchmark = benchmark + r
+        growth = growth * (1.0 + r)
+        optimal = optimal + abs(r)
+        steps.append(step)
+        strategies.append(strategy)
+        benchmarks.append(benchmark)
+        compounded.append(growth - 1.0)
+        optimals.append(optimal)
+    return {
+        "actions": tuple(actions),
+        "step_pnl": tuple(steps),
+        "cum_strategy": tuple(strategies),
+        "cum_benchmark": tuple(benchmarks),
+        "cum_benchmark_compounded": tuple(compounded),
+        "cum_optimal": tuple(optimals),
+        "hit_rate": hits / scored if scored else None,
+        "n_trades": trades,
+    }

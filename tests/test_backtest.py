@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import io
 import math
+import random
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import make_series, plant_returns
+from oracles import ledger_oracle
 from sentrade.adaptive import (
     PipelineParams,
     PredictionRecord,
@@ -154,6 +156,54 @@ class TestSimulate:
         backward = simulate(flipped, returns)
         for a, b in zip(forward.step_pnl, backward.step_pnl):
             assert a == -b or (a == 0.0 and b == 0.0)
+
+
+class TestSimulateMatchesOracle:
+    """``simulate`` against the plain-loop ``ledger_oracle``, compared by repr."""
+
+    @staticmethod
+    def check(signs, returns, cost=0.0):
+        records = [rec(100 + i, s, r) for i, (s, r) in enumerate(zip(signs, returns))]
+        ledger = simulate(records, returns, cost)
+        assert [d.index for d in ledger.decisions] == [r.index for r in records]
+        fields = {
+            "actions": tuple(d.action.value for d in ledger.decisions),
+            "step_pnl": ledger.step_pnl,
+            "cum_strategy": ledger.cum_strategy,
+            "cum_benchmark": ledger.cum_benchmark,
+            "cum_benchmark_compounded": ledger.cum_benchmark_compounded,
+            "cum_optimal": ledger.cum_optimal,
+            "hit_rate": ledger.hit_rate,
+            "n_trades": ledger.n_trades,
+        }
+        assert repr(fields) == repr(ledger_oracle(signs, returns, cost))
+        return ledger
+
+    def test_short_on_zero_return_steps_negative_zero(self):
+        ledger = self.check([-1, None, 1], [0.0, 0.0, 0.01])
+        assert repr(ledger.step_pnl[:1]) == "(-0.0,)"
+        assert repr(ledger.cum_strategy[:1]) == "(0.0,)"
+        buffer = io.StringIO()
+        write_report_csv(ledger, buffer)
+        assert buffer.getvalue().splitlines()[1] == "100,short,-0.0,0.0,0.0,0.0,0.0"
+
+    @pytest.mark.parametrize("cost", [0.0, 0.001])
+    def test_empty_input(self, cost):
+        self.check([], [], cost)
+
+    def test_random_series(self):
+        rng = random.Random(13)
+        seen = {"short on zero": 0, "abstention": 0, "cost": 0}
+        for _ in range(400):
+            n = rng.randrange(41)
+            returns = [0.0 if rng.random() < 0.2 else rng.uniform(-0.05, 0.05) for _ in range(n)]
+            signs = [rng.choice((1, -1, None)) for _ in range(n)]
+            cost = rng.choice((0.0, 0.001, rng.uniform(0.0, 0.01)))
+            self.check(signs, returns, cost)
+            seen["short on zero"] += any(s == -1 and r == 0 for s, r in zip(signs, returns))
+            seen["abstention"] += None in signs
+            seen["cost"] += cost > 0
+        assert all(seen.values()), seen
 
 
 class TestSplitPoint:

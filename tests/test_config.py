@@ -9,7 +9,7 @@ import pytest
 
 from sentrade.adaptive import PipelineParams, TfwEngine
 from sentrade.backtest import simulate, split_point
-from sentrade.config import Config, load_config, parse_config, parse_params_file
+from sentrade.config import Config, format_params, load_config, parse_config, parse_params_file
 from sentrade.errors import ConfigError
 from sentrade.sessions import MarketCalendar, session_prices
 
@@ -171,6 +171,15 @@ class TestParseParamsFile:
 
     def test_comments_allowed(self):
         assert parse_params_file("# trained\nbeta = 0.1\ngamma = 0.9\n") == (0.1, 0.9)
+
+    @pytest.mark.parametrize(
+        "beta, gamma", [(0.4, 0.2), (0.1 + 0.2, 1 / 3), (5e-324, 1.0 - 2**-53), (0.0, 1.0)]
+    )
+    def test_format_round_trip(self, beta, gamma):
+        assert repr(parse_params_file(format_params(beta, gamma))) == repr((beta, gamma))
+
+    def test_format_layout(self):
+        assert format_params(0.4, 0.2) == "beta = 0.4\ngamma = 0.2\n"
 
     def test_missing_gamma(self):
         with pytest.raises(ConfigError, match="gamma"):

@@ -66,6 +66,12 @@ class TestParseUtc:
         instant = datetime(2012, 6, 18, 13, 30, tzinfo=UTC)
         assert parse_utc(format_utc(instant)) == instant
 
+    @pytest.mark.parametrize("year", [1, 999, 1000, 9999])
+    def test_format_pads_the_year_to_four_digits(self, year):
+        instant = datetime(year, 12, 31, 23, 59, 59, tzinfo=UTC)
+        assert format_utc(instant) == f"{year:04d}-12-31T23:59:59Z"
+        assert parse_utc(format_utc(instant)) == instant
+
 
 class TestParseTicks:
     def test_single_row(self):
@@ -263,6 +269,10 @@ class TestMarketCalendar:
     def test_open_must_precede_close(self):
         with pytest.raises(ConfigError):
             MarketCalendar("UTC", time(16, 0), time(9, 30))
+
+    def test_unknown_zone_fails_at_construction(self):
+        with pytest.raises(ConfigError, match="^timezone: unknown zone 'Mars/Olympus'$"):
+            MarketCalendar("Mars/Olympus", time(9, 30), time(16, 0))
 
     def test_market_open_utc_handles_dst(self):
         # June: EDT is UTC-4, so 09:30 local is 13:30 UTC.
@@ -522,6 +532,17 @@ class TestSessionsCsv:
         parsed = read_sessions_csv(io.StringIO(text))
         assert parsed.sessions == series.sessions
 
+    def test_year_one_round_trip(self):
+        calendar = MarketCalendar("UTC", time(10, 0), time(16, 0))
+        ticks = [PriceTick(datetime(1, 1, day, hour, tzinfo=UTC), 100.0 + day + hour / 100)
+                 for day in (1, 2) for hour in (10, 15)]
+        series = build_sessions(session_prices(ticks, calendar), [], calendar)
+        buffer = io.StringIO()
+        write_sessions_csv(series, buffer)
+        assert "0,day,0001-01-01T10:30:00Z,0001-01-01T15:30:00Z," in buffer.getvalue()
+        buffer.seek(0)
+        assert read_sessions_csv(buffer).sessions == series.sessions
+
     def test_lf_line_endings(self, series_b):
         buffer = io.StringIO()
         write_sessions_csv(series_b, buffer)
@@ -650,6 +671,7 @@ TEXT_MUTATIONS = MUTATIONS + (
     "2012-06-16T15:00:00Z",  # a Saturday
     "2012-06-20T03:00:00Z",  # overnight, outside market hours
     "0001-01-01T00:00:00+01:00",  # before year 1 in UTC
+    "0999-06-18T14:40:00Z",  # a trading day in year 999, in New York's local mean time
 )
 _text_field_edit = st.tuples(
     st.booleans(), st.integers(1, 70), st.integers(0, 3), st.sampled_from(TEXT_MUTATIONS)
@@ -686,11 +708,12 @@ class TestMutatedTickAndBucketCsv:
     @given(edits=_text_edits)
     @example(edits=[("field", True, 3, 1, "1e-320")])
     @example(edits=[("field", True, 3, 0, "0001-01-01T00:00:00+01:00")])
+    @example(edits=[("field", True, 3, 0, "0999-06-18T14:40:00Z")])
     @example(edits=[("field", False, 5, 1, str(2**53)), ("field", False, 6, 1, str(2**53))])
     def test_fails_at_load_or_aggregates(self, edits):
         """Mutated tick and bucket files raise DataError while loading, or
-        aggregate into a series; aggregation fails only on a sum or a price
-        ratio that no single row shows."""
+        aggregate into a series that its sessions CSV reads back; aggregation
+        fails only on a sum or a price ratio that no single row shows."""
         ticks, buckets = _TICK_ROWS, _BUCKET_ROWS
         for edit in edits:
             if edit[1]:
@@ -711,3 +734,7 @@ class TestMutatedTickAndBucketCsv:
             return
         assert len(series) >= 7
         assert all(abs(r) <= 2**53 for r in series.returns)
+        buffer = io.StringIO()
+        write_sessions_csv(series, buffer)
+        buffer.seek(0)
+        assert read_sessions_csv(buffer).sessions == series.sessions
