@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .model_space import P_THRESHOLD, FitTable, ModelClass, Votes
-from .sessions import SessionSeries
+from .sessions import SessionSeries, check_offset_minutes
 
 PREDICTIONS_HEADER = (
     "index",
@@ -311,21 +311,34 @@ def prediction_record(
 SPREAD_SCOPES = ("per_tfw", "global")
 
 
+def check_train_fraction(train_fraction: float) -> None:
+    if not 0.0 < train_fraction < 1.0:
+        raise ConfigError(f"train_fraction: must lie in (0, 1), got {train_fraction}")
+
+
+def check_cost_per_trade(cost_per_trade: float) -> None:
+    if not (math.isfinite(cost_per_trade) and cost_per_trade >= 0):
+        raise ConfigError(f"cost_per_trade: must be finite and non-negative, got {cost_per_trade}")
+
+
 @dataclass(frozen=True)
 class PipelineParams:
-    """Everything a prediction run needs besides the series itself."""
+    """A run's settings, each a config key checked here; beta and gamma are None until trained."""
 
-    beta: float
-    gamma: float
+    beta: float | None = None
+    gamma: float | None = None
     p_threshold: float = P_THRESHOLD
     tfw_min: int = 20
     tfw_max: int = 40
     initial_spread: float = 1.0
+    train_fraction: float = 0.30
+    offset_minutes: int = 30
     spread_scope: str = "per_tfw"
     normalize_sentiment: bool = False
+    cost_per_trade: float = 0.0
 
     def __post_init__(self) -> None:
-        check_decays(self.beta, self.gamma)
+        check_decays(self.beta or 0.0, self.gamma or 0.0)  # an unset decay passes
         if not math.isfinite(self.initial_spread):
             raise ConfigError(f"initial_spread: must be finite, got {self.initial_spread}")
         if not 0.0 < self.p_threshold < 1.0:
@@ -340,6 +353,20 @@ class PipelineParams:
             raise ConfigError(
                 f"spread_scope: must be one of {SPREAD_SCOPES}, got {self.spread_scope!r}"
             )
+        if (self.beta is None) != (self.gamma is None):
+            raise ConfigError("beta and gamma must be set together")
+        check_train_fraction(self.train_fraction)
+        check_offset_minutes(self.offset_minutes)
+        check_cost_per_trade(self.cost_per_trade)
+
+    @property
+    def decays(self) -> tuple[float, float]:
+        """The trained (beta, gamma); a ConfigError while they are unset."""
+        if self.beta is None or self.gamma is None:
+            raise ConfigError(
+                "beta and gamma are unset; train and pass --params, or set them in the config"
+            )
+        return self.beta, self.gamma
 
     @property
     def windows(self) -> range:
@@ -396,6 +423,7 @@ def run_pipeline(
     ``fit_fn`` replaces the per-(session, window) vote counts, which is how
     tests substitute ``votes(fit_window(...))``, the table itself, or a fake.
     """
+    beta, gamma = params.decays
     n = len(series)
     end = n if end is None else end
     if not 0 <= start <= end <= n:
@@ -406,10 +434,7 @@ def run_pipeline(
         fit_fn = FitTable(series, range(t0, max(t0, end)), params.windows, params.p_threshold,
                           normalize=params.normalize_sentiment)
 
-    engines = tuple(
-        TfwEngine(w, params.beta, params.gamma, params.initial_spread)
-        for w in params.windows
-    )
+    engines = tuple(TfwEngine(w, beta, gamma, params.initial_spread) for w in params.windows)
     records: list[PredictionRecord] = []
     global_spread = params.initial_spread
     for t in range(t0, end):
@@ -425,7 +450,7 @@ def run_pipeline(
             financial = _pooled_outcome(steps, ModelClass.FINANCIAL)
             sentiment = _pooled_outcome(steps, ModelClass.SENTIMENT)
             theta = _theta(financial, sentiment)
-            global_spread = params.gamma * global_spread + (
+            global_spread = gamma * global_spread + (
                 theta * abs(100.0 * realized) if theta is not None else 0.0
             )
     return PipelineResult(tuple(records), engines, t0)
@@ -459,7 +484,6 @@ def replay_grid(
     returns: Sequence[float],
     points: Sequence[tuple[float, float]],
     params: PipelineParams,
-    cost_per_trade: float = 0.0,
 ) -> GridReplay:
     """Replay every (beta, gamma) point over the same scored sessions.
 
@@ -473,8 +497,8 @@ def replay_grid(
     point in ``global`` scope), chosen class, emitted sign, lambda and
     quality.  Every float operation keeps the engine's form, so each sum
     and pick equals, bit for bit, the engine path's at that point; the
-    tests compare the two.  ``params`` supplies the initial spread and the
-    spread scope; its own beta and gamma are not read.
+    tests compare the two.  ``params`` supplies the initial spread, the
+    spread scope and the cost per trade; its own beta and gamma are not read.
     """
     counts = np.asarray(vote_counts, dtype=np.int64)
     if counts.shape != (len(returns), len(params.windows), 2, 3):
@@ -505,7 +529,7 @@ def replay_grid(
         emitting = direction != 0
         picks[:, t] = np.where(emitting, best, -1), emitting & sentiment[rows, best], direction
         strategy += np.where(
-            emitting, direction * realized - cost_per_trade * np.abs(direction), 0.0
+            emitting, direction * realized - params.cost_per_trade * np.abs(direction), 0.0
         )
         if realized == 0:
             lam = np.where(emits, -1, 0)

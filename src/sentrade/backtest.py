@@ -23,7 +23,9 @@ from .adaptive import (
     FitFn,
     PipelineParams,
     PredictionRecord,
+    check_cost_per_trade,
     check_decays,
+    check_train_fraction,
     first_session,
     prediction_record,
     replay_grid,
@@ -86,16 +88,6 @@ class TradeLedger:
     @property
     def final_optimal(self) -> float:
         return self.cum_optimal[-1] if self.cum_optimal else 0.0
-
-
-def check_cost_per_trade(cost_per_trade: float) -> None:
-    if not (math.isfinite(cost_per_trade) and cost_per_trade >= 0):
-        raise ConfigError(f"cost_per_trade: must be finite and non-negative, got {cost_per_trade}")
-
-
-def check_train_fraction(train_fraction: float) -> None:
-    if not 0.0 < train_fraction < 1.0:
-        raise ConfigError(f"train_fraction: must lie in (0, 1), got {train_fraction}")
 
 
 _ACTIONS = {1: Action.LONG, -1: Action.SHORT, 0: Action.NOOP}
@@ -162,11 +154,9 @@ def _vote_counts(series: SessionSeries, params: PipelineParams, span: range, fit
 
 def train_params(
     series: SessionSeries,
-    base_params: PipelineParams,
+    params: PipelineParams,
     grid: Sequence[tuple[float, float]] | None = None,
-    train_fraction: float = 0.30,
     *,
-    cost_per_trade: float = 0.0,
     fit_fn: FitFn | None = None,
 ) -> TrainingResult:
     """Grid-search beta and gamma on the chronological training prefix.
@@ -177,27 +167,24 @@ def train_params(
     gamma.  The default grid crosses {0.0, 0.1, ..., 1.0} with itself.
     Fits depend on neither beta nor gamma, so the vote counts are built
     once, from a ``FitTable`` or from ``fit_fn``, and ``replay_grid``
-    scores every point in one pass over them.  Every grid point and the
-    cost are checked before any fit runs.
+    scores every point in one pass over them, at the split and cost of
+    ``params``.  Every grid point is checked before any fit runs.
     """
-    split = split_point(len(series), train_fraction)
-    t0 = first_session(base_params)
+    split = split_point(len(series), params.train_fraction)
+    t0 = first_session(params)
     if split <= t0:
         raise DataError(
             f"training span of {split} session(s) cannot warm up tfw_max="
-            f"{base_params.tfw_max}; need at least {t0 + 1}"
+            f"{params.tfw_max}; need at least {t0 + 1}"
         )
     points = [(b, g) for b in GRID_VALUES for g in GRID_VALUES] if grid is None else list(grid)
     if not points:
         raise ConfigError("grid must contain at least one (beta, gamma) point")
     for beta, gamma in points:
         check_decays(beta, gamma)
-    check_cost_per_trade(cost_per_trade)
 
-    counts, _ = _vote_counts(series, base_params, range(t0, split), fit_fn)
-    train_returns = replay_grid(
-        counts, series.returns[t0:split], points, base_params, cost_per_trade
-    ).strategy.tolist()
+    counts, _ = _vote_counts(series, params, range(t0, split), fit_fn)
+    train_returns = replay_grid(counts, series.returns[t0:split], points, params).strategy.tolist()
     best = max(range(len(points)), key=train_returns.__getitem__)  # the first of equal maxima
     return TrainingResult(
         beta=points[best][0],
@@ -223,9 +210,7 @@ class EvaluationResult:
 def evaluate(
     series: SessionSeries,
     params: PipelineParams,
-    train_fraction: float = 0.30,
     *,
-    cost_per_trade: float = 0.0,
     fit_fn: FitFn | None = None,
 ) -> EvaluationResult:
     """Trade the pipeline's predictions over the evaluation span.
@@ -235,10 +220,10 @@ def evaluate(
     from the first traded session.  ``replay_grid`` at the one point
     (beta, gamma) picks each session's window, class and sign, giving the
     records of the reference ``run_pipeline(series, params, start=split)``.
-    The cost is checked before any fit runs.
+    Unset decays are a ConfigError before any fit.
     """
-    start, end = split_point(len(series), train_fraction), len(series)
-    check_cost_per_trade(cost_per_trade)
+    point = params.decays
+    start, end = split_point(len(series), params.train_fraction), len(series)
     t0 = first_session(params, start)
     if t0 >= end:
         raise DataError(
@@ -248,7 +233,7 @@ def evaluate(
     counts, table = _vote_counts(series, params, range(t0, end), fit_fn)
     began = time.perf_counter()
     returns = series.returns[t0:]
-    replay = replay_grid(counts, returns, [(params.beta, params.gamma)], params)
+    replay = replay_grid(counts, returns, [point], params)
     picks = zip(*(pick[:, 0].tolist() for pick in (replay.window, replay.sentiment, replay.sign)))
     classes = (ModelClass.FINANCIAL, ModelClass.SENTIMENT)
     records = tuple(
@@ -258,7 +243,7 @@ def evaluate(
         for t, r, (k, sentiment, sign) in zip(range(t0, end), returns, picks)
     )
     replay_seconds = time.perf_counter() - began
-    ledger = simulate(records, returns, cost_per_trade)
+    ledger = simulate(records, returns, params.cost_per_trade)
     return EvaluationResult(ledger, records, t0, table, replay_seconds)
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from dataclasses import replace
 from typing import IO, Sequence
 
 from .adaptive import PipelineParams, write_predictions_csv
@@ -18,7 +19,7 @@ from .backtest import (
     write_report_csv,
     write_training_csv,
 )
-from .config import Config, format_params, load_config, parse_params_file
+from .config import format_params, parse_config, parse_params_file
 from .errors import ConfigError, DataError
 from .model_space import fit_window
 from .sessions import (
@@ -98,13 +99,17 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _load_config(path: str | None) -> Config:
-    if path is None:
-        return Config()
+def _read_setting(path: str, what: str) -> str:
+    """The text of a config, params or calendar file; these are configuration (exit 1)."""
     try:
-        return load_config(path)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config: {exc}") from None
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {what}: {exc}") from None
+
+
+def _load_config(path: str | None) -> PipelineParams:
+    return PipelineParams() if path is None else parse_config(_read_setting(path, "config"))
 
 
 def _load_series(path: str):
@@ -117,14 +122,13 @@ def _open_out(path: str) -> IO[str]:
 
 
 def cmd_aggregate(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
-    with open(args.calendar, encoding="utf-8") as handle:
-        calendar = MarketCalendar.from_config(handle.read())
+    params = _load_config(args.config)
+    calendar = MarketCalendar.from_config(_read_setting(args.calendar, "calendar"))
     with open(args.prices, encoding="utf-8", newline="") as handle:
         ticks = parse_ticks(handle)
     with open(args.sentiment, encoding="utf-8", newline="") as handle:
         buckets = parse_buckets(handle)
-    daily = session_prices(ticks, calendar, config.offset_minutes)
+    daily = session_prices(ticks, calendar, params.offset_minutes)
     series = build_sessions(daily, buckets, calendar)
     out_path = f"{args.out}sessions.csv"
     with _open_out(out_path) as handle:
@@ -134,16 +138,9 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
+    params = _load_config(args.config)
     series = _load_series(args.sessions)
-    grid = [(config.beta, config.gamma)] if config.has_params else None
-    result = train_params(
-        series,
-        config.base_params(),
-        grid=grid,
-        train_fraction=config.train_fraction,
-        cost_per_trade=config.cost_per_trade,
-    )
+    result = train_params(series, params, grid=None if params.beta is None else [params.decays])
     training_path = f"{args.out}training.csv"
     with _open_out(training_path) as handle:
         write_training_csv(result, handle)
@@ -205,22 +202,13 @@ def _write_models_csv(
 
 
 def cmd_backtest(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
+    params = _load_config(args.config)
     if args.params:
-        try:
-            with open(args.params, encoding="utf-8") as handle:
-                beta, gamma = parse_params_file(handle.read())
-        except OSError as exc:
-            raise ConfigError(f"cannot read params: {exc}") from None
-        config = config.with_params(beta, gamma)
-    params = config.pipeline_params()
+        beta, gamma = parse_params_file(_read_setting(args.params, "params"))
+        params = replace(params, beta=beta, gamma=gamma)
+    params.decays  # an untrained run fails before the sessions file is read
     series = _load_series(args.sessions)
-    result = evaluate(
-        series,
-        params,
-        train_fraction=config.train_fraction,
-        cost_per_trade=config.cost_per_trade,
-    )
+    result = evaluate(series, params)
     predictions_path = f"{args.out}predictions.csv"
     with _open_out(predictions_path) as handle:
         write_predictions_csv(result.records, handle)

@@ -129,6 +129,21 @@ class Session:
             raise ValueError(f"session {self.index}: open_time must precede close_time")
 
 
+def check_next_session(previous: Session | None, session: Session) -> None:
+    """Indices count from 0, kinds alternate, and a session opens where the previous one closed."""
+    position = 0 if previous is None else previous.index + 1
+    if session.index != position:
+        raise DataError(f"session index {session.index} out of order at {position}")
+    if previous is None:
+        return
+    if session.kind == previous.kind:
+        raise DataError(f"sessions {position - 1} and {position} do not alternate")
+    if session.open_time != previous.close_time:
+        raise DataError(f"gap between sessions {position - 1} and {position}")
+    if session.open_price != previous.close_price:
+        raise DataError(f"boundary price mismatch between sessions {position - 1} and {position}")
+
+
 @dataclass(frozen=True)
 class SessionSeries:
     """An ordered, gap-free alternation of Day and Night sessions.
@@ -143,20 +158,8 @@ class SessionSeries:
     def __post_init__(self) -> None:
         object.__setattr__(self, "returns", tuple(
             (s.close_price - s.open_price) / s.open_price for s in self.sessions))
-        previous: Session | None = None
-        for position, session in enumerate(self.sessions):
-            if session.index != position:
-                raise DataError(f"session index {session.index} out of order at {position}")
-            if previous is not None:
-                if session.kind == previous.kind:
-                    raise DataError(f"sessions {position - 1} and {position} do not alternate")
-                if session.open_time != previous.close_time:
-                    raise DataError(f"gap between sessions {position - 1} and {position}")
-                if session.open_price != previous.close_price:
-                    raise DataError(
-                        f"boundary price mismatch between sessions {position - 1} and {position}"
-                    )
-            previous = session
+        for previous, session in zip((None, *self.sessions), self.sessions):
+            check_next_session(previous, session)
 
     def __len__(self) -> int:
         return len(self.sessions)
@@ -317,14 +320,18 @@ class DayPrices:
 
 
 def _read_csv(
-    stream: IO[str], header: Sequence[str], parse_row: Callable[[list[str]], _T]
+    stream: IO[str],
+    header: Sequence[str],
+    parse_row: Callable[[list[str]], _T],
+    follows: Callable[[_T | None, _T], None] = lambda previous, value: None,
 ) -> list[_T]:
     """Parse a CSV with a fixed header into one ``parse_row`` value per row.
 
     Blank and ``#`` lines are skipped and fields stripped.  A wrong or
     missing header, a wrong field count, and a ValueError or OverflowError
-    (a timestamp outside years 1-9999 in UTC) from ``parse_row`` are
-    DataErrors naming the physical line where the reader stopped.
+    (a timestamp outside years 1-9999 in UTC) from ``parse_row``, or from
+    ``follows(previous value or None, value)``, are DataErrors naming the
+    physical line where the reader stopped.
     """
     reader = csv.reader(stream)
     lines = ([text.strip() for text in raw] for raw in reader)
@@ -337,6 +344,7 @@ def _read_csv(
             if len(fields) != len(header):
                 raise ValueError(f"expected {len(header)} fields, got {len(fields)}")
             rows.append(parse_row(fields))
+            follows(rows[-2] if len(rows) > 1 else None, rows[-1])
         return rows
     except (ValueError, OverflowError, csv.Error) as exc:
         raise DataError(f"line {max(reader.line_num, 1)}: {exc}") from None
@@ -517,8 +525,8 @@ def write_sessions_csv(series: SessionSeries, stream: IO[str], comments: Iterabl
 
 
 def read_sessions_csv(stream: IO[str]) -> SessionSeries:
-    """Parse a sessions CSV back into a SessionSeries."""
+    """Parse a sessions CSV back into a SessionSeries; a break in the series names its line."""
     sessions = _read_csv(stream, SESSIONS_HEADER, lambda row: Session(
         int(row[0]), SessionKind(row[1]), parse_utc(row[2]), parse_utc(row[3]),
-        float(row[4]), float(row[5]), *map(int, row[6:])))
+        float(row[4]), float(row[5]), *map(int, row[6:])), check_next_session)
     return SessionSeries(tuple(sessions))

@@ -49,6 +49,8 @@ class SyntheticScenario:
             raise ConfigError(f"kind must be one of {SCENARIO_KINDS}, got {self.kind!r}")
         if self.n_sessions < 1:
             raise ConfigError(f"n_sessions must be at least 1, got {self.n_sessions}")
+        if self.seed < 0:  # numpy's generator accepts no negative seed
+            raise ConfigError(f"seed: must be non-negative, got {self.seed}")
         for name in ("signal_strength", "noise_sigma", "ar2"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")

@@ -274,8 +274,17 @@ class TestTrainParams:
             raise AssertionError(f"fit ran for session {t}, window {w}")
 
         series = make_series([0.01, -0.01] * 60)
-        with pytest.raises(ConfigError):
-            train_params(series, BASE, grid=grid, cost_per_trade=cost, fit_fn=refuse)
+        with pytest.raises(ConfigError):  # a bad cost fails while the params are built
+            train_params(series, replace(BASE, cost_per_trade=cost), grid=grid, fit_fn=refuse)
+
+    def test_decays_in_params_are_not_read(self):
+        series = make_series([0.01, -0.01] * 60)
+        untrained = PipelineParams(tfw_min=20, tfw_max=24)
+        for grid in (None, [(0.4, 0.0), (0.8, 0.5)]):
+            want = train_params(series, untrained, grid=grid, fit_fn=abstain_fit)
+            for beta, gamma in ((0.0, 0.0), (0.4, 0.0), (1.0, 0.7)):
+                params = replace(untrained, beta=beta, gamma=gamma)
+                assert train_params(series, params, grid=grid, fit_fn=abstain_fit) == want
 
     def test_winner_replays_to_same_return(self, series_b):
         grid = [(0.4, 0.0), (0.8, 0.5)]
@@ -339,9 +348,9 @@ class TestGridMatchesEngine:
     @pytest.mark.parametrize("scenario, fraction, settings, cost, points, flat", REPLAY_CASES)
     def test_every_point(self, scenario, fraction, settings, cost, points, flat):
         series = case_series(scenario, flat)
-        base = PipelineParams(beta=0.0, gamma=0.0, **settings)
-        trained = train_params(series, base, grid=points, train_fraction=fraction,
-                               cost_per_trade=cost)
+        base = PipelineParams(beta=0.0, gamma=0.0, train_fraction=fraction, cost_per_trade=cost,
+                              **settings)
+        trained = train_params(series, base, grid=points)
         t0, split = first_session(base), trained.split_index
         table = FitTable(series, range(t0, split), base.windows, base.p_threshold,
                          normalize=base.normalize_sentiment)
@@ -353,13 +362,13 @@ class TestGridMatchesEngine:
 
     def test_reference_fit_fn(self):
         series = with_flat_sessions(generate(B200))
-        base = PipelineParams(beta=0.0, gamma=0.0, tfw_min=20, tfw_max=24)
+        base = PipelineParams(beta=0.0, gamma=0.0, tfw_min=20, tfw_max=24, train_fraction=0.2)
         points = [(0.0, 0.0), (0.5, 0.1), (1.0, 1.0), (0.2, 0.9)]
 
         def reference(t, w):
             return votes(fit_window(series, t, w, base.p_threshold))
 
-        trained = train_params(series, base, grid=points, train_fraction=0.2, fit_fn=reference)
+        trained = train_params(series, base, grid=points, fit_fn=reference)
         table = FitTable(series, range(first_session(base), trained.split_index), base.windows,
                          base.p_threshold)
         want = engine_grid(series, base, points, trained.split_index, 0.0, table)
@@ -373,8 +382,9 @@ class TestEvaluateMatchesEngine:
     def test_records_and_ledger(self, scenario, fraction, settings, cost, points, flat):
         series = case_series(scenario, flat)
         beta, gamma = (points or [(0.2, 1.0)])[0]  # gamma 1 keeps windows' spreads apart
-        params = PipelineParams(beta=beta, gamma=gamma, **settings)
-        result = evaluate(series, params, fraction, cost_per_trade=cost)
+        params = PipelineParams(beta=beta, gamma=gamma, train_fraction=fraction,
+                                cost_per_trade=cost, **settings)
+        result = evaluate(series, params)
         split = split_point(len(series), fraction)
         t0 = first_session(params, split)
         table = FitTable(series, range(t0, len(series)), params.windows, params.p_threshold,
@@ -384,7 +394,7 @@ class TestEvaluateMatchesEngine:
         assert result.start == reference.start == t0
         assert repr(result.records) == repr(reference.records)
         assert repr(result.ledger) == repr(ledger)
-        replay = replay_grid(table.vote_counts, series.returns[t0:], [(beta, gamma)], params, cost)
+        replay = replay_grid(table.vote_counts, series.returns[t0:], [(beta, gamma)], params)
         assert repr(replay.strategy.tolist()[0]) == repr(ledger.final_strategy)
         assert any(r.predicted_sign is not None for r in result.records)
 
@@ -410,8 +420,18 @@ class TestEvaluate:
             raise AssertionError(f"fit ran for session {t}, window {w}")
 
         series = make_series([0.01, -0.01] * 60)
-        with pytest.raises(ConfigError, match="cost_per_trade"):
-            evaluate(series, BASE, cost_per_trade=math.nan, fit_fn=refuse)
+        with pytest.raises(ConfigError, match="cost_per_trade"):  # while the params are built
+            evaluate(series, replace(BASE, cost_per_trade=math.nan), fit_fn=refuse)
+
+    def test_unset_decays_fail_before_any_fit(self):
+        def refuse(t, w):
+            raise AssertionError(f"fit ran for session {t}, window {w}")
+
+        series = make_series([0.01, -0.01] * 60)
+        untrained = PipelineParams(tfw_min=20, tfw_max=24)
+        for run in (evaluate, run_pipeline):
+            with pytest.raises(ConfigError, match="^beta and gamma are unset; "):
+                run(series, untrained, fit_fn=refuse)
 
     def test_empty_span_rejected(self):
         # 26 sessions end exactly where the tfw_max=24 warm-up does

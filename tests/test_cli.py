@@ -110,6 +110,13 @@ class TestSynthCommand:
         assert "must be finite" in capsys.readouterr().err
         assert not (tmp_path / "x_sessions.csv").exists()
 
+    def test_negative_seed_exits_one(self, tmp_path, capsys):
+        code = main(["synth", "--kind", "B", "--n", "10", "--seed", "-1",
+                     "--out", str(tmp_path / "x_")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: seed: must be non-negative, got -1\n"
+        assert not (tmp_path / "x_sessions.csv").exists()
+
     def test_overflowing_return_exits_two(self, tmp_path, capsys):
         code = main(["synth", "--kind", "B", "--n", "1", "--noise-sigma", "1e200", "--seed", "3",
                      "--out", str(tmp_path / "x_")])
@@ -167,6 +174,29 @@ class TestAggregateCommand:
         )
         assert code == 1
         assert "unknown key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name, content, detail",
+        [("absent.txt", None, "absent.txt"), ("latin1.txt", b"# caf\xe9\n", "can't decode")],
+        ids=["missing", "not-utf8"],
+    )
+    def test_unreadable_calendar_exits_one(self, workspace, capsys, name, content, detail):
+        write_week_inputs(workspace)
+        if content is not None:
+            (workspace / name).write_bytes(content)
+        code = main(
+            [
+                "aggregate",
+                "--prices", str(workspace / "ticks.csv"),
+                "--sentiment", str(workspace / "buckets.csv"),
+                "--calendar", str(workspace / name),
+                "--out", str(workspace / "agg_"),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read calendar: ") and detail in err
+        assert not (workspace / "agg_sessions.csv").exists()
 
     @pytest.mark.parametrize(
         "zone,stamp",
@@ -439,6 +469,21 @@ class TestBacktestCommand:
         code = self.run_backtest(workspace, workspace / "absent.csv")
         assert code == 2
         assert "absent.csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("what", ["config", "params"])
+    @pytest.mark.parametrize(
+        "content", [None, b"beta = 0.4 # caf\xe9\n"], ids=["missing", "not-utf8"]
+    )
+    def test_unreadable_settings_exit_one(self, workspace, capsys, what, content):
+        sessions = synth_sessions(workspace)
+        capsys.readouterr()
+        path = workspace / f"unreadable.{what}"
+        if content is not None:
+            path.write_bytes(content)
+        code = self.run_backtest(workspace, sessions, f"--{what}", str(path))
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot read {what}: ")
+        assert not (workspace / "b_report.csv").exists()
 
     @pytest.mark.parametrize(
         "edits, line, message",

@@ -3,26 +3,25 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from datetime import time
 
 import pytest
 
 from sentrade.adaptive import PipelineParams, TfwEngine
 from sentrade.backtest import simulate, split_point
-from sentrade.config import Config, format_params, load_config, parse_config, parse_params_file
+from sentrade.config import format_params, load_config, parse_config, parse_params_file
 from sentrade.errors import ConfigError
 from sentrade.sessions import MarketCalendar, session_prices
 
-PIPELINE_FIELDS = {
-    "p_threshold", "tfw_min", "tfw_max", "beta", "gamma", "initial_spread", "spread_scope"
-}
-
 
 def same_rule_elsewhere(kwargs):
-    """The library calls that check the rule Config applies to kwargs, given the same values."""
-    calls = []
-    if set(kwargs) <= PIPELINE_FIELDS:
-        calls.append(lambda: PipelineParams(**{"beta": 0.0, "gamma": 0.0, **kwargs}))
+    """The calls that check the rule PipelineParams applies to kwargs, given the same values.
+
+    The first is PipelineParams itself with trained decays, so each rule reads
+    the same whether beta and gamma are set or not.
+    """
+    calls = [lambda: PipelineParams(**{"beta": 0.0, "gamma": 0.0, **kwargs})]
     if set(kwargs) <= {"beta", "gamma"}:
         calls.append(lambda: TfwEngine(w=20, **{"beta": 0.0, "gamma": 0.0, **kwargs}))
     if "train_fraction" in kwargs:
@@ -37,13 +36,16 @@ def same_rule_elsewhere(kwargs):
 
 class TestConfig:
     def test_defaults(self):
-        config = Config()
+        config = PipelineParams()
         assert config.p_threshold == 0.10
         assert (config.tfw_min, config.tfw_max) == (20, 40)
         assert config.beta is None and config.gamma is None
         assert config.train_fraction == 0.30
+        assert config.offset_minutes == 30
+        assert config.cost_per_trade == 0.0
         assert config.spread_scope == "per_tfw"
-        assert not config.has_params
+        with pytest.raises(ConfigError, match="unset"):
+            config.decays
 
     @pytest.mark.parametrize(
         "kwargs,field",
@@ -68,7 +70,7 @@ class TestConfig:
     )
     def test_validation_names_the_field(self, kwargs, field):
         with pytest.raises(ConfigError, match=field) as from_config:
-            Config(**kwargs)
+            PipelineParams(**kwargs)
         # each rule has one message, whichever entry point checks it
         calls = same_rule_elsewhere(kwargs)
         assert calls
@@ -80,23 +82,32 @@ class TestConfig:
     @pytest.mark.parametrize("kwargs", [{"beta": 0.4}, {"gamma": 0.0}])
     def test_half_set_pair_rejected(self, kwargs):
         with pytest.raises(ConfigError, match="beta and gamma must be set together"):
-            Config(**kwargs)
+            PipelineParams(**kwargs)
 
     def test_with_params(self):
-        config = Config().with_params(0.4, 0.0)
-        assert config.has_params
+        config = replace(PipelineParams(), beta=0.4, gamma=0.0)
+        assert config.decays == (0.4, 0.0)
         assert (config.beta, config.gamma) == (0.4, 0.0)
 
     def test_pipeline_params_requires_training(self):
-        with pytest.raises(ConfigError, match="train"):
-            Config().pipeline_params()
+        with pytest.raises(ConfigError, match="train") as unset:
+            PipelineParams().decays
+        assert str(unset.value) == (
+            "beta and gamma are unset; train and pass --params, or set them in the config"
+        )
 
     def test_pipeline_params_carries_fields(self):
-        config = Config(tfw_min=10, tfw_max=15, p_threshold=0.05).with_params(0.3, 0.2)
-        params = config.pipeline_params()
-        assert (params.beta, params.gamma) == (0.3, 0.2)
+        config = PipelineParams(tfw_min=10, tfw_max=15, p_threshold=0.05)
+        params = replace(config, beta=0.3, gamma=0.2)
+        assert params.decays == (0.3, 0.2)
         assert (params.tfw_min, params.tfw_max) == (10, 15)
         assert params.p_threshold == 0.05
+
+    def test_set_decay_out_of_range_is_named_before_the_pair_rule(self):
+        with pytest.raises(ConfigError, match=r"^beta: must lie in \[0, 1\], got 1.5$"):
+            PipelineParams(beta=1.5)
+        with pytest.raises(ConfigError, match="^beta and gamma must be set together$"):
+            PipelineParams(beta=1.0)
 
 
 class TestParseConfig:
@@ -116,12 +127,12 @@ class TestParseConfig:
         )
         assert config.p_threshold == 0.05
         assert (config.tfw_min, config.tfw_max) == (10, 12)
-        assert config.has_params
+        assert config.decays == (0.4, 0.0)
         assert config.normalize_sentiment is True
         assert config.spread_scope == "global"
 
     def test_empty_text_gives_defaults(self):
-        assert parse_config("") == Config()
+        assert parse_config("") == PipelineParams()
 
     def test_unknown_key_with_line_number(self):
         with pytest.raises(ConfigError, match=r"line 2: unknown key 'betta'"):
@@ -158,7 +169,7 @@ class TestParseConfig:
     def test_load_config(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("beta = 0.4\ngamma = 0.0\n", encoding="utf-8")
-        assert load_config(str(path)).has_params
+        assert load_config(str(path)).decays == (0.4, 0.0)
 
     def test_load_config_missing_file(self, tmp_path):
         with pytest.raises(OSError):

@@ -1,4 +1,4 @@
-"""Every fenced ``python`` block in README.md runs as written."""
+"""Every fenced ``python`` block in README.md runs as written, and its tables match the code."""
 
 from __future__ import annotations
 
@@ -6,9 +6,13 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+
+from sentrade.adaptive import PipelineParams
+from sentrade.config import parse_config
 
 ROOT = Path(__file__).resolve().parents[1]
 BLOCKS = re.findall(
@@ -32,3 +36,17 @@ def test_readme_python_block_runs(code, tmp_path):
         timeout=300,
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_configuration_table_matches_pipeline_params():
+    """The Configuration table lists every PipelineParams field with its default."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Configuration\n")[1].split("\n## ")[0]
+    table = {}
+    for keys, defaults in re.findall(r"^\| (`[^|]*?) *\| *([^|]*?) *\|", section, re.M):
+        for key, default in zip(keys.split(","), defaults.split(",")):
+            key, default = key.strip(" `"), default.strip(" `")
+            table[key] = None if default == "unset" else getattr(
+                parse_config(f"{key} = {default}"), key
+            )
+    assert table == {field.name: field.default for field in fields(PipelineParams)}

@@ -594,6 +594,27 @@ class TestSessionsCsv:
         with pytest.raises(DataError, match=f"line 3: session 1: {message}"):
             read_sessions_csv(io.StringIO(text))
 
+    @pytest.mark.parametrize(
+        "index, column, text, message",
+        [
+            (4, 0, "7", "session index 7 out of order at 4"),
+            (5, 1, "day", "sessions 4 and 5 do not alternate"),
+            (3, 2, "2012-03-06T21:00:00Z", "gap between sessions 2 and 3"),
+            (7, 4, "123.0", "boundary price mismatch between sessions 6 and 7"),
+        ],
+        ids=["index", "alternation", "gap", "boundary-price"],
+    )
+    def test_series_break_names_the_line(self, index, column, text, message):
+        """The comment is line 1 and the header line 2, so session i sits on line i + 3."""
+        buffer = io.StringIO()
+        write_sessions_csv(generate(SyntheticScenario("B", 10, seed=7)), buffer, ["synth"])
+        rows = buffer.getvalue().splitlines()
+        fields = rows[index + 2].split(",")
+        fields[column] = text
+        rows[index + 2] = ",".join(fields)
+        with pytest.raises(DataError, match=f"^line {index + 3}: {message}$"):
+            read_sessions_csv(io.StringIO("\n".join(rows) + "\n"))
+
 
 MUTATIONS = ("inf", "nan", "-5", "1e-320", "0", "junk", "1" + "0" * 200)
 MUTATED_N = 40

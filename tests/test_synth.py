@@ -41,6 +41,11 @@ class TestScenarioValidation:
     def test_stationary_pair_accepted(self):
         SyntheticScenario("A", 50, signal_strength=1.0, ar2=-0.8)
 
+    @pytest.mark.parametrize("kind", SCENARIO_KINDS)
+    def test_negative_seed_rejected(self, kind):
+        with pytest.raises(ConfigError, match=r"^seed: must be non-negative, got -1$"):
+            SyntheticScenario(kind, 50, seed=-1)
+
 
 class TestGenerate:
     @pytest.mark.parametrize("kind", SCENARIO_KINDS)
