@@ -112,6 +112,30 @@ def _regressors(series: SessionSeries, normalize: bool) -> np.ndarray:
 _POSITION = {v: 1 + i for i, v in enumerate(Variable)}
 
 
+def _window(
+    series: SessionSeries, t: int, w: int, normalize: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The [1 | R1 R2 P1 N1 Z1] rows and returns of sessions t-w..t-1, and
+    the row of lagged values aligned with session t itself."""
+    n = len(series)
+    if not 0 < w:
+        raise DataError(f"window length must be positive, got {w}")
+    if t > n:
+        raise DataError(f"window end {t} beyond series length {n}")
+    if t - w < 2:
+        raise DataError(f"window [{t - w}, {t}) needs two sessions of history before it")
+    L = _regressors(series, normalize)
+    return L[t - w : t], series.returns_array[t - w : t], L[t]
+
+
+def _design(
+    rows: np.ndarray, y: np.ndarray, next_row: np.ndarray, variables: tuple[Variable, ...]
+) -> tuple[DesignMatrix, np.ndarray]:
+    columns = [_POSITION[v] for v in variables]
+    # fit_ols's SVD rounds differently on a column-major copy.
+    return DesignMatrix(np.ascontiguousarray(rows[:, columns]), y), next_row[columns]
+
+
 def build_design(
     series: SessionSeries,
     variables: tuple[Variable, ...],
@@ -124,19 +148,7 @@ def build_design(
     Also returns the prediction row of lagged values aligned with session t
     itself; t == len(series) is allowed, producing a true out-of-sample row.
     """
-    n = len(series)
-    if not 0 < w:
-        raise DataError(f"window length must be positive, got {w}")
-    if t > n:
-        raise DataError(f"window end {t} beyond series length {n}")
-    if t - w < 2:
-        raise DataError(f"window [{t - w}, {t}) needs two sessions of history before it")
-    L = _regressors(series, normalize)
-    columns = [_POSITION[v] for v in variables]
-    # fit_ols's SVD rounds differently on a column-major copy.
-    X = np.ascontiguousarray(L[t - w : t, columns])
-    y = series.returns_array[t - w : t]
-    return DesignMatrix(X, y), L[t, columns]
+    return _design(*_window(series, t, w, normalize), variables)
 
 
 def fit_window(
@@ -153,14 +165,18 @@ def fit_window(
     ``MIN_RESIDUAL_DF``, whose window is rank-deficient, or with any
     regressor p-value at or above the threshold fail the filter; the fit
     and its prediction are still reported whenever the solve succeeded.
+    The window is sliced once, when the first candidate is fitted.
     """
     results = []
+    window = None
     for candidate in CANDIDATES:
         k = len(candidate.variables)
         if w - k - 1 < MIN_RESIDUAL_DF:
             results.append(FittedModel(candidate, None, None, False))
             continue
-        design, prediction_row = build_design(series, candidate.variables, t, w, normalize)
+        if window is None:
+            window = _window(series, t, w, normalize)
+        design, prediction_row = _design(*window, candidate.variables)
         fit = fit_ols(design)
         if not fit.rank_ok:
             results.append(FittedModel(candidate, fit, None, False))
@@ -206,8 +222,8 @@ SIGN_BAND = 1e-6
 EXACT_FIT_BAND = 1e-8
 # Padded design rows per batch.  A block of sessions pads sessions x windows
 # x max(windows) rows, so its size follows the window span: at least one
-# session, and 64 at the default 21 windows of up to 40.
-_BLOCK_ROWS = 64 * 21 * 40
+# session, and 16 at the default 21 windows of up to 40.
+_BLOCK_ROWS = 16 * 21 * 40
 _EPS = float(np.finfo(float).eps)
 
 
@@ -229,6 +245,32 @@ def _condition_band(w: np.ndarray, m: int) -> np.ndarray:
     return 2.0 * (w + 10) * m * _EPS * CONDITION_LIMIT
 
 
+# Interlacing settles most rank verdicts without a candidate's own
+# eigensolve (Golub & Van Loan, Matrix Computations, Thm 8.1.7).  A
+# candidate's Gram matrix is a principal submatrix of the Gram of every
+# candidate containing it (for the five-variable one, the cell's full 6x6
+# Gram), so its eigenvalues lie within theirs and its cond^2 is at most
+# theirs.  Write k for the true cond^2 of a Gram matrix, k^ for eigvalsh's
+# value, L for CONDITION_LIMIT, and b for _condition_band(w, 6), which
+# bounds every candidate's own band b_c.  As above, each computed
+# eigenvalue is within (b / 2L) lambda_max of the true one, so k^ and k
+# agree to within a relative (b / 2)(k / L) plus rounding.  The two rules
+# use a margin of 4b, and the steps below hold while b <= 0.1, that is for
+# windows up to 3,700 rows (b is 1.3e-3 at w = 40); _rank_verdicts applies
+# neither rule to longer windows.
+# - Rank-ok.  If a candidate's k^ < L (1 - 4b), its k < L (1 - 3b), so every
+#   candidate it contains has k < L (1 - 3b), and its own k^ would be below
+#   L (1 - 2b) <= L (1 - b_c): rank-ok, and outside its band.
+# - Rank-deficient.  If a candidate's k^ > L (1 + 4b), its k > L (1 + 3b),
+#   since a smaller k computes to below L (1 + 4b).  Every candidate
+#   containing it then has k > L (1 + 3b), and its own k^ would exceed
+#   L (1 + 2b) >= L (1 + b_c): rank-deficient, and outside its band.  An
+#   exactly singular computed Gram (lowest eigenvalue <= 0, so k^ = inf) is
+#   covered too: its true lowest eigenvalue is at most (b / 2L) lambda_max,
+#   so k >= 2L / b = 1 / ((w + 10) * 6 * eps), above 1e10.
+# Either way the verdict is the one the candidate's own eigensolve gives.
+
+
 class FitTable:
     """The per-class vote counts of each (session, window) of a span.
 
@@ -237,13 +279,14 @@ class FitTable:
     counts as Python ints, so the table serves as a run's fit function.
 
     The cells are fitted in batched blocks of sessions (see ``_fit_cells``),
-    each folded into counts at once, so no per-candidate array outlives its
-    block.  A cell with any candidate within the error bound of a decision
-    takes its counts from ``fit_window`` instead: cond^2 near
-    CONDITION_LIMIT, a t statistic near the threshold, a
-    prediction near zero, or a near-exact fit.  ``fallback_cells`` lists
-    those (session, window) pairs; ``build_seconds`` is the wall time of
-    the whole build.
+    one pass per candidate size with rank verdicts settled by interlacing
+    where it can, and each block is folded into counts at once, so no
+    per-candidate array outlives its block.  A cell with any candidate
+    within the error bound of a decision takes its counts from
+    ``fit_window`` instead: cond^2 near CONDITION_LIMIT, a t statistic near
+    the threshold, a prediction near zero, or a near-exact fit.
+    ``fallback_cells`` lists those (session, window) pairs;
+    ``build_seconds`` is the wall time of the whole build.
     """
 
     def __init__(
@@ -299,6 +342,72 @@ class FitTable:
         return tuple(financial), tuple(sentiment)
 
 
+def _size_passes() -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Each candidate size's members (positions in CANDIDATES) and the
+    columns [0 | variables] of their designs, smallest size first."""
+    columns = [[0] + [_POSITION[v] for v in c.variables] for c in CANDIDATES]
+    passes = []
+    for m in sorted({len(cols) for cols in columns}):
+        members = [c for c, cols in enumerate(columns) if len(cols) == m]
+        passes.append((np.array(members), np.array([columns[c] for c in members])))
+    return tuple(passes)
+
+
+_SIZE_PASSES = _size_passes()
+# The order in which _rank_verdicts eigensolves sizes: all five variables
+# first, which clears every candidate of a well-conditioned cell; then one,
+# where a flat count shows up and settles every candidate containing it;
+# then four, which clear their subsets where only a combination of counts
+# is singular (shares that sum to one); then the rest.
+_SOLVE_ORDER = tuple(_SIZE_PASSES[size - 1] for size in (5, 1, 4, 2, 3))
+# _CONTAINS[s, c]: candidate s's variables are a proper subset of candidate c's.
+_VARIABLE_SETS = [frozenset(c.variables) for c in CANDIDATES]
+_CONTAINS = np.array([[s < c for c in _VARIABLE_SETS] for s in _VARIABLE_SETS])
+
+
+def _sub_grams(gram: np.ndarray, cells: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """The principal submatrix of gram[cells[i]] on columns[i], for each i."""
+    k = gram.shape[-1]
+    flat = (cells[:, None, None] * k + columns[:, :, None]) * k + columns[:, None, :]
+    return gram.reshape(-1)[flat]
+
+
+def _rank_verdicts(gram: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each (cell, candidate)'s rank verdict from the cells' full Gram
+    matrices and window lengths, and the mask of cells where a verdict lies
+    within its band of CONDITION_LIMIT.
+
+    A candidate whose window leaves fewer than MIN_RESIDUAL_DF residual
+    degrees of freedom is not fitted and gets no verdict.  Interlacing (see
+    the note after ``_condition_band``) settles a candidate contained in one
+    whose computed cond^2 is below CONDITION_LIMIT (1 - margin) as rank-ok,
+    and one containing a candidate above CONDITION_LIMIT (1 + margin) as
+    rank-deficient; every other candidate is eigensolved, sizes in
+    _SOLVE_ORDER.
+    """
+    shape = (len(gram), len(CANDIDATES))
+    margin = 4.0 * _condition_band(w, gram.shape[-1])
+    margin[margin > 0.4] = np.inf  # the rules need b <= 0.1
+    rank_ok, clear, singular = np.zeros(shape, bool), np.zeros(shape, bool), np.zeros(shape, bool)
+    unsure = np.zeros(len(gram), dtype=bool)
+    for members, columns in _SOLVE_ORDER:
+        m = columns.shape[1]
+        fitted = (w - m >= MIN_RESIDUAL_DF)[:, None]
+        inside_clear = clear @ _CONTAINS[members].T
+        rank_ok[:, members] = fitted & inside_clear
+        cells, c = np.nonzero(fitted & ~inside_clear & ~(singular @ _CONTAINS[:, members]))
+        eigenvalues = np.linalg.eigvalsh(_sub_grams(gram, cells, columns[c]))
+        low, high = eigenvalues[:, 0], eigenvalues[:, -1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cond2 = np.where(low > 0, high / low, np.inf)
+        band = _condition_band(w[cells], m)
+        unsure[cells[np.abs(cond2 - CONDITION_LIMIT) <= band * CONDITION_LIMIT]] = True
+        rank_ok[cells, members[c]] = cond2 <= CONDITION_LIMIT
+        clear[cells, members[c]] = cond2 < CONDITION_LIMIT * (1.0 - margin[cells])
+        singular[cells, members[c]] = cond2 > CONDITION_LIMIT * (1.0 + margin[cells])
+    return rank_ok, unsure
+
+
 def _fit_cells(
     L: np.ndarray,
     r: np.ndarray,
@@ -313,10 +422,15 @@ def _fit_cells(
     windows) mask of cells to recompute.  Each window's rows
     [1 | R1 R2 P1 N1 Z1] and y are copied into zero-padded arrays; padding
     rows add nothing to a cross-product or a residual.
-    Each candidate's sub-Gram gives its rank verdict from the eigenvalue
-    condition number (cond(A'A) = cond(A)^2), its coefficients and standard
-    errors from the inverse of its Jacobi-scaled form, and its filter
-    verdict from comparing each |t| with the critical value of its df.
+
+    The rank verdicts come from ``_rank_verdicts``: the eigenvalue
+    condition number of each candidate's sub-Gram (cond(A'A) = cond(A)^2),
+    settled by interlacing where it can be.  Candidates are then fitted one
+    size at a time, each pass over all of its rank-ok (cell, candidate)
+    pairs: coefficients and standard errors from the inverse of the pair's
+    Jacobi-scaled sub-Gram, residuals from the cell's own padded rows, and
+    the filter verdict from comparing each |t| with the critical value of
+    its df.
     """
     n_t, n_w, w_max = len(ts), len(ws), int(ws.max())
     offsets = np.arange(w_max)
@@ -339,55 +453,50 @@ def _fit_cells(
     n_c = len(CANDIDATES)
     passed = np.zeros((n_t * n_w, n_c), dtype=bool)
     predicted_next = np.full((n_t * n_w, n_c), np.nan)
-    unsure = np.zeros(n_t * n_w, dtype=bool)
-    for c, candidate in enumerate(CANDIDATES):
-        cols = [0] + [_POSITION[v] for v in candidate.variables]
-        k = len(cols) - 1
-        fitted = np.flatnonzero(w_cell - k - 1 >= MIN_RESIDUAL_DF)
-        if not fitted.size:
-            continue
-        G = gram[np.ix_(fitted, cols, cols)]
-        eigenvalues = np.linalg.eigvalsh(G)
-        low, high = eigenvalues[:, 0], eigenvalues[:, -1]
-        positive = low > 0
-        cond2 = np.full(fitted.size, np.inf)
-        cond2[positive] = high[positive] / low[positive]
-        band = _condition_band(w_cell[fitted], len(cols))
-        unsure[fitted] |= np.abs(cond2 - CONDITION_LIMIT) <= band * CONDITION_LIMIT
-        ok = cond2 <= CONDITION_LIMIT
-        cells = fitted[ok]
+    rank_ok, unsure = _rank_verdicts(gram, w_cell)
+    for members, columns in _SIZE_PASSES:
+        m = columns.shape[1]
+        # Candidate-major, so that each candidate's cells form one run.
+        c, cells = np.nonzero(rank_ok[:, members].T)
         if not cells.size:
             continue
-        G = G[ok]
+        cols = columns[c]
+        G = _sub_grams(gram, cells, cols)
         # Jacobi scaling keeps the inverse accurate when column scales differ.
         d = 1.0 / np.sqrt(np.diagonal(G, axis1=1, axis2=2))
         scale = d[:, :, None] * d[:, None, :]
         S_inv = np.linalg.inv(G * scale)
         G_inv = S_inv * scale
-        beta = np.einsum("cij,cj->ci", G_inv, xty[np.ix_(cells, cols)])
-        # Residuals over every cell, with zero coefficients outside this fit.
-        padded_beta = np.zeros((len(A), A.shape[2]))
-        padded_beta[np.ix_(cells, cols)] = beta
-        residuals = y - np.matmul(A, padded_beta[:, :, None])[:, :, 0]
-        rss = np.einsum("cn,cn->c", residuals, residuals)[cells]
-        df = w_cell[cells] - k - 1
+        beta = np.einsum("cij,cj->ci", G_inv, xty[cells[:, None], cols])
+        # Residuals candidate by candidate, over its rank-ok cells only, with
+        # zero coefficients on the columns outside the fit.
+        padded_beta = np.zeros((cells.size, gram.shape[-1], 1))
+        padded_beta[np.arange(cells.size)[:, None], cols, 0] = beta
+        rss = np.empty(cells.size)
+        edges = np.searchsorted(c, np.arange(len(members) + 1))
+        for run in map(slice, edges[:-1], edges[1:]):
+            residuals = y[cells[run]] - np.matmul(A[cells[run]], padded_beta[run])[:, :, 0]
+            rss[run] = np.einsum("cn,cn->c", residuals, residuals)
+        df = w_cell[cells] - m
         variances = (rss / df)[:, None] * np.diagonal(G_inv, axis1=1, axis2=2)[:, 1:]
         std_errors = np.sqrt(np.maximum(variances, 0.0))
         with np.errstate(divide="ignore", invalid="ignore"):
             t_abs = np.abs(beta[:, 1:]) / std_errors
-        terms = x_next[np.ix_(cells, cols)] * beta
+        x_row = x_next[cells[:, None], cols]
+        terms = x_row * beta
         predicted = terms.sum(axis=1)
         t_error, prediction_error = _error_bounds(
-            d, S_inv, beta, t_abs, x_next[np.ix_(cells, cols)], rss, yty[cells], w_cell[cells]
+            d, S_inv, beta, t_abs, x_row, rss, yty[cells], w_cell[cells]
         )
-        unsure[cells] |= (
+        doubtful = (
             ((t_low[df - 1, None] - t_error <= t_abs) & (t_abs <= t_high[df - 1, None] + t_error))
             .any(axis=1)
             | (np.abs(predicted) <= SIGN_BAND * np.abs(terms).sum(axis=1) + prediction_error)
             | (rss <= EXACT_FIT_BAND * yty[cells])
         )
-        passed[cells, c] = (t_abs > t_critical[df - 1, None]).all(axis=1)
-        predicted_next[cells, c] = predicted
+        unsure[cells[doubtful]] = True
+        passed[cells, members[c]] = (t_abs > t_critical[df - 1, None]).all(axis=1)
+        predicted_next[cells, members[c]] = predicted
     return (
         passed.reshape(n_t, n_w, n_c),
         predicted_next.reshape(n_t, n_w, n_c),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from sentrade.model_space import (
     MIN_RESIDUAL_DF,
     FitTable,
     ModelClass,
+    Variable,
     _block_sessions,
     _fit_cells,
     _regressors,
@@ -24,6 +26,7 @@ from sentrade.model_space import (
     votes,
 )
 from sentrade.regression import CONDITION_LIMIT
+from sentrade.sessions import SessionSeries
 from sentrade.synth import SyntheticScenario, generate
 
 WINDOWS = range(20, 41)
@@ -94,14 +97,14 @@ def test_every_cell_matches_reference(scenario, normalize):
 
 
 def test_block_size_follows_window_span():
-    assert _block_sessions(PipelineParams(beta=0.4, gamma=0.0).windows) == 64
-    assert _block_sessions(range(3, 61)) == 15
-    assert _block_sessions(range(3, 121)) == 3
+    assert _block_sessions(PipelineParams(beta=0.4, gamma=0.0).windows) == 16
+    assert _block_sessions(range(3, 61)) == 3
+    assert _block_sessions(range(3, 121)) == 1
     assert _block_sessions(range(1, 2001)) == 1
 
 
 def test_wide_windows_match_reference():
-    """Windows 3-60 split 39 sessions into blocks of 15, 15 and 9."""
+    """Windows 3-60 split 39 sessions into 13 blocks of 3."""
     series = generate(SyntheticScenario("B", 100, seed=7))
     assert_matches_reference(series, range(62, 101), range(3, 61))
 
@@ -135,14 +138,103 @@ def test_near_collinear_counts_match_reference(base, normalize):
     assert 1e9 < worst <= CONDITION_LIMIT
 
 
-def test_flat_counts_are_rank_deficient():
+def flat_counts_series():
     rng = np.random.default_rng(5)
     flat = [50] * 60
-    series = make_series(rng.normal(0, 0.01, 60).tolist(), pos=flat, neg=flat, neu=flat)
+    return make_series(rng.normal(0, 0.01, 60).tolist(), pos=flat, neg=flat, neu=flat)
+
+
+def test_flat_counts_are_rank_deficient():
+    series = flat_counts_series()
     _, rank_ok, _ = assert_matches_reference(series, range(26, 61), range(20, 25))
     sentiment = [c for c, cand in enumerate(CANDIDATES) if cand.model_class is ModelClass.SENTIMENT]
     assert not rank_ok[:, :, sentiment].any()
     assert rank_ok[:, :, 0].all()
+
+
+def test_flat_pos_makes_its_supersets_rank_deficient():
+    """A flat pos count is collinear with the intercept, so every candidate
+    containing P1 is rank-deficient (settled from the singular P1 alone)
+    and every other candidate is fitted."""
+    rng = np.random.default_rng(11)
+    series = make_series(
+        rng.normal(0, 0.01, 60).tolist(),
+        pos=[50] * 60,
+        neg=rng.integers(20, 80, 60).tolist(),
+        neu=rng.integers(10, 40, 60).tolist(),
+    )
+    _, rank_ok, _ = assert_matches_reference(series, range(26, 61), range(20, 25))
+    has_pos = np.array([Variable.P1 in c.variables for c in CANDIDATES])
+    assert not rank_ok[:, :, has_pos].any()
+    assert rank_ok[:, :, ~has_pos].all()
+
+
+def count_eigensolves(monkeypatch) -> list[int]:
+    """Record how many matrices each np.linalg.eigvalsh call solves."""
+    solved = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        solved.append(int(np.prod(np.shape(a)[:-2])))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    return solved
+
+
+def full_cond2(series: SessionSeries, t: int, w: int) -> float:
+    """cond([1 | R1 R2 P1 N1 Z1])^2 of one window, from the SVD."""
+    design, _ = build_design(series, tuple(Variable), t, w)
+    return np.linalg.cond(np.column_stack([np.ones(design.n), design.X])) ** 2
+
+
+def test_well_conditioned_cells_take_one_eigensolve(series_b, monkeypatch):
+    """Only a cell whose full Gram is near the limit eigensolves its
+    candidates one by one; the others take one eigensolve in all."""
+    sessions = range(WINDOWS[-1] + 2, len(series_b) + 1)
+    cells = len(sessions) * len(WINDOWS)
+    near_limit = sum(
+        full_cond2(series_b, t, w) > CONDITION_LIMIT / 2 for t in sessions for w in WINDOWS
+    )
+    solved = count_eigensolves(monkeypatch)
+    FitTable(series_b, sessions, WINDOWS)
+    assert sum(solved) <= cells + (len(CANDIDATES) - 1) * near_limit
+
+
+@pytest.mark.parametrize(
+    "series, sessions, windows, normalize, per_cell",
+    [
+        (flat_counts_series(), range(26, 61), range(20, 25), False, 5),
+        (generate(SyntheticScenario("C", 120, seed=100)), range(42, 121), WINDOWS, True, 10),
+    ],
+    ids=["flat-counts", "shares"],
+)
+def test_settled_verdicts_take_no_eigensolve(
+    series, sessions, windows, normalize, per_cell, monkeypatch
+):
+    """With all counts flat, a cell eigensolves only its full Gram, the
+    three one-count candidates and the financial pair: every other
+    candidate contains a flat count.  Count shares sum to one, so the cell
+    eigensolves its full Gram, the one-count candidates, the five
+    four-variable ones and P1+N1+Z1: every other candidate lies inside a
+    well-conditioned four-variable one or contains P1+N1+Z1."""
+    solved = count_eigensolves(monkeypatch)
+    FitTable(series, sessions, windows, normalize=normalize)
+    assert sum(solved) <= per_cell * len(sessions) * len(windows)
+
+
+def test_table_build_memory_stays_bounded():
+    """A B1000 build at the default windows peaks under 8 MB of traced
+    allocations, so batching cannot quietly regrow per-block memory."""
+    series = generate(SyntheticScenario("B", 1000, seed=7))
+    series.lagged_regressors, series.returns_array  # cached before tracing
+    tracemalloc.start()
+    try:
+        FitTable(series, range(WINDOWS[-1] + 2, len(series) + 1), WINDOWS)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 def test_all_zero_returns_fall_back_everywhere():
