@@ -44,11 +44,6 @@ def parse_config(text: str) -> PipelineParams:
     return PipelineParams(**{key: _convert(key, raw) for key, (_, raw) in pairs.items()})
 
 
-def load_config(path: str) -> PipelineParams:
-    with open(path, encoding="utf-8") as handle:
-        return parse_config(handle.read())
-
-
 def format_params(beta: float, gamma: float) -> str:
     """The params file the train command writes; ``parse_params_file`` reads it back exactly."""
     return f"beta = {beta!r}\ngamma = {gamma!r}\n"

@@ -8,15 +8,18 @@ made of both lagged returns.  A candidate survives a window only when every
 one of its regressors is individually significant below the p threshold.
 
 ``fit_window`` fits one (session, window) cell through the SVD reference
-``fit_ols``.  ``FitTable`` fits every cell of a span in one batched pass
-over cross-product matrices, hands the few cells it cannot decide with
-certainty back to ``fit_window``, and keeps only each cell's per-class
-vote counts.
+``fit_ols``.  ``FitTable`` fits every cell of a span in batched blocks:
+each cell's candidates come from one sweep tree over its cross-product
+matrix (Furnival and Wilson's all-subsets regression, 1974).  It hands
+the few cells it cannot decide with certainty back to ``fit_window``, and
+keeps only each cell's per-class vote counts.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -222,7 +225,8 @@ SIGN_BAND = 1e-6
 EXACT_FIT_BAND = 1e-8
 # Padded design rows per batch.  A block of sessions pads sessions x windows
 # x max(windows) rows, so its size follows the window span: at least one
-# session, and 16 at the default 21 windows of up to 40.
+# session, and 16 at the default 21 windows of up to 40.  Where one session
+# alone pads more, its windows are split into chunks of at most this many.
 _BLOCK_ROWS = 16 * 21 * 40
 _EPS = float(np.finfo(float).eps)
 
@@ -278,14 +282,13 @@ class FitTable:
     makes of each cell.  Calling the table with (t, w) returns that cell's
     counts as Python ints, so the table serves as a run's fit function.
 
-    The cells are fitted in batched blocks of sessions (see ``_fit_cells``),
-    one pass per candidate size with rank verdicts settled by interlacing
-    where it can, and each block is folded into counts at once, so no
-    per-candidate array outlives its block.  A cell with any candidate
-    within the error bound of a decision takes its counts from
-    ``fit_window`` instead: cond^2 near CONDITION_LIMIT, a t statistic near
-    the threshold, a prediction near zero, or a near-exact fit.
-    ``fallback_cells`` lists those (session, window) pairs;
+    The cells are fitted in blocks of sessions, windows split where one
+    session pads over _BLOCK_ROWS rows, each candidate read from its cell's
+    sweep tree (see ``_fit_cells``), and each block folded into counts at
+    once.  A cell with any candidate within the error bound of a decision
+    takes its counts from ``fit_window`` instead: cond^2 near
+    CONDITION_LIMIT, a t statistic near the threshold, a prediction near
+    zero, or a near-exact fit.  ``fallback_cells`` lists those cells, and
     ``build_seconds`` is the wall time of the whole build.
     """
 
@@ -315,18 +318,16 @@ class FitTable:
         ts, ws = np.asarray(sessions), np.asarray(windows)
         self.vote_counts = np.zeros((len(ts), len(ws), 2, 3), dtype=int)
         unsure = np.zeros((len(ts), len(ws)), dtype=bool)
-        step = _block_sessions(windows)
+        step, width = _block_sessions(windows), min(len(ws), max(1, _BLOCK_ROWS // ws[-1]))
         for first in range(0, len(ts), step):
-            block = slice(first, first + step)
-            passed, predicted, unsure[block] = _fit_cells(
-                L, series.returns_array, ts[block], ws, p_threshold
-            )
-            up, down = passed & (predicted > 0), passed & (predicted < 0)
-            tallies = np.stack([passed, up, down], axis=-1)
-            self.vote_counts[block] = np.stack(
-                [tallies[:, :, ~_SENTIMENT].sum(axis=2), tallies[:, :, _SENTIMENT].sum(axis=2)],
-                axis=2,
-            )
+            for left in range(0, len(ws), width):
+                block = slice(first, first + step), slice(left, left + width)
+                passed, predicted, unsure[block] = _fit_cells(
+                    L, series.returns_array, ts[block[0]], ws[block[1]], p_threshold
+                )
+                tallies = np.stack([passed, passed & (predicted > 0), passed & (predicted < 0)], -1)
+                by_class = [tallies[:, :, ~_SENTIMENT].sum(2), tallies[:, :, _SENTIMENT].sum(2)]
+                self.vote_counts[block] = np.stack(by_class, axis=2)
         self.fallback_cells = tuple((int(ts[i]), int(ws[j])) for i, j in zip(*np.nonzero(unsure)))
         for t, w in self.fallback_cells:
             self.vote_counts[t - sessions.start, w - windows.start] = votes(
@@ -342,24 +343,33 @@ class FitTable:
         return tuple(financial), tuple(sentiment)
 
 
-def _size_passes() -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Each candidate size's members (positions in CANDIDATES) and the
-    columns [0 | variables] of their designs, smallest size first."""
-    columns = [[0] + [_POSITION[v] for v in c.variables] for c in CANDIDATES]
-    passes = []
-    for m in sorted({len(cols) for cols in columns}):
-        members = [c for c, cols in enumerate(columns) if len(cols) == m]
-        passes.append((np.array(members), np.array([columns[c] for c in members])))
-    return tuple(passes)
+def _subset_tree() -> tuple[tuple[np.ndarray, ...], ...]:
+    """The sweep tree, a level per number of variables.  A node is the columns
+    swept, the intercept first; its parent lacks the highest.  A level holds
+    its nodes' parent slots, pivots and candidates at or below, then its
+    members (positions in CANDIDATES, their nodes first) and their columns."""
+    levels, above = [], [()]
+    sets = [(0, *(_POSITION[v] for v in c.variables)) for c in CANDIDATES]
+    for size in range(len(Variable) + 1):
+        members = [c for c, columns in enumerate(sets) if len(columns) == size + 1]
+        subsets = itertools.combinations(range(1, len(Variable) + 1), size)
+        nodes = [sets[c] for c in members] + [(0, *n) for n in subsets if (0, *n) not in sets]
+        levels.append((
+            np.array([above.index(node[:-1]) for node in nodes]),
+            np.array([node[-1] for node in nodes]),
+            np.array([[columns[: size + 1] == node for columns in sets] for node in nodes]),
+            np.array(members, dtype=int),
+            np.array([sets[c] for c in members], dtype=int).reshape(len(members), size + 1),
+        ))
+        above = nodes
+    return tuple(levels)
 
 
-_SIZE_PASSES = _size_passes()
-# The order in which _rank_verdicts eigensolves sizes: all five variables
-# first, which clears every candidate of a well-conditioned cell; then one,
-# where a flat count shows up and settles every candidate containing it;
-# then four, which clear their subsets where only a combination of counts
-# is singular (shares that sum to one); then the rest.
-_SOLVE_ORDER = tuple(_SIZE_PASSES[size - 1] for size in (5, 1, 4, 2, 3))
+_TREE = _subset_tree()
+# (members, columns) by size in _rank_verdicts' solve order: five variables
+# clear a well-conditioned cell, one finds a flat count, and four clear their
+# subsets where only a combination of counts is singular (shares sum to one).
+_SOLVE_ORDER = tuple(_TREE[size][3:5] for size in (5, 1, 4, 2, 3))
 # _CONTAINS[s, c]: candidate s's variables are a proper subset of candidate c's.
 _VARIABLE_SETS = [frozenset(c.variables) for c in CANDIDATES]
 _CONTAINS = np.array([[s < c for c in _VARIABLE_SETS] for s in _VARIABLE_SETS])
@@ -409,154 +419,143 @@ def _rank_verdicts(gram: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 
 def _fit_cells(
-    L: np.ndarray,
-    r: np.ndarray,
-    ts: np.ndarray,
-    ws: np.ndarray,
-    p_threshold: float,
+    L: np.ndarray, r: np.ndarray, ts: np.ndarray, ws: np.ndarray, p_threshold: float
 ) -> tuple[np.ndarray, ...]:
-    """Fit all candidates on every (session ts[i], window ws[j]) cell.
-
-    Returns the (sessions, windows, candidates) filter verdicts and
-    predictions, NaN wherever the fit is not rank-ok, and the (sessions,
-    windows) mask of cells to recompute.  Each window's rows
-    [1 | R1 R2 P1 N1 Z1] and y are copied into zero-padded arrays; padding
-    rows add nothing to a cross-product or a residual.
-
-    The rank verdicts come from ``_rank_verdicts``: the eigenvalue
-    condition number of each candidate's sub-Gram (cond(A'A) = cond(A)^2),
-    settled by interlacing where it can be.  Candidates are then fitted one
-    size at a time, each pass over all of its rank-ok (cell, candidate)
-    pairs: coefficients and standard errors from the inverse of the pair's
-    Jacobi-scaled sub-Gram, residuals from the cell's own padded rows, and
-    the filter verdict from comparing each |t| with the critical value of
-    its df.
-    """
-    n_t, n_w, w_max = len(ts), len(ws), int(ws.max())
-    offsets = np.arange(w_max)
-    rows = ts[:, None, None] - ws[None, :, None] + offsets  # (session, window, row)
-    valid = np.broadcast_to(offsets < ws[:, None], rows.shape)
-    rows = np.where(valid, rows, 2)
-    A = np.where(valid[..., None], L[rows], 0.0).reshape(n_t * n_w, w_max, L.shape[1])
-    y = np.where(valid, r[rows], 0.0).reshape(n_t * n_w, w_max)
-    x_next = np.repeat(L[ts], n_w, axis=0)
-    w_cell = np.tile(ws, n_t)
-    gram = np.matmul(A.transpose(0, 2, 1), A)
-    xty = np.einsum("cni,cn->ci", A, y)
-    yty = np.einsum("cn,cn->c", y, y)
+    """Fit all candidates on every (session ts[i], window ws[j]) cell from its
+    sweep tree: the (sessions, windows, candidates) filter verdicts (each |t|
+    above its df's critical value) and predictions, NaN where not rank-ok,
+    and the (sessions, windows) mask of cells to recompute."""
+    cross, x_next = _cross_products(L, r, ts, ws)
+    w_cell = np.tile(ws, len(ts))
+    rank_ok, unsure = _rank_verdicts(np.ascontiguousarray(cross[:, :-1, :-1]), w_cell)
     # |t| beyond which a coefficient's p-value is below the threshold, and the
     # |t| span of p-values within P_BAND of it (to inf below P_BAND), by df.
-    all_df = np.arange(1, w_max + 1)
-    t_critical = stdtrit(all_df, 1.0 - p_threshold / 2.0)
-    t_low = stdtrit(all_df, 1.0 - (p_threshold + P_BAND) / 2.0)
-    t_high = stdtrit(all_df, min(1.0, 1.0 - (p_threshold - P_BAND) / 2.0))
-    n_c = len(CANDIDATES)
-    passed = np.zeros((n_t * n_w, n_c), dtype=bool)
-    predicted_next = np.full((n_t * n_w, n_c), np.nan)
-    rank_ok, unsure = _rank_verdicts(gram, w_cell)
-    for members, columns in _SIZE_PASSES:
-        m = columns.shape[1]
-        # Candidate-major, so that each candidate's cells form one run.
-        c, cells = np.nonzero(rank_ok[:, members].T)
-        if not cells.size:
-            continue
-        cols = columns[c]
-        G = _sub_grams(gram, cells, cols)
-        # Jacobi scaling keeps the inverse accurate when column scales differ.
-        d = 1.0 / np.sqrt(np.diagonal(G, axis1=1, axis2=2))
-        scale = d[:, :, None] * d[:, None, :]
-        S_inv = np.linalg.inv(G * scale)
-        G_inv = S_inv * scale
-        beta = np.einsum("cij,cj->ci", G_inv, xty[cells[:, None], cols])
-        # Residuals candidate by candidate, over its rank-ok cells only, with
-        # zero coefficients on the columns outside the fit.
-        padded_beta = np.zeros((cells.size, gram.shape[-1], 1))
-        padded_beta[np.arange(cells.size)[:, None], cols, 0] = beta
-        rss = np.empty(cells.size)
-        edges = np.searchsorted(c, np.arange(len(members) + 1))
-        for run in map(slice, edges[:-1], edges[1:]):
-            residuals = y[cells[run]] - np.matmul(A[cells[run]], padded_beta[run])[:, :, 0]
-            rss[run] = np.einsum("cn,cn->c", residuals, residuals)
-        df = w_cell[cells] - m
-        variances = (rss / df)[:, None] * np.diagonal(G_inv, axis1=1, axis2=2)[:, 1:]
-        std_errors = np.sqrt(np.maximum(variances, 0.0))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t_abs = np.abs(beta[:, 1:]) / std_errors
-        x_row = x_next[cells[:, None], cols]
-        terms = x_row * beta
-        predicted = terms.sum(axis=1)
-        t_error, prediction_error = _error_bounds(
-            d, S_inv, beta, t_abs, x_row, rss, yty[cells], w_cell[cells]
-        )
+    levels = np.array([p_threshold, p_threshold + P_BAND, max(0.0, p_threshold - P_BAND)])
+    all_df = np.arange(1, int(ws.max()) + 1)[:, None]
+    t_critical, t_low, t_high = stdtrit(all_df, 1.0 - levels / 2.0).T
+    passed, predicted_next = np.zeros(rank_ok.shape, bool), np.full(rank_ok.shape, np.nan)
+    fits = _swept_fits(cross, x_next, w_cell, rank_ok.any(axis=0))
+    for members, (t_abs, predicted, magnitude, rss, t_error, prediction_error) in fits:
+        ok = rank_ok[:, members].T
+        df = np.maximum(w_cell - t_abs.shape[1] - 1, 1) - 1
         doubtful = (
-            ((t_low[df - 1, None] - t_error <= t_abs) & (t_abs <= t_high[df - 1, None] + t_error))
-            .any(axis=1)
-            | (np.abs(predicted) <= SIGN_BAND * np.abs(terms).sum(axis=1) + prediction_error)
-            | (rss <= EXACT_FIT_BAND * yty[cells])
+            ((t_low[df] - t_error <= t_abs) & (t_abs <= t_high[df] + t_error)).any(axis=1)
+            | (np.abs(predicted) <= SIGN_BAND * magnitude + prediction_error)
+            | (rss <= EXACT_FIT_BAND)
         )
-        unsure[cells[doubtful]] = True
-        passed[cells, members[c]] = (t_abs > t_critical[df - 1, None]).all(axis=1)
-        predicted_next[cells, members[c]] = predicted
-    return (
-        passed.reshape(n_t, n_w, n_c),
-        predicted_next.reshape(n_t, n_w, n_c),
-        unsure.reshape(n_t, n_w),
-    )
+        unsure |= (ok & doubtful).any(axis=0)
+        passed[:, members] = (ok & (t_abs > t_critical[df]).all(axis=1)).T
+        predicted_next[:, members] = np.where(ok, predicted, np.nan).T
+    shape = (len(ts), len(ws), -1)
+    return passed.reshape(shape), predicted_next.reshape(shape), unsure.reshape(shape[:2])
+
+
+def _cross_products(
+    L: np.ndarray, r: np.ndarray, ts: np.ndarray, ws: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each cell's 7x7 cross-product of its rows [1 | R1 R2 P1 N1 Z1 | y],
+    from zero-padded copies of them, and its prediction row of L."""
+    offsets = np.arange(int(ws.max()))
+    rows = ts[:, None, None] - ws[None, :, None] + offsets  # (session, window, row)
+    valid = np.broadcast_to(offsets < ws[:, None], rows.shape)
+    padded = np.zeros(rows.shape + (L.shape[1] + 1,))
+    padded[valid, :-1], padded[valid, -1] = L[rows[valid]], r[rows[valid]]
+    padded = padded.reshape(-1, *padded.shape[2:])
+    return np.matmul(padded.transpose(0, 2, 1), padded), np.repeat(L[ts], len(ws), axis=0)
+
+
+def _swept_fits(
+    cross: np.ndarray, x_next: np.ndarray, w: np.ndarray, live: np.ndarray
+) -> Iterator[tuple[np.ndarray, tuple[np.ndarray, ...]]]:
+    """Sweep the cells' cross-products, Jacobi-scaled once (a unit scale for a
+    zero diagonal), down the subset tree a level at a time, skipping nodes
+    with no ``live`` candidate at or below.  A node swept on K holds -S_KK^-1,
+    the coefficients in its last column and rss~ (y'y = 1) in its corner.
+    Yields each level's live members with their |t| (members, variables,
+    cells), prediction, sum of its terms' magnitudes, rss~ and error bounds."""
+    diagonal = np.diagonal(cross, axis1=1, axis2=2).T
+    d = 1.0 / np.sqrt(np.where(diagonal > 0.0, diagonal, 1.0))
+    level = (np.ascontiguousarray(cross.transpose(1, 2, 0)) * d[:, None] * d[None, :])[None]
+    where = np.zeros(1, dtype=int)
+    for parents, pivots, below, members, columns in _TREE:
+        swept = below @ live
+        level = level[where[parents[swept]]]
+        # The symmetric SWEEP on k (Goodnight 1979): with h = a_kk and v the row
+        # a_k. but -1 at k, a - v v' / h once row and column k are cleared.
+        n, k = np.arange(len(level)), pivots[swept]
+        h, v = level[n, k, k], level[n, k]
+        v[n, k] = -1.0
+        level[n, k] = level[n, :, k] = 0.0
+        with np.errstate(all="ignore"):
+            level -= v[:, :, None] * (v / h[:, None])[:, None, :]
+        where, fitted = np.cumsum(swept) - 1, live[members]
+        if not fitted.any():
+            continue
+        K, node = columns[fitted], where[: len(members)][fitted, None]
+        beta, rss = level[node, K, -1], level[node[:, 0], -1, -1]
+        S_inv = -level[node[:, :, None], K[:, :, None], K[:, None, :]]
+        x = x_next.T[K] * d[K] / d[-1]
+        with np.errstate(all="ignore"):
+            se = np.sqrt(rss[:, None] * -level[node, K, K] / (w - K.shape[1]))
+            t_abs, terms = np.abs(beta[:, 1:]) / se[:, 1:], x * beta
+            fit = t_abs, terms.sum(axis=1), np.abs(terms).sum(axis=1), rss
+            bounds = _error_bounds(S_inv, beta, se, t_abs, x, rss, w, d[K])
+        yield members[fitted], (*fit, *bounds)
+
+
+# How far the table's |t| and prediction can lie from fit_window's, to first order.
+# In scaled coordinates S = D [1 X y]'[1 X y] D has unit diagonal, so |S_ij| <= 1 and
+# y'y = 1.  For a candidate on the m columns K, S^-1 is the inverse of S's block on K,
+# tau its trace (>= ||S^-1||), b its coefficients, q = 1 + sqrt(m) ||b||, and
+# z = (-b, 1) on K and y, so ||z||_1 <= q.
+# - The table.  Forming and scaling S moves each entry by at most (w + 3) eps.
+#   Sweeping K is Gauss-Jordan elimination (GJE) without pivoting on a positive
+#   definite block, whose LU factors are its Cholesky factor R up to a diagonal; R's
+#   columns have unit norm, so (|L||U|)_ij <= 1, ||R||_F^2 = m, |U^-1||U| = |R^-1||R|,
+#   and row i of R^-1 has norm sqrt(S^-1_ii) <= ||S^-1 e_i||.  Higham (Accuracy and
+#   Stability of Numerical Algorithms, 2nd ed., §14.4) bounds GJE's error on S x = c
+#   by a small multiple of m eps (|S^-1||L||U| + |U^-1||U|)|x|; taking 8 for it, the
+#   elimination's part is S^-1 F x with |F| <= 8 m eps |L||U| (§9.3), and the Jordan
+#   steps' at most 8 m eps sqrt(S^-1_ii) sqrt(m) ||x|| in row i.  With
+#   delta = (w + 3 + 16 m) eps, b is thus off by S^-1 v, ||v|| <= delta sqrt(m) q,
+#   plus 8 m eps q sqrt(S^-1_ii) in row i, and S^-1_ii (x = S^-1 e_i) by at most
+#   m delta ||S^-1 e_i||^2.  The corner rss~ = y'y - b'X'y takes the elimination's
+#   updates alone, so it moves by z'Ez, |E_ij| <= delta: at most delta q^2.  A running
+#   difference, not a sum of squares, its relative error delta q^2 / rss~ grows as
+#   the fit nears exact, and EXACT_FIT_BAND caps 1 / rss~ at 1e8.
+# - The SVD solves exactly a problem whose A is perturbed by g ||A||,
+#   g = (w + 10) m eps; scaled, up to rho = max d / min d over K times more, so
+#   S b = A~'y perturbed by e_s = 3 g rho relative.  Its b is off by S^-1 v with
+#   ||v|| <= e_s sqrt(m) q / (1 - m tau e_s), its S^-1_ii by a relative
+#   m e_s ||S^-1 e_i||^2 / S^-1_ii / (1 - m tau e_s), and its residual norm by
+#   sqrt(tau) ||v|| plus its rounding, e_s q.
+# With e = e_s + delta and R = e sqrt(m) q / (1 - m tau e), coefficient i of the two
+# paths differs by at most ||S^-1 e_i|| R, and the prediction x'beta = x~'b, with
+# x~ = D x / d_y, by ||S^-1 x~|| R + 8 m eps q sum_i |x~_i| sqrt(S^-1_ii).  A t
+# statistic b_i / (s sqrt(S^-1_ii)), s^2 = rss~ / df, moves by at most ||S^-1 e_i|| R
+# over its standard error plus |t| times the relative errors of S^-1_ii,
+# m e ||S^-1 e_i||^2 / S^-1_ii / (1 - m tau e), and of s,
+# (sqrt(tau) R + e q) / sqrt(rss~) + delta q^2 / (2 rss~).  Where m tau e reaches 1,
+# both bounds are infinite.
 
 
 def _error_bounds(
-    d: np.ndarray,
-    S_inv: np.ndarray,
-    beta: np.ndarray,
-    t_abs: np.ndarray,
-    x_next: np.ndarray,
-    rss: np.ndarray,
-    yty: np.ndarray,
-    w: np.ndarray,
+    S_inv: np.ndarray, beta: np.ndarray, se: np.ndarray, t_abs: np.ndarray, x: np.ndarray,
+    rss: np.ndarray, w: np.ndarray, scales: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """First-order bounds on how far the table's |t| statistics and
-    prediction can lie from fit_window's, for one candidate's cells.
-
-    Work in the Jacobi-scaled coordinates, where the design A~ = A D has
-    unit columns (D = diag(d)), beta~ = beta / d and S = A~'A~.  The table
-    forms S and A~'y from w rows of m columns, which perturbs them by at
-    most g * ||S|| and g * sqrt(m) * ||y||, with g = (w + 10) m eps also
-    covering the solve.  fit_ols's SVD solves a problem whose A is perturbed
-    by g * ||A|| in the 2-norm; scaled, that is up to rho = max d / min d
-    times larger.  Both paths thus solve normal equations S beta~ = A~'y
-    perturbed by at most e = 3 g rho relative, with ||S|| <= m and
-    ||S^-1|| <= tau = trace(S^-1), so the two solutions differ by S^-1 v
-    for some v with
-        ||v|| <= R = e (m ||beta~|| + sqrt(m) ||y||) / (1 - m tau e).
-    Hence coefficient i moves by at most ||S^-1 e_i|| R and the prediction
-    x'beta = (x D)'beta~ by at most ||S^-1 D x|| R.  A t statistic
-    beta~_i / (s sqrt(S^-1_ii)) moves by at most ||S^-1 e_i|| R over its
-    standard error, plus |t| times the relative errors of S^-1_ii
-    (m e ||S^-1 e_i||^2 / S^-1_ii / (1 - m tau e)) and of s = sqrt(rss / df),
-    whose residual norm moves by at most sqrt(tau) R plus the rounding of
-    the residuals, e (sqrt(m) ||beta~|| + ||y||).  Where m tau e reaches 1
-    no bound holds, and both are infinite.
-    """
+    """The bounds argued above on |t| and on the prediction, from x~ as ``x``."""
     m = beta.shape[1]
-    e = 3.0 * (w + 10) * m * _EPS * d.max(axis=1) / d.min(axis=1)
-    tau = np.trace(S_inv, axis1=1, axis2=2)
+    diagonal = np.einsum("niic->nic", S_inv)
+    tau = diagonal.sum(axis=1)
+    delta = (w + 3 + 16 * m) * _EPS
+    e = 3.0 * (w + 10) * m * _EPS * scales.max(axis=1) / scales.min(axis=1) + delta
     growth = m * tau * e
-    beta_norm = np.linalg.norm(beta / d, axis=1)
-    y_norm = np.sqrt(yty)
-    residual_norm = np.sqrt(rss)
-    row_norms = np.linalg.norm(S_inv, axis=2)
-    diagonal = np.diagonal(S_inv, axis1=1, axis2=2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        R = e * (m * beta_norm + np.sqrt(m) * y_norm) / (1.0 - growth)
-        residual_error = np.sqrt(tau) * R + e * (np.sqrt(m) * beta_norm + y_norm)
-        relative = (m * e / (1.0 - growth))[:, None] * row_norms**2 / diagonal + (
-            residual_error / residual_norm
-        )[:, None]
-        se_scaled = residual_norm[:, None] * np.sqrt(diagonal / (w - m)[:, None])
-        t_error = (row_norms * R[:, None] / se_scaled)[:, 1:] + t_abs * relative[:, 1:]
-    shifted = np.einsum("cij,cj->ci", S_inv, x_next * d)
-    prediction_error = np.linalg.norm(shifted, axis=1) * R
-    unbounded = growth >= 1.0
-    t_error[unbounded] = np.inf
-    prediction_error[unbounded] = np.inf
-    return t_error, prediction_error
+    q = 1.0 + np.sqrt(m) * np.linalg.norm(beta, axis=1)
+    R = np.where(growth < 1.0, e * np.sqrt(m) * q / (1.0 - growth), np.inf)
+    row_norms = np.sqrt(np.einsum("nijc,nijc->nic", S_inv, S_inv))
+    residual = (np.sqrt(tau) * R + e * q) / np.sqrt(rss) + delta * q**2 / (2.0 * rss)
+    relative = (m * e / (1.0 - growth))[:, None] * row_norms**2 / diagonal + residual[:, None]
+    t_error = (row_norms * R[:, None] / se)[:, 1:] + t_abs * relative[:, 1:]
+    shifted = np.linalg.norm(np.einsum("nijc,njc->nic", S_inv, x), axis=1)
+    jordan = 8 * m * _EPS * q * (np.abs(x) * np.sqrt(diagonal)).sum(axis=1)
+    return t_error, shifted * R + jordan

@@ -10,7 +10,7 @@ import pytest
 
 from sentrade.adaptive import PipelineParams, TfwEngine
 from sentrade.backtest import simulate, split_point
-from sentrade.config import format_params, load_config, parse_config, parse_params_file
+from sentrade.config import format_params, parse_config, parse_params_file
 from sentrade.errors import ConfigError
 from sentrade.sessions import MarketCalendar, session_prices
 
@@ -165,15 +165,6 @@ class TestParseConfig:
     def test_bad_bool(self):
         with pytest.raises(ConfigError, match="normalize_sentiment"):
             parse_config("normalize_sentiment = maybe")
-
-    def test_load_config(self, tmp_path):
-        path = tmp_path / "run.cfg"
-        path.write_text("beta = 0.4\ngamma = 0.0\n", encoding="utf-8")
-        assert load_config(str(path)).decays == (0.4, 0.0)
-
-    def test_load_config_missing_file(self, tmp_path):
-        with pytest.raises(OSError):
-            load_config(str(tmp_path / "absent.cfg"))
 
 
 class TestParseParamsFile:

@@ -15,12 +15,16 @@ from sentrade.errors import DataError
 from sentrade.model_space import (
     CANDIDATES,
     MIN_RESIDUAL_DF,
+    P_THRESHOLD,
     FitTable,
     ModelClass,
     Variable,
     _block_sessions,
+    _cross_products,
     _fit_cells,
+    _rank_verdicts,
     _regressors,
+    _swept_fits,
     build_design,
     fit_window,
     votes,
@@ -138,6 +142,44 @@ def test_near_collinear_counts_match_reference(base, normalize):
     assert 1e9 < worst <= CONDITION_LIMIT
 
 
+@pytest.mark.parametrize(
+    "series, normalize",
+    [
+        (near_collinear_series(400), False),
+        (near_collinear_series(1000), True),
+        (generate(SyntheticScenario("B", 200, seed=7)), False),
+    ],
+    ids=["raw", "shares", "B200"],
+)
+def test_error_bounds_hold(series, normalize):
+    """Outside the fallback cells, every rank-ok candidate's |t| statistics
+    and prediction from the sweep tree lie within their computed error
+    bounds of fit_ols's."""
+    L, r = _regressors(series, normalize), series.returns_array
+    ws, checked = np.asarray(WINDOWS), 0
+    step = _block_sessions(WINDOWS)
+    for first in range(WINDOWS[-1] + 2, len(series) + 1, step):
+        ts = np.arange(first, min(first + step, len(series) + 1))
+        cross, x_next = _cross_products(L, r, ts, ws)
+        w_cell = np.tile(ws, len(ts))
+        rank_ok, _ = _rank_verdicts(np.ascontiguousarray(cross[:, :-1, :-1]), w_cell)
+        sure = ~_fit_cells(L, r, ts, ws, P_THRESHOLD)[2].ravel()
+        models = {}
+        fits = _swept_fits(cross, x_next, w_cell, rank_ok.any(axis=0))
+        for members, (t_abs, predicted, _, _, t_error, prediction_error) in fits:
+            for k, cell in zip(*np.nonzero(rank_ok[:, members].T & sure)):
+                t, w = int(ts[cell // len(ws)]), int(w_cell[cell])
+                if (t, w) not in models:
+                    models[t, w] = fit_window(series, t, w, normalize=normalize)
+                model = models[t, w][members[k]]
+                t_gap = np.abs(t_abs[k, :, cell] - np.abs(model.fit.t_stats))
+                assert (t_gap <= t_error[k, :, cell]).all(), (t, w, members[k])
+                prediction_gap = abs(predicted[k, cell] - model.predicted_next)
+                assert prediction_gap <= prediction_error[k, cell], (t, w, members[k])
+                checked += 1
+    assert checked > 0
+
+
 def flat_counts_series():
     rng = np.random.default_rng(5)
     flat = [50] * 60
@@ -224,17 +266,21 @@ def test_settled_verdicts_take_no_eigensolve(
 
 
 def test_table_build_memory_stays_bounded():
-    """A B1000 build at the default windows peaks under 8 MB of traced
-    allocations, so batching cannot quietly regrow per-block memory."""
-    series = generate(SyntheticScenario("B", 1000, seed=7))
-    series.lagged_regressors, series.returns_array  # cached before tracing
-    tracemalloc.start()
-    try:
-        FitTable(series, range(WINDOWS[-1] + 2, len(series) + 1), WINDOWS)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 8e6
+    """A B1000 build at the default windows, and a four-session B406 build
+    at windows 3-400, where one session alone pads more rows than a block
+    holds, each peak under 8 MB of traced allocations, so batching cannot
+    quietly regrow per-block memory."""
+    builds = [(1000, range(WINDOWS[-1] + 2, 1001), WINDOWS), (406, range(403, 407), range(3, 401))]
+    for n, sessions, windows in builds:
+        series = generate(SyntheticScenario("B", n, seed=7))
+        series.lagged_regressors, series.returns_array  # cached before tracing
+        tracemalloc.start()
+        try:
+            FitTable(series, sessions, windows)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6, windows
 
 
 def test_all_zero_returns_fall_back_everywhere():
