@@ -40,7 +40,6 @@ from .model_space import (
     FittedModel,
     ModelClass,
     Variable,
-    build_design,
     enumerate_candidates,
     fit_window,
     votes,

@@ -8,11 +8,12 @@ made of both lagged returns.  A candidate survives a window only when every
 one of its regressors is individually significant below the p threshold.
 
 ``fit_window`` fits one (session, window) cell through the SVD reference
-``fit_ols``.  ``FitTable`` fits every cell of a span in batched blocks:
-each cell's candidates come from one sweep tree over its cross-product
-matrix (Furnival and Wilson's all-subsets regression, 1974).  It hands
-the few cells it cannot decide with certainty back to ``fit_window``, and
-keeps only each cell's per-class vote counts.
+``fit_ols``.  ``FitTable`` fits the cells of a span in row-major chunks
+of a bounded number of padded rows: each cell's candidates come from one
+sweep tree over its cross-product matrix (Furnival and Wilson's
+all-subsets regression, 1974).  It hands the few cells it cannot decide
+with certainty back to ``fit_window``, and keeps only each cell's
+per-class vote counts.
 """
 
 from __future__ import annotations
@@ -115,43 +116,15 @@ def _regressors(series: SessionSeries, normalize: bool) -> np.ndarray:
 _POSITION = {v: 1 + i for i, v in enumerate(Variable)}
 
 
-def _window(
-    series: SessionSeries, t: int, w: int, normalize: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The [1 | R1 R2 P1 N1 Z1] rows and returns of sessions t-w..t-1, and
-    the row of lagged values aligned with session t itself."""
-    n = len(series)
+def _check_window(n: int, t: int, w: int) -> None:
+    """Raise a DataError unless w > 0, t <= n, and the window of sessions
+    t-w..t-1 of a series of n has two sessions of history before it."""
     if not 0 < w:
         raise DataError(f"window length must be positive, got {w}")
     if t > n:
         raise DataError(f"window end {t} beyond series length {n}")
     if t - w < 2:
         raise DataError(f"window [{t - w}, {t}) needs two sessions of history before it")
-    L = _regressors(series, normalize)
-    return L[t - w : t], series.returns_array[t - w : t], L[t]
-
-
-def _design(
-    rows: np.ndarray, y: np.ndarray, next_row: np.ndarray, variables: tuple[Variable, ...]
-) -> tuple[DesignMatrix, np.ndarray]:
-    columns = [_POSITION[v] for v in variables]
-    # fit_ols's SVD rounds differently on a column-major copy.
-    return DesignMatrix(np.ascontiguousarray(rows[:, columns]), y), next_row[columns]
-
-
-def build_design(
-    series: SessionSeries,
-    variables: tuple[Variable, ...],
-    t: int,
-    w: int,
-    normalize: bool = False,
-) -> tuple[DesignMatrix, np.ndarray]:
-    """Design for regressing returns t-w..t-1 on lagged variables.
-
-    Also returns the prediction row of lagged values aligned with session t
-    itself; t == len(series) is allowed, producing a true out-of-sample row.
-    """
-    return _design(*_window(series, t, w, normalize), variables)
 
 
 def fit_window(
@@ -162,29 +135,32 @@ def fit_window(
     *,
     normalize: bool = False,
 ) -> list[FittedModel]:
-    """Fit every candidate on the window ending just before session t.
+    """Fit every candidate on the window of sessions t-w..t-1.
 
+    Each candidate regresses the window's returns on its columns of the
+    window's rows and predicts from the row aligned with session t itself;
+    t == len(series) is allowed, a true out-of-sample prediction.
     Candidates whose residual degrees of freedom would fall below
     ``MIN_RESIDUAL_DF``, whose window is rank-deficient, or with any
     regressor p-value at or above the threshold fail the filter; the fit
     and its prediction are still reported whenever the solve succeeded.
-    The window is sliced once, when the first candidate is fitted.
     """
+    _check_window(len(series), t, w)
+    L = _regressors(series, normalize)
+    rows, y, next_row = L[t - w : t], series.returns_array[t - w : t], L[t]
     results = []
-    window = None
     for candidate in CANDIDATES:
         k = len(candidate.variables)
         if w - k - 1 < MIN_RESIDUAL_DF:
             results.append(FittedModel(candidate, None, None, False))
             continue
-        if window is None:
-            window = _window(series, t, w, normalize)
-        design, prediction_row = _design(*window, candidate.variables)
-        fit = fit_ols(design)
+        columns = [_POSITION[v] for v in candidate.variables]
+        # fit_ols's SVD rounds differently on a column-major copy.
+        fit = fit_ols(DesignMatrix(np.ascontiguousarray(rows[:, columns]), y))
         if not fit.rank_ok:
             results.append(FittedModel(candidate, fit, None, False))
             continue
-        predicted = fit.predict(prediction_row)
+        predicted = fit.predict(next_row[columns])
         passed = bool(np.all(fit.p_values < p_threshold))
         results.append(FittedModel(candidate, fit, predicted, passed))
     return results
@@ -223,16 +199,11 @@ SIGN_BAND = 1e-6
 # up to rounding, so its standard errors (zero in fit_ols's special case)
 # are rounding noise in either path.
 EXACT_FIT_BAND = 1e-8
-# Padded design rows per batch.  A block of sessions pads sessions x windows
-# x max(windows) rows, so its size follows the window span: at least one
-# session, and 16 at the default 21 windows of up to 40.  Where one session
-# alone pads more, its windows are split into chunks of at most this many.
+# Padded design rows per chunk of cells.  A chunk pads each cell's rows to
+# the longest window, so it holds this many rows over the longest window
+# cells, at least one: 336 at the default windows 20-40, 16 sessions of 21.
 _BLOCK_ROWS = 16 * 21 * 40
 _EPS = float(np.finfo(float).eps)
-
-
-def _block_sessions(windows: range) -> int:
-    return max(1, _BLOCK_ROWS // (len(windows) * windows[-1]))
 
 
 def _condition_band(w: np.ndarray, m: int) -> np.ndarray:
@@ -282,11 +253,11 @@ class FitTable:
     makes of each cell.  Calling the table with (t, w) returns that cell's
     counts as Python ints, so the table serves as a run's fit function.
 
-    The cells are fitted in blocks of sessions, windows split where one
-    session pads over _BLOCK_ROWS rows, each candidate read from its cell's
-    sweep tree (see ``_fit_cells``), and each block folded into counts at
-    once.  A cell with any candidate within the error bound of a decision
-    takes its counts from ``fit_window`` instead: cond^2 near
+    The cells are fitted in row-major order, in chunks of as many cells as
+    pad _BLOCK_ROWS rows at the longest window, each candidate read from its
+    cell's sweep tree (see ``_fit_cells``), and each chunk folded into
+    counts at once.  A cell with any candidate within the error bound of a
+    decision takes its counts from ``fit_window`` instead: cond^2 near
     CONDITION_LIMIT, a t statistic near the threshold, a prediction near
     zero, or a near-exact fit.  ``fallback_cells`` lists those cells, and
     ``build_seconds`` is the wall time of the whole build.
@@ -304,31 +275,29 @@ class FitTable:
         if sessions.step != 1 or windows.step != 1 or not windows or windows.start < 1:
             raise DataError(f"need contiguous sessions and windows of positive length, got "
                             f"{sessions} and {windows}")
-        if sessions and sessions[-1] > len(series):
-            raise DataError(f"window end {sessions[-1]} beyond series length {len(series)}")
-        if sessions and sessions.start - windows[-1] < 2:
-            raise DataError(
-                f"window [{sessions.start - windows[-1]}, {sessions.start}) needs two "
-                "sessions of history before it"
-            )
+        if sessions:
+            _check_window(len(series), sessions[0], windows[-1])
+            _check_window(len(series), sessions[-1], windows[-1])
         began = time.perf_counter()
         self.sessions = sessions
         self.windows = windows
         L = _regressors(series, normalize)
-        ts, ws = np.asarray(sessions), np.asarray(windows)
-        self.vote_counts = np.zeros((len(ts), len(ws), 2, 3), dtype=int)
-        unsure = np.zeros((len(ts), len(ws)), dtype=bool)
-        step, width = _block_sessions(windows), min(len(ws), max(1, _BLOCK_ROWS // ws[-1]))
-        for first in range(0, len(ts), step):
-            for left in range(0, len(ws), width):
-                block = slice(first, first + step), slice(left, left + width)
-                passed, predicted, unsure[block] = _fit_cells(
-                    L, series.returns_array, ts[block[0]], ws[block[1]], p_threshold
-                )
-                tallies = np.stack([passed, passed & (predicted > 0), passed & (predicted < 0)], -1)
-                by_class = [tallies[:, :, ~_SENTIMENT].sum(2), tallies[:, :, _SENTIMENT].sum(2)]
-                self.vote_counts[block] = np.stack(by_class, axis=2)
-        self.fallback_cells = tuple((int(ts[i]), int(ws[j])) for i, j in zip(*np.nonzero(unsure)))
+        cells, chunk = len(sessions) * len(windows), max(1, _BLOCK_ROWS // windows[-1])
+        counts = np.zeros((cells, 2, 3), dtype=int)
+        unsure = np.zeros(cells, dtype=bool)
+        for first in range(0, cells, chunk):
+            i, j = divmod(np.arange(first, min(first + chunk, cells)), len(windows))
+            passed, predicted, unsure[first : first + chunk] = _fit_cells(
+                L, series.returns_array, sessions.start + i, windows.start + j, p_threshold
+            )
+            tallies = np.stack([passed, passed & (predicted > 0), passed & (predicted < 0)], -1)
+            by_class = [tallies[:, ~_SENTIMENT].sum(1), tallies[:, _SENTIMENT].sum(1)]
+            counts[first : first + chunk] = np.stack(by_class, axis=1)
+        self.vote_counts = counts.reshape(len(sessions), len(windows), 2, 3)
+        self.fallback_cells = tuple(
+            (sessions[c // len(windows)], windows[c % len(windows)])
+            for c in np.flatnonzero(unsure).tolist()
+        )
         for t, w in self.fallback_cells:
             self.vote_counts[t - sessions.start, w - windows.start] = votes(
                 fit_window(series, t, w, p_threshold, normalize=normalize)
@@ -419,19 +388,18 @@ def _rank_verdicts(gram: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 
 def _fit_cells(
-    L: np.ndarray, r: np.ndarray, ts: np.ndarray, ws: np.ndarray, p_threshold: float
+    L: np.ndarray, r: np.ndarray, t_cell: np.ndarray, w_cell: np.ndarray, p_threshold: float
 ) -> tuple[np.ndarray, ...]:
-    """Fit all candidates on every (session ts[i], window ws[j]) cell from its
-    sweep tree: the (sessions, windows, candidates) filter verdicts (each |t|
+    """Fit all candidates on every (session t_cell[i], window w_cell[i]) cell
+    from its sweep tree: the (cells, candidates) filter verdicts (each |t|
     above its df's critical value) and predictions, NaN where not rank-ok,
-    and the (sessions, windows) mask of cells to recompute."""
-    cross, x_next = _cross_products(L, r, ts, ws)
-    w_cell = np.tile(ws, len(ts))
+    and the mask of cells to recompute."""
+    cross, x_next = _cross_products(L, r, t_cell, w_cell)
     rank_ok, unsure = _rank_verdicts(np.ascontiguousarray(cross[:, :-1, :-1]), w_cell)
     # |t| beyond which a coefficient's p-value is below the threshold, and the
     # |t| span of p-values within P_BAND of it (to inf below P_BAND), by df.
     levels = np.array([p_threshold, p_threshold + P_BAND, max(0.0, p_threshold - P_BAND)])
-    all_df = np.arange(1, int(ws.max()) + 1)[:, None]
+    all_df = np.arange(1, int(w_cell.max()) + 1)[:, None]
     t_critical, t_low, t_high = stdtrit(all_df, 1.0 - levels / 2.0).T
     passed, predicted_next = np.zeros(rank_ok.shape, bool), np.full(rank_ok.shape, np.nan)
     fits = _swept_fits(cross, x_next, w_cell, rank_ok.any(axis=0))
@@ -446,22 +414,20 @@ def _fit_cells(
         unsure |= (ok & doubtful).any(axis=0)
         passed[:, members] = (ok & (t_abs > t_critical[df]).all(axis=1)).T
         predicted_next[:, members] = np.where(ok, predicted, np.nan).T
-    shape = (len(ts), len(ws), -1)
-    return passed.reshape(shape), predicted_next.reshape(shape), unsure.reshape(shape[:2])
+    return passed, predicted_next, unsure
 
 
 def _cross_products(
-    L: np.ndarray, r: np.ndarray, ts: np.ndarray, ws: np.ndarray
+    L: np.ndarray, r: np.ndarray, t_cell: np.ndarray, w_cell: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each cell's 7x7 cross-product of its rows [1 | R1 R2 P1 N1 Z1 | y],
     from zero-padded copies of them, and its prediction row of L."""
-    offsets = np.arange(int(ws.max()))
-    rows = ts[:, None, None] - ws[None, :, None] + offsets  # (session, window, row)
-    valid = np.broadcast_to(offsets < ws[:, None], rows.shape)
+    offsets = np.arange(int(w_cell.max()))
+    rows = (t_cell - w_cell)[:, None] + offsets  # (cell, row)
+    valid = offsets < w_cell[:, None]
     padded = np.zeros(rows.shape + (L.shape[1] + 1,))
     padded[valid, :-1], padded[valid, -1] = L[rows[valid]], r[rows[valid]]
-    padded = padded.reshape(-1, *padded.shape[2:])
-    return np.matmul(padded.transpose(0, 2, 1), padded), np.repeat(L[ts], len(ws), axis=0)
+    return np.matmul(padded.transpose(0, 2, 1), padded), L[t_cell]
 
 
 def _swept_fits(

@@ -19,13 +19,12 @@ from sentrade.model_space import (
     FitTable,
     ModelClass,
     Variable,
-    _block_sessions,
+    _POSITION,
     _cross_products,
     _fit_cells,
     _rank_verdicts,
     _regressors,
     _swept_fits,
-    build_design,
     fit_window,
     votes,
 )
@@ -36,17 +35,27 @@ from sentrade.synth import SyntheticScenario, generate
 WINDOWS = range(20, 41)
 
 
+def chunks(sessions, windows):
+    """The (session, window) cells of the span in row-major order, as
+    FitTable's chunks of per-cell session and window arrays."""
+    i, j = np.divmod(np.arange(len(sessions) * len(windows)), len(windows))
+    step = max(1, model_space._BLOCK_ROWS // windows[-1])
+    for first in range(0, len(i), step):
+        yield sessions.start + i[first : first + step], windows.start + j[first : first + step]
+
+
 def block_outputs(series, sessions, windows, p_threshold, normalize):
     """_fit_cells's passed, predicted_next and unsure arrays over the span,
-    computed in the same session blocks as FitTable."""
+    computed in the same chunks as FitTable and shaped (sessions, windows, ...)."""
     L = _regressors(series, normalize)
-    ts, ws = np.asarray(sessions), np.asarray(windows)
-    step = _block_sessions(windows)
-    blocks = [
-        _fit_cells(L, series.returns_array, ts[first : first + step], ws, p_threshold)
-        for first in range(0, len(ts), step)
-    ]
-    return tuple(np.concatenate(parts) for parts in zip(*blocks))
+    parts = zip(*(
+        _fit_cells(L, series.returns_array, t_cell, w_cell, p_threshold)
+        for t_cell, w_cell in chunks(sessions, windows)
+    ))
+    return tuple(
+        np.concatenate(part).reshape(len(sessions), len(windows), *part[0].shape[1:])
+        for part in parts
+    )
 
 
 def assert_matches_reference(series, sessions, windows, p_threshold=0.10, normalize=False):
@@ -100,15 +109,53 @@ def test_every_cell_matches_reference(scenario, normalize):
     assert_matches_reference(series, sessions, WINDOWS, normalize=normalize)
 
 
-def test_block_size_follows_window_span():
-    assert _block_sessions(PipelineParams(beta=0.4, gamma=0.0).windows) == 16
-    assert _block_sessions(range(3, 61)) == 3
-    assert _block_sessions(range(3, 121)) == 1
-    assert _block_sessions(range(1, 2001)) == 1
+def test_block_size_follows_window_span(monkeypatch):
+    """FitTable hands _fit_cells chunks of _BLOCK_ROWS // max(windows) cells,
+    at least one, and the rest of the span last."""
+    sizes = []
+
+    def recording(L, r, t_cell, w_cell, p_threshold):
+        sizes.append(len(t_cell))
+        none = np.zeros((len(t_cell), len(CANDIDATES)), dtype=bool)
+        return none, np.full(none.shape, np.nan), np.zeros(len(t_cell), dtype=bool)
+
+    monkeypatch.setattr(model_space, "_fit_cells", recording)
+    spans = [
+        (PipelineParams(beta=0.4, gamma=0.0).windows, 17, 336),
+        (range(3, 61), 4, 224),
+        (range(3, 121), 1, 112),
+        (range(1, 2001), 1, 6),
+    ]
+    for windows, sessions, per_chunk in spans:
+        series = generate(SyntheticScenario("B", windows[-1] + 1 + sessions, seed=7))
+        sizes.clear()
+        FitTable(series, range(windows[-1] + 2, len(series) + 1), windows)
+        cells = sessions * len(windows)
+        assert sizes == [per_chunk] * (cells // per_chunk) + [cells % per_chunk], windows
+
+
+@pytest.mark.parametrize(
+    "series, normalize",
+    [
+        (generate(SyntheticScenario("B", 200, seed=7)), False),
+        (generate(SyntheticScenario("C", 120, seed=100)), True),
+    ],
+    ids=["B200", "C120-normalized"],
+)
+def test_tables_do_not_depend_on_chunk_size(series, normalize, monkeypatch):
+    """Chunks of one cell, and of five that straddle sessions at 21 windows,
+    give the default build's vote counts and fallback cells."""
+    sessions = range(WINDOWS[-1] + 2, len(series) + 1)
+    default = FitTable(series, sessions, WINDOWS, normalize=normalize)
+    for per_chunk in (1, 5):
+        monkeypatch.setattr(model_space, "_BLOCK_ROWS", per_chunk * WINDOWS[-1])
+        table = FitTable(series, sessions, WINDOWS, normalize=normalize)
+        np.testing.assert_array_equal(table.vote_counts, default.vote_counts)
+        assert table.fallback_cells == default.fallback_cells
 
 
 def test_wide_windows_match_reference():
-    """Windows 3-60 split 39 sessions into 13 blocks of 3."""
+    """Windows 3-60 fit 39 sessions of 58 cells in chunks of 224 cells."""
     series = generate(SyntheticScenario("B", 100, seed=7))
     assert_matches_reference(series, range(62, 101), range(3, 61))
 
@@ -133,12 +180,11 @@ def test_near_collinear_counts_match_reference(base, normalize):
     sessions = range(WINDOWS[-1] + 2, len(series) + 1)
     _, rank_ok, _ = assert_matches_reference(series, sessions, WINDOWS, normalize=normalize)
     worst = 0.0
+    L = _regressors(series, normalize)
     for i, j, c in zip(*np.nonzero(rank_ok)):
-        design, _ = build_design(
-            series, CANDIDATES[c].variables, sessions[i], WINDOWS[j], normalize
-        )
-        A = np.column_stack([np.ones(design.n), design.X])
-        worst = max(worst, np.linalg.cond(A) ** 2)
+        t, w = sessions[i], WINDOWS[j]
+        columns = [0, *(_POSITION[v] for v in CANDIDATES[c].variables)]
+        worst = max(worst, np.linalg.cond(L[t - w : t][:, columns]) ** 2)
     assert 1e9 < worst <= CONDITION_LIMIT
 
 
@@ -156,19 +202,16 @@ def test_error_bounds_hold(series, normalize):
     and prediction from the sweep tree lie within their computed error
     bounds of fit_ols's."""
     L, r = _regressors(series, normalize), series.returns_array
-    ws, checked = np.asarray(WINDOWS), 0
-    step = _block_sessions(WINDOWS)
-    for first in range(WINDOWS[-1] + 2, len(series) + 1, step):
-        ts = np.arange(first, min(first + step, len(series) + 1))
-        cross, x_next = _cross_products(L, r, ts, ws)
-        w_cell = np.tile(ws, len(ts))
+    checked = 0
+    for t_cell, w_cell in chunks(range(WINDOWS[-1] + 2, len(series) + 1), WINDOWS):
+        cross, x_next = _cross_products(L, r, t_cell, w_cell)
         rank_ok, _ = _rank_verdicts(np.ascontiguousarray(cross[:, :-1, :-1]), w_cell)
-        sure = ~_fit_cells(L, r, ts, ws, P_THRESHOLD)[2].ravel()
+        sure = ~_fit_cells(L, r, t_cell, w_cell, P_THRESHOLD)[2]
         models = {}
         fits = _swept_fits(cross, x_next, w_cell, rank_ok.any(axis=0))
         for members, (t_abs, predicted, _, _, t_error, prediction_error) in fits:
             for k, cell in zip(*np.nonzero(rank_ok[:, members].T & sure)):
-                t, w = int(ts[cell // len(ws)]), int(w_cell[cell])
+                t, w = int(t_cell[cell]), int(w_cell[cell])
                 if (t, w) not in models:
                     models[t, w] = fit_window(series, t, w, normalize=normalize)
                 model = models[t, w][members[k]]
@@ -226,8 +269,7 @@ def count_eigensolves(monkeypatch) -> list[int]:
 
 def full_cond2(series: SessionSeries, t: int, w: int) -> float:
     """cond([1 | R1 R2 P1 N1 Z1])^2 of one window, from the SVD."""
-    design, _ = build_design(series, tuple(Variable), t, w)
-    return np.linalg.cond(np.column_stack([np.ones(design.n), design.X])) ** 2
+    return np.linalg.cond(series.lagged_regressors[t - w : t]) ** 2
 
 
 def test_well_conditioned_cells_take_one_eigensolve(series_b, monkeypatch):

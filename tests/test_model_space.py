@@ -9,13 +9,14 @@ import pytest
 
 from conftest import make_series
 from oracles import ols_oracle
+from sentrade import model_space
 from sentrade.errors import DataError
 from sentrade.model_space import (
     CANDIDATES,
+    MIN_RESIDUAL_DF,
     Candidate,
     ModelClass,
     Variable,
-    build_design,
     enumerate_candidates,
     fit_window,
 )
@@ -73,52 +74,56 @@ class TestEnumerateCandidates:
 
 
 class TestBuildDesign:
+    """A window's design is built from rows [1 | R1 R2 P1 N1 Z1] of the
+    lagged regressors: sessions t-w..t-1 are the slice [t - w : t], and the
+    prediction row is row t."""
+
     def test_r1_window_slices(self):
         r = [0.01, 0.02, 0.03, 0.04, 0.05, 0.06]
         series = make_series(r)
-        design, prediction_row = build_design(series, (Variable.R1,), t=5, w=3)
-        np.testing.assert_array_equal(design.y, r[2:5])
-        np.testing.assert_array_equal(design.X[:, 0], r[1:4])
-        np.testing.assert_array_equal(prediction_row, [r[4]])
+        rows = series.lagged_regressors[2:5]
+        np.testing.assert_array_equal(series.returns_array[2:5], r[2:5])
+        np.testing.assert_array_equal(rows[:, 0], 1.0)
+        np.testing.assert_array_equal(rows[:, 1], r[1:4])
+        assert series.lagged_regressors[5, 1] == r[4]
 
     def test_r2_history_boundary(self):
         series = make_series([0.01] * 6)
-        with pytest.raises(DataError):
-            build_design(series, (Variable.R2,), t=4, w=3)
+        assert np.isnan(series.lagged_regressors[:2]).all()
+        with pytest.raises(DataError, match="history"):
+            fit_window(series, t=4, w=3)
 
     def test_pos_lag_column(self):
         n = 12
         series = make_series([0.01] * n, pos=list(range(n)))
         t = 10
-        design, prediction_row = build_design(series, (Variable.P1, Variable.R1), t=t, w=4)
-        np.testing.assert_array_equal(design.X[:, 0], [t - 5, t - 4, t - 3, t - 2])
-        assert prediction_row[0] == t - 1
+        np.testing.assert_array_equal(
+            series.lagged_regressors[t - 4 : t, 3], [t - 5, t - 4, t - 3, t - 2]
+        )
+        assert series.lagged_regressors[t, 3] == t - 1
 
     def test_forecast_at_series_end(self):
         r = [0.01, -0.02, 0.03, -0.04, 0.05, -0.06, 0.07]
         series = make_series(r)
-        design, prediction_row = build_design(series, (Variable.R1, Variable.R2), t=len(r), w=4)
-        np.testing.assert_array_equal(design.y, r[3:7])
-        np.testing.assert_array_equal(prediction_row, [r[6], r[5]])
+        assert series.lagged_regressors.shape == (len(r) + 1, 6)
+        np.testing.assert_array_equal(series.lagged_regressors[len(r), 1:3], [r[6], r[5]])
+        assert len(fit_window(series, len(r), 4)) == len(CANDIDATES)
 
     def test_past_series_end_rejected(self):
         series = make_series([0.01] * 8)
-        with pytest.raises(DataError):
-            build_design(series, (Variable.R1,), t=9, w=3)
+        with pytest.raises(DataError, match="beyond"):
+            fit_window(series, t=9, w=3)
 
     def test_normalized_shares(self):
         series = make_series([0.01] * 8, pos=[6] * 8, neg=[3] * 8, neu=[1] * 8)
-        design, prediction_row = build_design(
-            series, (Variable.P1, Variable.N1), t=8, w=4, normalize=True
-        )
-        np.testing.assert_allclose(design.X[:, 0], 0.6)
-        np.testing.assert_allclose(design.X[:, 1], 0.3)
-        np.testing.assert_allclose(prediction_row, [0.6, 0.3])
+        shares = series.lagged_share_regressors
+        np.testing.assert_allclose(shares[4:9, 3], 0.6)
+        np.testing.assert_allclose(shares[4:9, 4], 0.3)
+        np.testing.assert_array_equal(shares[:, :3], series.lagged_regressors[:, :3])
 
     def test_normalized_zero_total_maps_to_zero(self):
         series = make_series([0.01] * 8, pos=[0] * 8, neg=[0] * 8, neu=[0] * 8)
-        design, _ = build_design(series, (Variable.P1,), t=8, w=4, normalize=True)
-        np.testing.assert_array_equal(design.X[:, 0], 0.0)
+        np.testing.assert_array_equal(series.lagged_share_regressors[4:9, 3:], 0.0)
 
     def test_lag_shift_property(self):
         rng = np.random.default_rng(21)
@@ -126,12 +131,11 @@ class TestBuildDesign:
         pos = rng.integers(0, 50, 15).tolist()
         base = make_series(r, pos=pos)
         shifted = make_series([0.123] + r[:-1], pos=[7] + pos[:-1])
-        for variables in [(Variable.R1,), (Variable.R2, Variable.P1)]:
-            d1, p1 = build_design(base, variables, t=10, w=5)
-            d2, p2 = build_design(shifted, variables, t=11, w=5)
-            np.testing.assert_array_equal(d1.X, d2.X)
-            np.testing.assert_array_equal(d1.y, d2.y)
-            np.testing.assert_array_equal(p1, p2)
+        # Columns 1, R1, R2 and P1; the default neg and neu counts do not shift.
+        np.testing.assert_array_equal(
+            base.lagged_regressors[5:11, :4], shifted.lagged_regressors[6:12, :4]
+        )
+        np.testing.assert_array_equal(base.returns_array[5:10], shifted.returns_array[6:11])
 
 
 class TestFitWindow:
@@ -147,8 +151,8 @@ class TestFitWindow:
         expected_sign = 1 if 0.9 * series.returns[t - 1] > 0 else -1
         assert (1 if financial.predicted_next > 0 else -1) == expected_sign
         # Cross-check the surviving fit against the extended-precision oracle.
-        design, _ = build_design(series, financial.candidate.variables, t, 30)
-        ref = ols_oracle(design.X.tolist(), design.y.tolist())
+        X = series.lagged_regressors[t - 30 : t, 1:3]  # R1 R2
+        ref = ols_oracle(X.tolist(), series.returns_array[t - 30 : t].tolist())
         np.testing.assert_allclose(financial.fit.coefficients, ref["coefficients"], rtol=1e-7)
         np.testing.assert_allclose(financial.fit.p_values, ref["p_values"], rtol=1e-7)
 
@@ -188,6 +192,33 @@ class TestFitWindow:
                 assert model.fit is None
             else:
                 assert model.fit is not None
+
+    @pytest.mark.parametrize("t, w", [(500, 4), (3, 4), (10, -7)])
+    def test_bad_window_rejected_before_any_fit(self, t, w):
+        """A window under five sessions fits no candidate, yet is checked."""
+        series = generate(SyntheticScenario("B", 50, seed=7))
+        with pytest.raises(DataError):
+            fit_window(series, t, w)
+
+    def test_one_fit_ols_call_per_fitted_candidate(self, series_b, monkeypatch):
+        """fit_window solves each candidate with w - k - 1 >= MIN_RESIDUAL_DF
+        through model_space.fit_ols once, the call a traced bench run counts."""
+        calls = []
+        fit_ols = model_space.fit_ols
+
+        def counting(design):
+            calls.append(design.X.shape[1])
+            return fit_ols(design)
+
+        monkeypatch.setattr(model_space, "fit_ols", counting)
+        expected = {5: 3, 6: 13, 7: 23, 8: 28} | {w: len(CANDIDATES) for w in range(9, 41)}
+        for w, count in expected.items():
+            calls.clear()
+            models = fit_window(series_b, 60, w)
+            assert len(calls) == count, w
+            fitted = [len(m.candidate.variables) for m in models if m.fit is not None]
+            assert calls == fitted
+            assert all(w - k - 1 >= MIN_RESIDUAL_DF for k in calls)
 
     def test_filter_soundness(self, series_b):
         models = fit_window(series_b, 60, 25)
