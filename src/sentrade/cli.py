@@ -220,12 +220,13 @@ def cmd_backtest(args: argparse.Namespace) -> int:
             _write_models_csv(series, params, result.start, len(series), handle)
     ledger, table = result.ledger, result.fit_table
     log.info(
-        "evaluated %d sessions: fit table %.2fs (%d of %d cells refitted by the reference), "
-        "replay %.2fs",
+        "evaluated %d sessions: fit table %.2fs (%d of %d cells refitted by the reference, "
+        "%d rank verdicts eigensolved), replay %.2fs",
         len(result.records),
         table.build_seconds,
         len(table.fallback_cells),
         len(table.sessions) * len(table.windows),
+        table.eigensolved,
         result.replay_seconds,
     )
     hit = "na" if ledger.hit_rate is None else f"{ledger.hit_rate:.3f}"

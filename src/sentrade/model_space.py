@@ -11,9 +11,9 @@ one of its regressors is individually significant below the p threshold.
 ``fit_ols``.  ``FitTable`` fits the cells of a span in row-major chunks
 of a bounded number of padded rows: each cell's candidates come from one
 sweep tree over its cross-product matrix (Furnival and Wilson's
-all-subsets regression, 1974).  It hands the few cells it cannot decide
-with certainty back to ``fit_window``, and keeps only each cell's
-per-class vote counts.
+all-subsets regression, 1974), and so do nearly all rank verdicts.  It
+hands the few cells it cannot decide with certainty back to
+``fit_window``, and keeps only each cell's per-class vote counts.
 """
 
 from __future__ import annotations
@@ -220,32 +220,6 @@ def _condition_band(w: np.ndarray, m: int) -> np.ndarray:
     return 2.0 * (w + 10) * m * _EPS * CONDITION_LIMIT
 
 
-# Interlacing settles most rank verdicts without a candidate's own
-# eigensolve (Golub & Van Loan, Matrix Computations, Thm 8.1.7).  A
-# candidate's Gram matrix is a principal submatrix of the Gram of every
-# candidate containing it (for the five-variable one, the cell's full 6x6
-# Gram), so its eigenvalues lie within theirs and its cond^2 is at most
-# theirs.  Write k for the true cond^2 of a Gram matrix, k^ for eigvalsh's
-# value, L for CONDITION_LIMIT, and b for _condition_band(w, 6), which
-# bounds every candidate's own band b_c.  As above, each computed
-# eigenvalue is within (b / 2L) lambda_max of the true one, so k^ and k
-# agree to within a relative (b / 2)(k / L) plus rounding.  The two rules
-# use a margin of 4b, and the steps below hold while b <= 0.1, that is for
-# windows up to 3,700 rows (b is 1.3e-3 at w = 40); _rank_verdicts applies
-# neither rule to longer windows.
-# - Rank-ok.  If a candidate's k^ < L (1 - 4b), its k < L (1 - 3b), so every
-#   candidate it contains has k < L (1 - 3b), and its own k^ would be below
-#   L (1 - 2b) <= L (1 - b_c): rank-ok, and outside its band.
-# - Rank-deficient.  If a candidate's k^ > L (1 + 4b), its k > L (1 + 3b),
-#   since a smaller k computes to below L (1 + 4b).  Every candidate
-#   containing it then has k > L (1 + 3b), and its own k^ would exceed
-#   L (1 + 2b) >= L (1 + b_c): rank-deficient, and outside its band.  An
-#   exactly singular computed Gram (lowest eigenvalue <= 0, so k^ = inf) is
-#   covered too: its true lowest eigenvalue is at most (b / 2L) lambda_max,
-#   so k >= 2L / b = 1 / ((w + 10) * 6 * eps), above 1e10.
-# Either way the verdict is the one the candidate's own eigensolve gives.
-
-
 class FitTable:
     """The per-class vote counts of each (session, window) of a span.
 
@@ -254,13 +228,14 @@ class FitTable:
     counts as Python ints, so the table serves as a run's fit function.
 
     The cells are fitted in row-major order, in chunks of as many cells as
-    pad _BLOCK_ROWS rows at the longest window, each candidate read from its
-    cell's sweep tree (see ``_fit_cells``), and each chunk folded into
-    counts at once.  A cell with any candidate within the error bound of a
-    decision takes its counts from ``fit_window`` instead: cond^2 near
-    CONDITION_LIMIT, a t statistic near the threshold, a prediction near
-    zero, or a near-exact fit.  ``fallback_cells`` lists those cells, and
-    ``build_seconds`` is the wall time of the whole build.
+    pad _BLOCK_ROWS rows at the longest window, each candidate and its rank
+    verdict read from its cell's sweep tree (see ``_swept_fits``), and each
+    chunk folded into counts at once.  A cell with any candidate within the
+    error bound of a decision takes its counts from ``fit_window`` instead:
+    cond^2 near CONDITION_LIMIT, a t statistic near the threshold, a
+    prediction near zero, or a near-exact fit.  ``fallback_cells`` lists
+    those cells, ``eigensolved`` counts the rank verdicts that took an
+    eigensolve, and ``build_seconds`` is the wall time of the whole build.
     """
 
     def __init__(
@@ -285,11 +260,13 @@ class FitTable:
         cells, chunk = len(sessions) * len(windows), max(1, _BLOCK_ROWS // windows[-1])
         counts = np.zeros((cells, 2, 3), dtype=int)
         unsure = np.zeros(cells, dtype=bool)
+        self.eigensolved = 0
         for first in range(0, cells, chunk):
             i, j = divmod(np.arange(first, min(first + chunk, cells)), len(windows))
-            passed, predicted, unsure[first : first + chunk] = _fit_cells(
+            passed, predicted, unsure[first : first + chunk], eigensolved = _fit_cells(
                 L, series.returns_array, sessions.start + i, windows.start + j, p_threshold
             )
+            self.eigensolved += eigensolved
             tallies = np.stack([passed, passed & (predicted > 0), passed & (predicted < 0)], -1)
             by_class = [tallies[:, ~_SENTIMENT].sum(1), tallies[:, _SENTIMENT].sum(1)]
             counts[first : first + chunk] = np.stack(by_class, axis=1)
@@ -315,8 +292,8 @@ class FitTable:
 def _subset_tree() -> tuple[tuple[np.ndarray, ...], ...]:
     """The sweep tree, a level per number of variables.  A node is the columns
     swept, the intercept first; its parent lacks the highest.  A level holds
-    its nodes' parent slots, pivots and candidates at or below, then its
-    members (positions in CANDIDATES, their nodes first) and their columns."""
+    its nodes' parent slots, column bitmasks and columns (the last is the
+    pivot), then its members (positions in CANDIDATES), whose nodes come first."""
     levels, above = [], [()]
     sets = [(0, *(_POSITION[v] for v in c.variables)) for c in CANDIDATES]
     for size in range(len(Variable) + 1):
@@ -325,23 +302,15 @@ def _subset_tree() -> tuple[tuple[np.ndarray, ...], ...]:
         nodes = [sets[c] for c in members] + [(0, *n) for n in subsets if (0, *n) not in sets]
         levels.append((
             np.array([above.index(node[:-1]) for node in nodes]),
-            np.array([node[-1] for node in nodes]),
-            np.array([[columns[: size + 1] == node for columns in sets] for node in nodes]),
+            np.array([sum(1 << column for column in node) for node in nodes]),
+            np.array(nodes),
             np.array(members, dtype=int),
-            np.array([sets[c] for c in members], dtype=int).reshape(len(members), size + 1),
         ))
         above = nodes
     return tuple(levels)
 
 
 _TREE = _subset_tree()
-# (members, columns) by size in _rank_verdicts' solve order: five variables
-# clear a well-conditioned cell, one finds a flat count, and four clear their
-# subsets where only a combination of counts is singular (shares sum to one).
-_SOLVE_ORDER = tuple(_TREE[size][3:5] for size in (5, 1, 4, 2, 3))
-# _CONTAINS[s, c]: candidate s's variables are a proper subset of candidate c's.
-_VARIABLE_SETS = [frozenset(c.variables) for c in CANDIDATES]
-_CONTAINS = np.array([[s < c for c in _VARIABLE_SETS] for s in _VARIABLE_SETS])
 
 
 def _sub_grams(gram: np.ndarray, cells: np.ndarray, columns: np.ndarray) -> np.ndarray:
@@ -351,70 +320,36 @@ def _sub_grams(gram: np.ndarray, cells: np.ndarray, columns: np.ndarray) -> np.n
     return gram.reshape(-1)[flat]
 
 
-def _rank_verdicts(gram: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each (cell, candidate)'s rank verdict from the cells' full Gram
-    matrices and window lengths, and the mask of cells where a verdict lies
-    within its band of CONDITION_LIMIT.
-
-    A candidate whose window leaves fewer than MIN_RESIDUAL_DF residual
-    degrees of freedom is not fitted and gets no verdict.  Interlacing (see
-    the note after ``_condition_band``) settles a candidate contained in one
-    whose computed cond^2 is below CONDITION_LIMIT (1 - margin) as rank-ok,
-    and one containing a candidate above CONDITION_LIMIT (1 + margin) as
-    rank-deficient; every other candidate is eigensolved, sizes in
-    _SOLVE_ORDER.
-    """
-    shape = (len(gram), len(CANDIDATES))
-    margin = 4.0 * _condition_band(w, gram.shape[-1])
-    margin[margin > 0.4] = np.inf  # the rules need b <= 0.1
-    rank_ok, clear, singular = np.zeros(shape, bool), np.zeros(shape, bool), np.zeros(shape, bool)
-    unsure = np.zeros(len(gram), dtype=bool)
-    for members, columns in _SOLVE_ORDER:
-        m = columns.shape[1]
-        fitted = (w - m >= MIN_RESIDUAL_DF)[:, None]
-        inside_clear = clear @ _CONTAINS[members].T
-        rank_ok[:, members] = fitted & inside_clear
-        cells, c = np.nonzero(fitted & ~inside_clear & ~(singular @ _CONTAINS[:, members]))
-        eigenvalues = np.linalg.eigvalsh(_sub_grams(gram, cells, columns[c]))
-        low, high = eigenvalues[:, 0], eigenvalues[:, -1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cond2 = np.where(low > 0, high / low, np.inf)
-        band = _condition_band(w[cells], m)
-        unsure[cells[np.abs(cond2 - CONDITION_LIMIT) <= band * CONDITION_LIMIT]] = True
-        rank_ok[cells, members[c]] = cond2 <= CONDITION_LIMIT
-        clear[cells, members[c]] = cond2 < CONDITION_LIMIT * (1.0 - margin[cells])
-        singular[cells, members[c]] = cond2 > CONDITION_LIMIT * (1.0 + margin[cells])
-    return rank_ok, unsure
-
-
 def _fit_cells(
     L: np.ndarray, r: np.ndarray, t_cell: np.ndarray, w_cell: np.ndarray, p_threshold: float
-) -> tuple[np.ndarray, ...]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Fit all candidates on every (session t_cell[i], window w_cell[i]) cell
     from its sweep tree: the (cells, candidates) filter verdicts (each |t|
     above its df's critical value) and predictions, NaN where not rank-ok,
-    and the mask of cells to recompute."""
+    the mask of cells to recompute, and the number of rank verdicts that
+    took an eigensolve."""
     cross, x_next = _cross_products(L, r, t_cell, w_cell)
-    rank_ok, unsure = _rank_verdicts(np.ascontiguousarray(cross[:, :-1, :-1]), w_cell)
     # |t| beyond which a coefficient's p-value is below the threshold, and the
     # |t| span of p-values within P_BAND of it (to inf below P_BAND), by df.
     levels = np.array([p_threshold, p_threshold + P_BAND, max(0.0, p_threshold - P_BAND)])
     all_df = np.arange(1, int(w_cell.max()) + 1)[:, None]
     t_critical, t_low, t_high = stdtrit(all_df, 1.0 - levels / 2.0).T
-    passed, predicted_next = np.zeros(rank_ok.shape, bool), np.full(rank_ok.shape, np.nan)
-    fits = _swept_fits(cross, x_next, w_cell, rank_ok.any(axis=0))
-    for members, (t_abs, predicted, magnitude, rss, t_error, prediction_error) in fits:
-        ok = rank_ok[:, members].T
+    shape = (len(w_cell), len(CANDIDATES))
+    passed, predicted_next = np.zeros(shape, bool), np.full(shape, np.nan)
+    unsure, eigensolved = np.zeros(len(w_cell), dtype=bool), 0
+    for members, (ok, solved, near_limit, _, _), fit in _swept_fits(cross, x_next, w_cell):
+        t_abs, predicted, magnitude, rss, t_error, prediction_error = fit
         df = np.maximum(w_cell - t_abs.shape[1] - 1, 1) - 1
         doubtful = (
             ((t_low[df] - t_error <= t_abs) & (t_abs <= t_high[df] + t_error)).any(axis=1)
             | (np.abs(predicted) <= SIGN_BAND * magnitude + prediction_error)
             | (rss <= EXACT_FIT_BAND)
         )
-        unsure |= (ok & doubtful).any(axis=0)
+        unsure |= near_limit | (ok & doubtful).any(axis=0)
+        eigensolved += int(np.count_nonzero(solved))
         passed[:, members] = (ok & (t_abs > t_critical[df]).all(axis=1)).T
         predicted_next[:, members] = np.where(ok, predicted, np.nan).T
-    return passed, predicted_next, unsure
+    return passed, predicted_next, unsure, eigensolved
 
 
 def _cross_products(
@@ -431,42 +366,71 @@ def _cross_products(
 
 
 def _swept_fits(
-    cross: np.ndarray, x_next: np.ndarray, w: np.ndarray, live: np.ndarray
-) -> Iterator[tuple[np.ndarray, tuple[np.ndarray, ...]]]:
+    cross: np.ndarray, x_next: np.ndarray, w: np.ndarray
+) -> Iterator[tuple[np.ndarray, tuple[np.ndarray, ...], tuple[np.ndarray, ...]]]:
     """Sweep the cells' cross-products, Jacobi-scaled once (a unit scale for a
-    zero diagonal), down the subset tree a level at a time, skipping nodes
-    with no ``live`` candidate at or below.  A node swept on K holds -S_KK^-1,
-    the coefficients in its last column and rss~ (y'y = 1) in its corner.
-    Yields each level's live members with their |t| (members, variables,
-    cells), prediction, sum of its terms' magnitudes, rss~ and error bounds."""
+    zero diagonal), down the subset tree a level at a time.  A node swept on K
+    holds -S_KK^-1, the coefficients in its last column and rss~ (y'y = 1) in
+    its corner, and carries the least pivot on its path.  A fitted member is
+    rank-ok or rank-deficient where its bounds on cond^2 from ``_error_bounds``
+    clear CONDITION_LIMIT by 4 ``_condition_band``, and is eigensolved
+    otherwise; a node with a subset deficient or not fitted in every cell is
+    not swept.  Yields each level's swept members, their verdicts (rank-ok and
+    eigensolved, (members, cells), the cells eigensolved within their band,
+    and the bounds), and their |t| (members, variables, cells), prediction,
+    sum of its terms' magnitudes, rss~ and error bounds."""
     diagonal = np.diagonal(cross, axis1=1, axis2=2).T
     d = 1.0 / np.sqrt(np.where(diagonal > 0.0, diagonal, 1.0))
     level = (np.ascontiguousarray(cross.transpose(1, 2, 0)) * d[:, None] * d[None, :])[None]
-    where = np.zeros(1, dtype=int)
-    for parents, pivots, below, members, columns in _TREE:
-        swept = below @ live
-        level = level[where[parents[swept]]]
+    floor, where, dead = np.full((1, len(w)), np.inf), np.zeros(1, dtype=int), np.zeros(0, int)
+    for parents, masks, nodes, members in _TREE:
+        m = nodes.shape[1]
+        fitted = w - m >= MIN_RESIDUAL_DF
+        if not fitted.any():
+            return
+        swept = ((masks[:, None] & dead) != dead).all(axis=1)
+        above = where[parents[swept]]
+        level, floor = level[above], floor[above]
         # The symmetric SWEEP on k (Goodnight 1979): with h = a_kk and v the row
         # a_k. but -1 at k, a - v v' / h once row and column k are cleared.
-        n, k = np.arange(len(level)), pivots[swept]
+        n, k = np.arange(len(level)), nodes[swept, -1]
         h, v = level[n, k, k], level[n, k]
+        floor = np.fmin(floor, h)
         v[n, k] = -1.0
         level[n, k] = level[n, :, k] = 0.0
         with np.errstate(all="ignore"):
             level -= v[:, :, None] * (v / h[:, None])[:, None, :]
-        where, fitted = np.cumsum(swept) - 1, live[members]
-        if not fitted.any():
+        where, live = np.cumsum(swept) - 1, swept[: len(members)]
+        if not live.any():
             continue
-        K, node = columns[fitted], where[: len(members)][fitted, None]
+        K, node = nodes[: len(members)][live], where[: len(members)][live, None]
         beta, rss = level[node, K, -1], level[node[:, 0], -1, -1]
         S_inv = -level[node[:, :, None], K[:, :, None], K[:, None, :]]
+        inverse = -level[node, K, K]
         x = x_next.T[K] * d[K] / d[-1]
         with np.errstate(all="ignore"):
-            se = np.sqrt(rss[:, None] * -level[node, K, K] / (w - K.shape[1]))
+            se = np.sqrt(rss[:, None] * inverse / (w - m))
             t_abs, terms = np.abs(beta[:, 1:]) / se[:, 1:], x * beta
             fit = t_abs, terms.sum(axis=1), np.abs(terms).sum(axis=1), rss
-            bounds = _error_bounds(S_inv, beta, se, t_abs, x, rss, w, d[K])
-        yield members[fitted], (*fit, *bounds)
+            *bounds, lower, upper = _error_bounds(
+                S_inv, inverse, beta, se, t_abs, x, rss, w, d[K], floor[node[:, 0]]
+            )
+        margin = 4.0 * _condition_band(w, m)
+        margin[margin > 0.4] = np.inf  # _condition_band's argument needs b <= 0.1
+        rank_ok = fitted & (upper < CONDITION_LIMIT * (1.0 - margin))
+        deficient = lower > CONDITION_LIMIT * (1.0 + margin)
+        solved, near_limit = fitted & ~rank_ok & ~deficient, np.zeros(len(w), dtype=bool)
+        if solved.any():
+            c, cells = np.nonzero(solved)
+            eigenvalues = np.linalg.eigvalsh(_sub_grams(cross, cells, K[c]))
+            low, high = eigenvalues[:, 0], eigenvalues[:, -1]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                cond2 = np.where(low > 0, high / low, np.inf)
+            band = _condition_band(w[cells], m) * CONDITION_LIMIT
+            near_limit[cells[np.abs(cond2 - CONDITION_LIMIT) <= band]] = True
+            rank_ok[c, cells] = cond2 <= CONDITION_LIMIT
+        dead = np.append(dead, masks[: len(members)][live][(deficient | ~fitted).all(axis=1)])
+        yield members[live], (rank_ok, solved, near_limit, lower, upper), (*fit, *bounds)
 
 
 # How far the table's |t| and prediction can lie from fit_window's, to first order.
@@ -504,14 +468,42 @@ def _swept_fits(
 # (sqrt(tau) R + e q) / sqrt(rss~) + delta q^2 / (2 rss~).  Where m tau e reaches 1,
 # both bounds are infinite.
 
+# Bounds on a candidate's cond^2 = cond(G_K), G_K = A'A on its columns A = [1 X_K], read
+# off its node, with S = D G D, m = |K|, delta and tau as above, and L = CONDITION_LIMIT.
+# - The pivot floor f, the least pivot on K's path.  The unswept block of a swept node is
+#   Gaussian elimination's Schur complement, so these are the pivots of eliminating S_KK
+#   in column order.  Let h, on column k, be the first at most f+ = max(f, 0) + m delta,
+#   P the columns swept up to k, and J = P - {k}.  The steps before it divide by pivots
+#   above m delta, so |L||U| <= 1 holds to first order and they are exact for
+#   M = S_PP + F, |F_ij| <= delta.  With z = (-M_JJ^-1 M_Jk, 1), M z = h e_k, so
+#   z'S_PP z = h - z'F z, and as ||z|| >= 1 Cauchy interlacing gives lambda_min(S_KK)
+#   <= lambda_min(S_PP) <= max(h, 0) + m delta <= f+ + m delta.  The intercept's unit
+#   diagonal makes lambda_max(S_KK) >= 1, and cond(S_KK) <= m cond(G_K) (van der Sluis;
+#   Higham, Accuracy and Stability, Thm 7.5), so cond(G_K) >= 1 / (m (max(f, 0) + 2 m delta)).
+# - The trace sandwich.  With G_ii = d_i^-2 and G^-1_ii = d_i^2 S^-1_ii, and the largest
+#   eigenvalue of a positive definite matrix between its largest diagonal entry and its
+#   trace, max G_ii max G^-1_ii <= cond(G_K) <= tr G_K tr G_K^-1, at most m^2 apart.
+#   With f > 0 the sweep's diagonal entries are sums of terms of one sign, off by at most
+#   m delta ||S^-1 e_i||^2 <= m delta tau S^-1_ii (as above), a relative eta =
+#   m tau delta / (1 - m tau delta) of the computed value with the inverse's own
+#   perturbation; d_i^-2 is off by less ((w + 4) eps, as tau >= m).  So the bounds widen
+#   by (1 - eta)^2 >= 1 - 2 eta and (1 + eta)^2; where f <= 0 or m tau delta >= 1, void.
+# Write b = _condition_band(w, m).  By _condition_band's argument, an upper bound below
+# L (1 - 4b) means the candidate's own eigensolve would find its cond^2 below L (1 - 3b):
+# rank-ok, outside its band.  A lower bound above L (1 + 4b) means above L (1 + 3b) or
+# singular: rank-deficient outside its band, as is every candidate containing it (Cauchy
+# interlacing on G).  The steps need b <= 0.1, so windows up to 3,700 rows at m = 6; the
+# scales' own rounding moves the bounds by factors 1 + O(w eps).
+
 
 def _error_bounds(
-    S_inv: np.ndarray, beta: np.ndarray, se: np.ndarray, t_abs: np.ndarray, x: np.ndarray,
-    rss: np.ndarray, w: np.ndarray, scales: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The bounds argued above on |t| and on the prediction, from x~ as ``x``."""
+    S_inv: np.ndarray, diagonal: np.ndarray, beta: np.ndarray, se: np.ndarray, t_abs: np.ndarray,
+    x: np.ndarray, rss: np.ndarray, w: np.ndarray, scales: np.ndarray, floor: np.ndarray,
+) -> tuple[np.ndarray, ...]:
+    """The bounds argued above on |t| and on the prediction, from S^-1's
+    diagonal as ``diagonal`` and x~ as ``x``, then the lower and upper ones on
+    cond^2, from the least pivot on the path as ``floor``."""
     m = beta.shape[1]
-    diagonal = np.einsum("niic->nic", S_inv)
     tau = diagonal.sum(axis=1)
     delta = (w + 3 + 16 * m) * _EPS
     e = 3.0 * (w + 10) * m * _EPS * scales.max(axis=1) / scales.min(axis=1) + delta
@@ -524,4 +516,11 @@ def _error_bounds(
     t_error = (row_norms * R[:, None] / se)[:, 1:] + t_abs * relative[:, 1:]
     shifted = np.linalg.norm(np.einsum("nijc,njc->nic", S_inv, x), axis=1)
     jordan = 8 * m * _EPS * q * (np.abs(x) * np.sqrt(diagonal)).sum(axis=1)
-    return t_error, shifted * R + jordan
+    table_growth = np.where(floor > 0.0, m * tau * delta, np.inf)
+    trusted, eta = table_growth < 1.0, table_growth / (1.0 - table_growth)
+    gram, gram_inverse = scales**-2.0, diagonal * scales**2
+    pivot = 1.0 / (m * (np.maximum(floor, 0.0) + 2 * m * delta))
+    sandwich = gram.max(axis=1) * gram_inverse.max(axis=1) * (1.0 - 2.0 * eta)
+    upper = gram.sum(axis=1) * gram_inverse.sum(axis=1) * (1.0 + eta) ** 2
+    lower = np.where(trusted, np.maximum(pivot, sandwich), pivot)
+    return t_error, shifted * R + jordan, lower, np.where(trusted, upper, np.inf)

@@ -38,7 +38,7 @@ class DesignMatrix:
             raise DataError(f"X has {n} rows but y has {y.shape[0]}")
         if n < k + 2:
             raise DataError(f"need at least k + 2 = {k + 2} observations, got {n}")
-        if not np.all(np.isfinite(X)) or not np.all(np.isfinite(y)):
+        if not np.isfinite(X).all() or not np.isfinite(y).all():
             raise DataError("design matrix entries must be finite")
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "y", y)
@@ -94,9 +94,9 @@ def two_sided_t_pvalue(t_abs, df):
     them broadcasting against t_abs.
     """
     t_abs = np.asarray(t_abs, dtype=float)
-    if np.any(t_abs < 0):
+    if (t_abs < 0).any():
         raise ValueError("t_abs must be non-negative")
-    if np.any(np.asarray(df) < 1):
+    if (df < 1 if isinstance(df, int) else (np.asarray(df) < 1).any()):
         raise ValueError(f"df must be at least 1, got {df}")
     with np.errstate(invalid="ignore"):
         x = df / (df + t_abs * t_abs)

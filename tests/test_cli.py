@@ -421,7 +421,7 @@ class TestBacktestCommand:
         with caplog.at_level(logging.INFO, logger="sentrade.cli"):
             assert self.run_backtest(workspace, sessions) == 0
         assert "evaluated 42 sessions: fit table" in caplog.text
-        assert "of 126 cells refitted by the reference" in caplog.text
+        assert "of 126 cells refitted by the reference, 0 rank verdicts eigensolved)" in caplog.text
 
     def test_unset_params_exit_one(self, workspace, capsys):
         sessions = synth_sessions(workspace)

@@ -22,14 +22,12 @@ from sentrade.model_space import (
     _POSITION,
     _cross_products,
     _fit_cells,
-    _rank_verdicts,
     _regressors,
     _swept_fits,
     fit_window,
     votes,
 )
 from sentrade.regression import CONDITION_LIMIT
-from sentrade.sessions import SessionSeries
 from sentrade.synth import SyntheticScenario, generate
 
 WINDOWS = range(20, 41)
@@ -49,7 +47,7 @@ def block_outputs(series, sessions, windows, p_threshold, normalize):
     computed in the same chunks as FitTable and shaped (sessions, windows, ...)."""
     L = _regressors(series, normalize)
     parts = zip(*(
-        _fit_cells(L, series.returns_array, t_cell, w_cell, p_threshold)
+        _fit_cells(L, series.returns_array, t_cell, w_cell, p_threshold)[:3]
         for t_cell, w_cell in chunks(sessions, windows)
     ))
     return tuple(
@@ -117,7 +115,7 @@ def test_block_size_follows_window_span(monkeypatch):
     def recording(L, r, t_cell, w_cell, p_threshold):
         sizes.append(len(t_cell))
         none = np.zeros((len(t_cell), len(CANDIDATES)), dtype=bool)
-        return none, np.full(none.shape, np.nan), np.zeros(len(t_cell), dtype=bool)
+        return none, np.full(none.shape, np.nan), np.zeros(len(t_cell), dtype=bool), 0
 
     monkeypatch.setattr(model_space, "_fit_cells", recording)
     spans = [
@@ -160,6 +158,12 @@ def test_wide_windows_match_reference():
     assert_matches_reference(series, range(62, 101), range(3, 61))
 
 
+def design_cond2(L: np.ndarray, t: int, w: int, candidate: int) -> float:
+    """cond([1 | candidate's columns])^2 of one window, from the SVD."""
+    columns = [0, *(_POSITION[v] for v in CANDIDATES[candidate].variables)]
+    return np.linalg.cond(L[t - w : t][:, columns]) ** 2
+
+
 def near_collinear_series(base, n=70, seed=0):
     """Counts where neu repeats pos but for an occasional extra message.
 
@@ -182,9 +186,7 @@ def test_near_collinear_counts_match_reference(base, normalize):
     worst = 0.0
     L = _regressors(series, normalize)
     for i, j, c in zip(*np.nonzero(rank_ok)):
-        t, w = sessions[i], WINDOWS[j]
-        columns = [0, *(_POSITION[v] for v in CANDIDATES[c].variables)]
-        worst = max(worst, np.linalg.cond(L[t - w : t][:, columns]) ** 2)
+        worst = max(worst, design_cond2(L, sessions[i], WINDOWS[j], c))
     assert 1e9 < worst <= CONDITION_LIMIT
 
 
@@ -205,12 +207,11 @@ def test_error_bounds_hold(series, normalize):
     checked = 0
     for t_cell, w_cell in chunks(range(WINDOWS[-1] + 2, len(series) + 1), WINDOWS):
         cross, x_next = _cross_products(L, r, t_cell, w_cell)
-        rank_ok, _ = _rank_verdicts(np.ascontiguousarray(cross[:, :-1, :-1]), w_cell)
         sure = ~_fit_cells(L, r, t_cell, w_cell, P_THRESHOLD)[2]
         models = {}
-        fits = _swept_fits(cross, x_next, w_cell, rank_ok.any(axis=0))
-        for members, (t_abs, predicted, _, _, t_error, prediction_error) in fits:
-            for k, cell in zip(*np.nonzero(rank_ok[:, members].T & sure)):
+        fits = _swept_fits(cross, x_next, w_cell)
+        for members, (rank_ok, *_), (t_abs, predicted, _, _, t_error, prediction_error) in fits:
+            for k, cell in zip(*np.nonzero(rank_ok & sure)):
                 t, w = int(t_cell[cell]), int(w_cell[cell])
                 if (t, w) not in models:
                     models[t, w] = fit_window(series, t, w, normalize=normalize)
@@ -237,21 +238,32 @@ def test_flat_counts_are_rank_deficient():
     assert rank_ok[:, :, 0].all()
 
 
-def test_flat_pos_makes_its_supersets_rank_deficient():
-    """A flat pos count is collinear with the intercept, so every candidate
-    containing P1 is rank-deficient (settled from the singular P1 alone)
-    and every other candidate is fitted."""
-    rng = np.random.default_rng(11)
-    series = make_series(
+def flat_pos_series(flat=60, seed=11):
+    """Random counts, but for pos, flat at 50 over the first ``flat`` sessions."""
+    rng = np.random.default_rng(seed)
+    return make_series(
         rng.normal(0, 0.01, 60).tolist(),
-        pos=[50] * 60,
+        pos=[50] * flat + rng.integers(20, 80, 60 - flat).tolist(),
         neg=rng.integers(20, 80, 60).tolist(),
         neu=rng.integers(10, 40, 60).tolist(),
     )
+
+
+def test_flat_pos_makes_its_supersets_rank_deficient():
+    """A flat pos count is collinear with the intercept, so every candidate
+    containing P1 is rank-deficient (its pivot on P1 is rounding noise, so
+    the pivot floor settles it) and every other candidate is fitted."""
+    series = flat_pos_series()
     _, rank_ok, _ = assert_matches_reference(series, range(26, 61), range(20, 25))
     has_pos = np.array([Variable.P1 in c.variables for c in CANDIDATES])
     assert not rank_ok[:, :, has_pos].any()
     assert rank_ok[:, :, ~has_pos].all()
+    # P1 is rank-deficient in every cell, so no node containing it is swept.
+    L = _regressors(series, False)
+    for t_cell, w_cell in chunks(range(26, 61), range(20, 25)):
+        cross, x_next = _cross_products(L, series.returns_array, t_cell, w_cell)
+        swept = np.concatenate([members for members, _, _ in _swept_fits(cross, x_next, w_cell)])
+        assert [CANDIDATES[c].variables for c in swept if has_pos[c]] == [(Variable.P1,)]
 
 
 def count_eigensolves(monkeypatch) -> list[int]:
@@ -267,44 +279,79 @@ def count_eigensolves(monkeypatch) -> list[int]:
     return solved
 
 
-def full_cond2(series: SessionSeries, t: int, w: int) -> float:
-    """cond([1 | R1 R2 P1 N1 Z1])^2 of one window, from the SVD."""
-    return np.linalg.cond(series.lagged_regressors[t - w : t]) ** 2
-
-
-def test_well_conditioned_cells_take_one_eigensolve(series_b, monkeypatch):
-    """Only a cell whose full Gram is near the limit eigensolves its
-    candidates one by one; the others take one eigensolve in all."""
-    sessions = range(WINDOWS[-1] + 2, len(series_b) + 1)
-    cells = len(sessions) * len(WINDOWS)
-    near_limit = sum(
-        full_cond2(series_b, t, w) > CONDITION_LIMIT / 2 for t in sessions for w in WINDOWS
-    )
+@pytest.mark.parametrize(
+    "series, sessions, windows, normalize",
+    [
+        (generate(SyntheticScenario("B", 200, seed=7)), range(42, 201), WINDOWS, False),
+        (flat_counts_series(), range(26, 61), range(20, 25), False),
+        (flat_pos_series(flat=40), range(26, 61), range(20, 25), False),
+        (generate(SyntheticScenario("C", 120, seed=100)), range(42, 121), WINDOWS, True),
+    ],
+    ids=["B200", "flat-counts", "partly-flat-pos", "shares"],
+)
+def test_settled_verdicts_take_no_eigensolve(series, sessions, windows, normalize, monkeypatch):
+    """Full-rank candidates clear the limit by their trace sandwich, and flat
+    counts and the share triple leave a pivot floor at rounding level, so no
+    rank verdict takes an eigensolve.  Where pos is flat in some windows only,
+    its supersets are swept, and the floor, the least pivot on a node's path,
+    still settles them once the pivots after P1's are rounding noise."""
     solved = count_eigensolves(monkeypatch)
-    FitTable(series_b, sessions, WINDOWS)
-    assert sum(solved) <= cells + (len(CANDIDATES) - 1) * near_limit
+    table = FitTable(series, sessions, windows, normalize=normalize)
+    assert solved == [] and table.eigensolved == 0
+
+
+def swept_verdicts(series, sessions, windows, normalize):
+    """Each fitted candidate's verdict, bounds, SVD cond^2 and column count, from
+    _swept_fits over FitTable's chunks: (rank_ok, eigensolved, lower, upper,
+    cond2, m) rows."""
+    L, r = _regressors(series, normalize), series.returns_array
+    rows = []
+    for t_cell, w_cell in chunks(sessions, windows):
+        cross, x_next = _cross_products(L, r, t_cell, w_cell)
+        for members, (rank_ok, solved, _, lower, upper), _ in _swept_fits(cross, x_next, w_cell):
+            m = len(CANDIDATES[members[0]].variables) + 1
+            fitted = (w_cell - m >= MIN_RESIDUAL_DF) & np.ones_like(rank_ok)
+            for k, cell in zip(*np.nonzero(fitted)):
+                t, w = int(t_cell[cell]), int(w_cell[cell])
+                rows.append((rank_ok[k, cell], solved[k, cell], lower[k, cell], upper[k, cell],
+                             design_cond2(L, t, w, members[k]), m))
+    return np.array(rows, dtype=float).T
+
+
+def test_only_candidates_near_the_limit_take_an_eigensolve():
+    """On the near-collinear raw series, the candidates whose verdict takes an
+    eigensolve are those the bounds cannot place: their cond^2 lies within a
+    factor m^2 of CONDITION_LIMIT, the trace sandwich's own spread, for m
+    columns."""
+    series = near_collinear_series(400)
+    sessions = range(WINDOWS[-1] + 2, len(series) + 1)
+    _, solved, _, _, cond2, m = swept_verdicts(series, sessions, WINDOWS, False)
+    eigensolved, spread = cond2[solved == 1], m[solved == 1] ** 2
+    assert FitTable(series, sessions, WINDOWS).eigensolved == len(eigensolved) > 0
+    assert (CONDITION_LIMIT / spread <= eigensolved).all()
+    assert (eigensolved <= CONDITION_LIMIT * spread).all()
 
 
 @pytest.mark.parametrize(
-    "series, sessions, windows, normalize, per_cell",
+    "series, sessions, windows, normalize",
     [
-        (flat_counts_series(), range(26, 61), range(20, 25), False, 5),
-        (generate(SyntheticScenario("C", 120, seed=100)), range(42, 121), WINDOWS, True, 10),
+        (near_collinear_series(400), range(42, 71), WINDOWS, False),
+        (near_collinear_series(1000), range(42, 71), WINDOWS, True),
+        (flat_pos_series(), range(26, 61), range(20, 25), False),
+        (generate(SyntheticScenario("B", 200, seed=7)), range(42, 201), WINDOWS, False),
     ],
-    ids=["flat-counts", "shares"],
+    ids=["raw", "shares", "flat-pos", "B200"],
 )
-def test_settled_verdicts_take_no_eigensolve(
-    series, sessions, windows, normalize, per_cell, monkeypatch
-):
-    """With all counts flat, a cell eigensolves only its full Gram, the
-    three one-count candidates and the financial pair: every other
-    candidate contains a flat count.  Count shares sum to one, so the cell
-    eigensolves its full Gram, the one-count candidates, the five
-    four-variable ones and P1+N1+Z1: every other candidate lies inside a
-    well-conditioned four-variable one or contains P1+N1+Z1."""
-    solved = count_eigensolves(monkeypatch)
-    FitTable(series, sessions, windows, normalize=normalize)
-    assert sum(solved) <= per_cell * len(sessions) * len(windows)
+def test_rank_bounds_hold(series, sessions, windows, normalize):
+    """Every fitted candidate's lower and upper bounds on cond^2 enclose the
+    SVD's cond^2 (up to its own rounding, well below 1e-6), and every
+    candidate settled rank-deficient lies above CONDITION_LIMIT."""
+    rank_ok, solved, lower, upper, cond2, _ = swept_verdicts(series, sessions, windows, normalize)
+    assert (lower <= cond2 * (1 + 1e-6)).all()
+    assert (upper >= cond2 * (1 - 1e-6)).all()
+    deficient = (rank_ok == 0) & (solved == 0)
+    assert (cond2[deficient] > CONDITION_LIMIT).all()
+    assert (cond2[(rank_ok == 1) & (solved == 0)] < CONDITION_LIMIT).all()
 
 
 def test_table_build_memory_stays_bounded():
@@ -376,9 +423,9 @@ def test_cells_are_fitted_without_p_values(series_b, monkeypatch):
 def test_fallback_cells_are_exposed_and_served(monkeypatch):
     def garbled(*args):
         """_fit_cells with every candidate of an unsure cell passing and voting up."""
-        passed, predicted, unsure = _fit_cells(*args)
+        passed, predicted, unsure, eigensolved = _fit_cells(*args)
         passed[unsure], predicted[unsure] = True, 1.0
-        return passed, predicted, unsure
+        return passed, predicted, unsure, eigensolved
 
     monkeypatch.setattr(model_space, "_fit_cells", garbled)
     series = make_series([0.0] * 30 + [0.01, -0.02] * 5)

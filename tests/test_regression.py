@@ -186,6 +186,13 @@ class TestTwoSidedTPvalue:
         with pytest.raises(ValueError):
             two_sided_t_pvalue(1.0, 0)
 
+    @pytest.mark.parametrize(
+        "df", [np.int64(0), np.array([2, 0]), 0.5], ids=["numpy", "array", "float"]
+    )
+    def test_df_below_one_rejected_off_the_int_path(self, df):
+        with pytest.raises(ValueError, match="df must be at least 1"):
+            two_sided_t_pvalue(np.array([1.0, 2.0]), df)
+
     @given(
         t1=st.floats(min_value=0.0, max_value=40.0),
         dt=st.floats(min_value=1e-6, max_value=10.0),
