@@ -56,7 +56,6 @@ from .sessions import (
     parse_buckets,
     parse_ticks,
     read_sessions_csv,
-    session_prices,
     write_sessions_csv,
 )
 from .synth import SyntheticScenario, generate

@@ -29,7 +29,6 @@ from .sessions import (
     parse_buckets,
     parse_ticks,
     read_sessions_csv,
-    session_prices,
     write_sessions_csv,
 )
 from .synth import SyntheticScenario, generate
@@ -128,8 +127,7 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
         ticks = parse_ticks(handle)
     with open(args.sentiment, encoding="utf-8", newline="") as handle:
         buckets = parse_buckets(handle)
-    daily = session_prices(ticks, calendar, params.offset_minutes)
-    series = build_sessions(daily, buckets, calendar)
+    series = build_sessions(ticks, buckets, calendar, params.offset_minutes)
     out_path = f"{args.out}sessions.csv"
     with _open_out(out_path) as handle:
         write_sessions_csv(series, handle)

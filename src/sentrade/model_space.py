@@ -374,11 +374,13 @@ def _swept_fits(
     its corner, and carries the least pivot on its path.  A fitted member is
     rank-ok or rank-deficient where its bounds on cond^2 from ``_error_bounds``
     clear CONDITION_LIMIT by 4 ``_condition_band``, and is eigensolved
-    otherwise; a node with a subset deficient or not fitted in every cell is
-    not swept.  Yields each level's swept members, their verdicts (rank-ok and
-    eigensolved, (members, cells), the cells eigensolved within their band,
-    and the bounds), and their |t| (members, variables, cells), prediction,
-    sum of its terms' magnitudes, rss~ and error bounds."""
+    otherwise.  A node with a subset deficient or not fitted in every cell is
+    not swept, and neither is a member whose path floor, read off its parent,
+    already settles it so by ``_pivot_bound``.  Yields each level's swept
+    members, their verdicts (rank-ok and eigensolved, (members, cells), the
+    cells eigensolved within their band, and the bounds), and their |t|
+    (members, variables, cells), prediction, sum of its terms' magnitudes,
+    rss~ and error bounds."""
     diagonal = np.diagonal(cross, axis1=1, axis2=2).T
     d = 1.0 / np.sqrt(np.where(diagonal > 0.0, diagonal, 1.0))
     level = (np.ascontiguousarray(cross.transpose(1, 2, 0)) * d[:, None] * d[None, :])[None]
@@ -388,7 +390,18 @@ def _swept_fits(
         fitted = w - m >= MIN_RESIDUAL_DF
         if not fitted.any():
             return
+        margin = 4.0 * _condition_band(w, m)
+        margin[margin > 0.4] = np.inf  # _condition_band's argument needs b <= 0.1
+        deficient_above = CONDITION_LIMIT * (1.0 + margin)
         swept = ((masks[:, None] & dead) != dead).all(axis=1)
+        # A member's path floor is its parent's and its own pivot, both in the parent's
+        # matrix; where that settles it deficient in every fitted cell, it is not swept.
+        own = np.flatnonzero(swept[: len(members)])
+        parent, k = where[parents[own]], nodes[own, -1]
+        pivot = _pivot_bound(np.fmin(floor[parent], level[parent, k, k]), w, m)
+        settled = ((pivot > deficient_above) | ~fitted).all(axis=1)
+        swept[own[settled]] = False
+        dead = np.append(dead, masks[own[settled]])
         above = where[parents[swept]]
         level, floor = level[above], floor[above]
         # The symmetric SWEEP on k (Goodnight 1979): with h = a_kk and v the row
@@ -415,10 +428,8 @@ def _swept_fits(
             *bounds, lower, upper = _error_bounds(
                 S_inv, inverse, beta, se, t_abs, x, rss, w, d[K], floor[node[:, 0]]
             )
-        margin = 4.0 * _condition_band(w, m)
-        margin[margin > 0.4] = np.inf  # _condition_band's argument needs b <= 0.1
         rank_ok = fitted & (upper < CONDITION_LIMIT * (1.0 - margin))
-        deficient = lower > CONDITION_LIMIT * (1.0 + margin)
+        deficient = lower > deficient_above
         solved, near_limit = fitted & ~rank_ok & ~deficient, np.zeros(len(w), dtype=bool)
         if solved.any():
             c, cells = np.nonzero(solved)
@@ -496,6 +507,12 @@ def _swept_fits(
 # scales' own rounding moves the bounds by factors 1 + O(w eps).
 
 
+def _pivot_bound(floor: np.ndarray, w: np.ndarray, m: int) -> np.ndarray:
+    """The lower bound argued above on cond^2 of a candidate on m columns whose
+    path holds ``floor`` as its least pivot."""
+    return 1.0 / (m * (np.maximum(floor, 0.0) + 2 * m * (w + 3 + 16 * m) * _EPS))
+
+
 def _error_bounds(
     S_inv: np.ndarray, diagonal: np.ndarray, beta: np.ndarray, se: np.ndarray, t_abs: np.ndarray,
     x: np.ndarray, rss: np.ndarray, w: np.ndarray, scales: np.ndarray, floor: np.ndarray,
@@ -519,7 +536,7 @@ def _error_bounds(
     table_growth = np.where(floor > 0.0, m * tau * delta, np.inf)
     trusted, eta = table_growth < 1.0, table_growth / (1.0 - table_growth)
     gram, gram_inverse = scales**-2.0, diagonal * scales**2
-    pivot = 1.0 / (m * (np.maximum(floor, 0.0) + 2 * m * delta))
+    pivot = _pivot_bound(floor, w, m)
     sandwich = gram.max(axis=1) * gram_inverse.max(axis=1) * (1.0 - 2.0 * eta)
     upper = gram.sum(axis=1) * gram_inverse.sum(axis=1) * (1.0 + eta) ** 2
     lower = np.where(trusted, np.maximum(pivot, sandwich), pivot)

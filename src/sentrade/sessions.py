@@ -1,5 +1,6 @@
 """Sessions of one traded instrument from raw price ticks and half-hour sentiment buckets.
 
+``build_sessions`` turns the ticks and buckets into a series in one call.
 Each trading day yields one Day session clipped a configurable number of
 minutes inside the market open/close; the gap to the next trading day
 (weekends and holidays included) yields one Night session carrying the
@@ -308,17 +309,6 @@ class MarketCalendar:
         return datetime.combine(day, self.market_close, tzinfo=self.tzinfo).astimezone(UTC)
 
 
-@dataclass(frozen=True)
-class DayPrices:
-    """Effective open/close of one trading day, sampled inside market hours."""
-
-    day: date
-    open_time: datetime
-    close_time: datetime
-    open_price: float
-    close_price: float
-
-
 def _read_csv(
     stream: IO[str],
     header: Sequence[str],
@@ -384,33 +374,36 @@ def check_offset_minutes(offset_minutes: int) -> None:
         raise ConfigError(f"offset_minutes: must lie in [0, 1440), got {offset_minutes}")
 
 
-def session_prices(
+def build_sessions(
     ticks: Sequence[PriceTick],
+    buckets: Iterable[SentimentBucket],
     calendar: MarketCalendar,
     offset_minutes: int = 30,
-) -> list[DayPrices]:
-    """Sample the effective open and close price of every covered trading day.
+) -> SessionSeries:
+    """Sample each trading day's prices from the ticks, alternate Day and Night
+    sessions, and bin the sentiment counts into them.
 
-    The effective open is the latest tick at or before market open plus the
-    offset, the effective close the latest tick at or before market close
-    minus the offset; only ticks inside that day's market hours are
-    eligible.  Days where either instant has no eligible tick are dropped
-    with a warning; a run of trading days without any tick gets one warning.
-    A tick whose local date or sampling instants fall outside years 1-9999
-    is a DataError.
+    A Day runs from market open plus the offset to market close minus it.
+    Its open and close prices are the latest ticks at or before those
+    instants, and only ticks inside that day's market hours are eligible.
+    A day where either instant has no eligible tick is dropped with a
+    warning, and a run of trading days without any tick gets one warning.
+    A Night runs from one Day's close to the next Day's open and takes
+    their prices, so weekend and holiday gaps become one long Night.  A
+    tick whose local date or sampling instants fall outside years 1-9999
+    is a DataError, as are fewer than 2 sampled days.  Buckets outside the
+    covered range are discarded with a warning.
     """
     check_offset_minutes(offset_minutes)
-    if not ticks:
-        return []
     ordered = sorted(ticks, key=lambda t: t.timestamp)
     times = [t.timestamp for t in ordered]
     offset = timedelta(minutes=offset_minutes)
 
-    def latest_at_or_before(lower: datetime, instant: datetime) -> PriceTick | None:
+    def latest_at_or_before(lower: datetime, instant: datetime) -> float | None:
         position = bisect_right(times, instant) - 1
         if position < 0 or times[position] < lower:
             return None
-        return ordered[position]
+        return ordered[position].price
 
     # An eligible tick lies inside its own local day's market hours, so only
     # the local dates that hold a tick can yield prices.
@@ -428,7 +421,7 @@ def session_prices(
             raise out_of_range(tick) from None
     tick_days = sorted(first_ticks)
     holidays = np.array(sorted(calendar.holidays), dtype="datetime64[D]")
-    days: list[DayPrices] = []
+    spans = []  # (kind, open time, close time, open price, close price)
     for previous, day in zip([None, *tick_days], tick_days):
         if previous is not None:
             skipped = int(np.busday_count(previous + timedelta(days=1), day, holidays=holidays))
@@ -445,42 +438,16 @@ def session_prices(
             raise out_of_range(first_ticks[day]) from None
         if not open_instant < close_instant:
             raise ConfigError(f"offset_minutes: {offset_minutes} leaves no session on {day}")
-        open_tick = latest_at_or_before(market_open, open_instant)
-        close_tick = latest_at_or_before(market_open, close_instant)
-        if open_tick is None or close_tick is None:
+        open_price = latest_at_or_before(market_open, open_instant)
+        close_price = latest_at_or_before(market_open, close_instant)
+        if open_price is None or close_price is None:
             log.warning("%s: no tick at or before the sampling instant; day dropped", day)
-        else:
-            days.append(
-                DayPrices(day, open_instant, close_instant, open_tick.price, close_tick.price)
-            )
-    return days
-
-
-def build_sessions(
-    daily_prices: Sequence[DayPrices],
-    buckets: Iterable[SentimentBucket],
-    calendar: MarketCalendar,
-) -> SessionSeries:
-    """Assemble the alternating Day/Night series and bin sentiment counts.
-
-    Night sessions inherit the previous close and next open price, so
-    consecutive sessions always share their boundary price; weekend and
-    holiday gaps become one long Night.  Buckets outside the covered range
-    are discarded with a warning.
-    """
-    if len(daily_prices) < 2:
-        raise DataError(f"need at least 2 trading days, got {len(daily_prices)}")
-    ordered = sorted(daily_prices, key=lambda d: d.day)
-    for dp in ordered:
-        if not calendar.is_trading_day(dp.day):
-            raise DataError(f"{dp.day} is not a trading day in the supplied calendar")
-
-    spans = []
-    for previous, dp in zip([None, *ordered], ordered):
-        if previous is not None:
-            spans.append((SessionKind.NIGHT, previous.close_time, dp.open_time,
-                          previous.close_price, dp.open_price))
-        spans.append((SessionKind.DAY, dp.open_time, dp.close_time, dp.open_price, dp.close_price))
+            continue
+        if spans:
+            spans.append((SessionKind.NIGHT, spans[-1][2], open_instant, spans[-1][4], open_price))
+        spans.append((SessionKind.DAY, open_instant, close_instant, open_price, close_price))
+    if len(spans) < 3:
+        raise DataError(f"need at least 2 trading days, got {(len(spans) + 1) // 2}")
 
     opens = [span[1] for span in spans]
     last_close = spans[-1][2]

@@ -12,7 +12,7 @@ from sentrade.adaptive import PipelineParams, TfwEngine
 from sentrade.backtest import simulate, split_point
 from sentrade.config import format_params, parse_config, parse_params_file
 from sentrade.errors import ConfigError
-from sentrade.sessions import MarketCalendar, session_prices
+from sentrade.sessions import MarketCalendar, build_sessions
 
 
 def same_rule_elsewhere(kwargs):
@@ -30,7 +30,7 @@ def same_rule_elsewhere(kwargs):
         calls.append(lambda: simulate([], [], kwargs["cost_per_trade"]))
     if "offset_minutes" in kwargs:
         calendar = MarketCalendar("America/New_York", time(9, 30), time(16, 0))
-        calls.append(lambda: session_prices([], calendar, kwargs["offset_minutes"]))
+        calls.append(lambda: build_sessions([], [], calendar, kwargs["offset_minutes"]))
     return calls
 
 

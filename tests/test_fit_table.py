@@ -258,12 +258,13 @@ def test_flat_pos_makes_its_supersets_rank_deficient():
     has_pos = np.array([Variable.P1 in c.variables for c in CANDIDATES])
     assert not rank_ok[:, :, has_pos].any()
     assert rank_ok[:, :, ~has_pos].all()
-    # P1 is rank-deficient in every cell, so no node containing it is swept.
+    # The intercept's node already holds P1's pivot, which settles P1 in every
+    # cell, so no node containing it is swept, P1 alone included.
     L = _regressors(series, False)
     for t_cell, w_cell in chunks(range(26, 61), range(20, 25)):
         cross, x_next = _cross_products(L, series.returns_array, t_cell, w_cell)
         swept = np.concatenate([members for members, _, _ in _swept_fits(cross, x_next, w_cell)])
-        assert [CANDIDATES[c].variables for c in swept if has_pos[c]] == [(Variable.P1,)]
+        assert not has_pos[swept].any()
 
 
 def count_eigensolves(monkeypatch) -> list[int]:
@@ -352,6 +353,54 @@ def test_rank_bounds_hold(series, sessions, windows, normalize):
     deficient = (rank_ok == 0) & (solved == 0)
     assert (cond2[deficient] > CONDITION_LIMIT).all()
     assert (cond2[(rank_ok == 1) & (solved == 0)] < CONDITION_LIMIT).all()
+
+
+def test_rank_bounds_follow_their_derivation():
+    """On hand-built inputs whose eta is at least 1e-2, the lower and upper
+    bounds on cond^2 equal the expressions derived above ``_error_bounds``:
+    the pivot bound 1 / (m (max(f, 0) + 2 m delta)), the sandwich widened by
+    (1 - 2 eta) and (1 + eta)^2, and the pivot bound alone, with no upper
+    bound, where f <= 0 or m tau delta >= 1.  The cells are one where the
+    pivot bound is the lower bound (f near zero), one where the sandwich is,
+    and one of each untrusted kind."""
+    m, w, eps = 3, 40, np.finfo(float).eps
+    delta = (w + 3 + 16 * m) * eps
+    tau = 0.02 / (m * delta)  # m tau delta = 0.02, so eta is about 0.0204
+    cells = [  # (floor, S^-1 diagonal, scales)
+        (1e-15, [1.0, 1.0, tau - 2.0], [1.0, 1.0, 1.0]),
+        (1e-12, [1.0, 1.0, tau - 2.0], [1.0, 0.5, 2.0]),
+        (-1e-13, [1.0, 1.0, 1e6], [1.0, 0.5, 2.0]),
+        (1e-12, [1.0, 1.0, 75.0 * tau], [1.0, 0.5, 2.0]),  # m tau delta = 1.5
+    ]
+    expected, pivot_wins = [], []
+    for floor, diagonal, scales in cells:
+        growth = m * sum(diagonal) * delta
+        pivot = 1.0 / (m * (max(floor, 0.0) + 2 * m * delta))
+        if floor > 0 and growth < 1:
+            eta = growth / (1.0 - growth)
+            assert eta >= 1e-2
+            gram = [s**-2 for s in scales]
+            inverse = [g * s**2 for g, s in zip(diagonal, scales)]
+            sandwich = max(gram) * max(inverse) * (1.0 - 2.0 * eta)
+            expected.append((max(pivot, sandwich), sum(gram) * sum(inverse) * (1.0 + eta) ** 2))
+            pivot_wins.append(pivot > sandwich)
+        else:
+            expected.append((pivot, math.inf))
+    assert pivot_wins == [True, False]
+
+    def stacked(values):  # (members = 1, ..., cells)
+        return np.moveaxis(np.asarray(values, dtype=float), 0, -1)[None]
+
+    floor, diagonal, scales = (stacked(part) for part in zip(*cells))
+    beta = np.ones_like(diagonal)
+    S_inv = np.einsum("nic,ij->nijc", diagonal, np.eye(m))
+    with np.errstate(all="ignore"):
+        *_, lower, upper = model_space._error_bounds(
+            S_inv, diagonal, beta, beta, beta[:, 1:], beta, np.ones_like(floor),
+            np.full(len(cells), w), scales, floor,
+        )
+    np.testing.assert_allclose(lower[0], [low for low, _ in expected], rtol=1e-13)
+    np.testing.assert_allclose(upper[0], [high for _, high in expected], rtol=1e-13)
 
 
 def test_table_build_memory_stays_bounded():

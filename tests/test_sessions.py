@@ -28,7 +28,6 @@ from sentrade.sessions import (
     parse_ticks,
     parse_utc,
     read_sessions_csv,
-    session_prices,
     write_sessions_csv,
 )
 from sentrade.synth import SyntheticScenario, generate
@@ -42,13 +41,33 @@ def utc(text: str) -> datetime:
     return parse_utc(text)
 
 
+def ny(day: str, wall: str) -> datetime:
+    """The UTC instant of a New York wall-clock time on the given ISO date."""
+    local = datetime.fromisoformat(f"{day}T{wall}").replace(tzinfo=CALENDAR.tzinfo)
+    return local.astimezone(UTC)
+
+
 def ny_ticks(day: str, *pairs) -> list[PriceTick]:
     """Ticks at New York wall-clock times on the given ISO date."""
-    ticks = []
-    for wall, price in pairs:
-        local = datetime.fromisoformat(f"{day}T{wall}").replace(tzinfo=CALENDAR.tzinfo)
-        ticks.append(PriceTick(local.astimezone(UTC), price))
-    return ticks
+    return [PriceTick(ny(day, wall), price) for wall, price in pairs]
+
+
+def plain_day(day: str = "2012-06-19") -> list[PriceTick]:
+    """Ticks at both default sampling instants of one trading day."""
+    return ny_ticks(day, ("10:00", 103.0), ("15:30", 104.0))
+
+
+def first_day(ticks: list[PriceTick]) -> Session:
+    """The first Day session built from the ticks plus a plain trading day after them."""
+    series = build_sessions(ticks + plain_day(), [], CALENDAR)
+    assert [s.kind.value for s in series.sessions] == ["day", "night", "day"]
+    return series.sessions[0]
+
+
+def day_dates(series: SessionSeries) -> list[date]:
+    """The New York dates of the series' Day sessions."""
+    return [s.open_time.astimezone(CALENDAR.tzinfo).date()
+            for s in series.sessions if s.kind is SessionKind.DAY]
 
 
 class TestParseUtc:
@@ -282,41 +301,46 @@ class TestMarketCalendar:
 
 
 class TestSessionPrices:
+    """How ``build_sessions`` samples each trading day's open and close price."""
+
     def test_ticks_exactly_at_offsets(self):
-        ticks = ny_ticks("2012-06-18", ("10:00", 100.0), ("15:30", 102.0))
-        days = session_prices(ticks, CALENDAR)
-        assert len(days) == 1
-        day = days[0]
+        day = first_day(ny_ticks("2012-06-18", ("10:00", 100.0), ("15:30", 102.0)))
         assert day.open_price == 100.0
         assert day.close_price == 102.0
-        assert day.open_time == ny_ticks("2012-06-18", ("10:00", 1))[0].timestamp
-        assert day.close_time == ny_ticks("2012-06-18", ("15:30", 1))[0].timestamp
+        assert day.open_time == ny("2012-06-18", "10:00")
+        assert day.close_time == ny("2012-06-18", "15:30")
 
     def test_latest_at_or_before_rule(self):
         ticks = ny_ticks("2012-06-18", ("09:59", 99.0), ("10:01", 101.0), ("15:30", 100.0))
-        days = session_prices(ticks, CALENDAR)
-        assert days[0].open_price == 99.0
+        assert first_day(ticks).open_price == 99.0
 
     def test_tick_before_market_open_not_eligible(self, caplog):
-        ticks = ny_ticks("2012-06-18", ("09:00", 98.0))
+        """The day is dropped with a warning, and the two-day rule counts the
+        days left after sampling."""
+        ticks = ny_ticks("2012-06-18", ("09:00", 98.0)) + plain_day()
         with caplog.at_level(logging.WARNING, logger="sentrade.sessions"):
-            days = session_prices(ticks, CALENDAR)
-        assert days == []
-        assert "dropped" in caplog.text
+            series = build_sessions(ticks + plain_day("2012-06-20"), [], CALENDAR)
+            with pytest.raises(DataError, match="^need at least 2 trading days, got 1$"):
+                build_sessions(ticks, [], CALENDAR)
+        assert day_dates(series) == [date(2012, 6, 19), date(2012, 6, 20)]
+        dropped = "2012-06-18: no tick at or before the sampling instant; day dropped"
+        assert caplog.text.count(dropped) == 2
 
     def test_carry_forward_within_day(self):
         # One tick right after the open serves both sampling instants.
-        ticks = ny_ticks("2012-06-18", ("09:45", 97.0))
-        days = session_prices(ticks, CALENDAR)
-        assert days[0].open_price == 97.0
-        assert days[0].close_price == 97.0
+        day = first_day(ny_ticks("2012-06-18", ("09:45", 97.0)))
+        assert day.open_price == 97.0
+        assert day.close_price == 97.0
 
-    def test_weekend_days_skipped(self):
-        ticks = ny_ticks("2012-06-15", ("10:00", 1.0), ("15:30", 2.0)) + ny_ticks(
-            "2012-06-18", ("10:00", 3.0), ("15:30", 4.0)
-        )
-        days = session_prices(ticks, CALENDAR)
-        assert [d.day for d in days] == [date(2012, 6, 15), date(2012, 6, 18)]
+    def test_weekend_days_skipped(self, caplog):
+        """Weekend days are skipped, a tick on one too, without a warning."""
+        ticks = (ny_ticks("2012-06-15", ("10:00", 1.0), ("15:30", 2.0))
+                 + ny_ticks("2012-06-16", ("12:00", 5.0))
+                 + ny_ticks("2012-06-18", ("10:00", 3.0), ("15:30", 4.0)))
+        with caplog.at_level(logging.WARNING, logger="sentrade.sessions"):
+            series = build_sessions(ticks, [], CALENDAR)
+        assert caplog.records == []
+        assert day_dates(series) == [date(2012, 6, 15), date(2012, 6, 18)]
 
     def test_far_tick_walks_only_days_with_ticks(self, caplog):
         """A stray tick at the end of the calendar costs one warning for the
@@ -326,9 +350,9 @@ class TestSessionPrices:
                 "9999-12-31T15:00:00Z,103.0\n")
         started = perf_counter()
         with caplog.at_level(logging.WARNING, logger="sentrade.sessions"):
-            days = session_prices(parse_ticks(io.StringIO(text)), CALENDAR)
+            series = build_sessions(parse_ticks(io.StringIO(text)), [], CALENDAR)
         assert perf_counter() - started < 1.0
-        assert [d.day for d in days] == [date(2012, 6, 18), date(2012, 6, 19), date(9999, 12, 31)]
+        assert day_dates(series) == [date(2012, 6, 18), date(2012, 6, 19), date(9999, 12, 31)]
         assert len(caplog.records) == 1
         assert "between 2012-06-19 and 9999-12-31 hold no tick" in caplog.text
 
@@ -344,24 +368,23 @@ class TestSessionPrices:
     def test_session_outside_years_1_to_9999_is_a_data_error(self, zone, opens, stamp, offset):
         calendar = MarketCalendar(zone, opens, time(16, 0))
         with pytest.raises(DataError, match=f"tick {stamp[:19]}.*outside years 1-9999"):
-            session_prices([PriceTick(utc(stamp), 100.0)], calendar, offset)
+            build_sessions([PriceTick(utc(stamp), 100.0)], [], calendar, offset)
 
     def test_offset_swallowing_whole_day_rejected(self):
-        ticks = ny_ticks("2012-06-18", ("10:00", 1.0))
-        with pytest.raises(ConfigError, match="offset_minutes"):
-            session_prices(ticks, CALENDAR, offset_minutes=300)
+        ticks = ny_ticks("2012-06-18", ("10:00", 1.0)) + plain_day()
+        message = "^offset_minutes: 300 leaves no session on 2012-06-18$"
+        with pytest.raises(ConfigError, match=message):
+            build_sessions(ticks, [], CALENDAR, offset_minutes=300)
 
-
-def two_day_prices():
-    ticks = ny_ticks("2012-06-18", ("10:00", 100.0), ("15:30", 101.0)) + ny_ticks(
-        "2012-06-19", ("10:00", 103.0), ("15:30", 104.0)
-    )
-    return session_prices(ticks, CALENDAR)
+    def test_offset_is_checked_before_the_ticks(self):
+        message = r"^offset_minutes: must lie in \[0, 1440\), got -5$"
+        with pytest.raises(ConfigError, match=message):
+            build_sessions([], [], CALENDAR, -5)
 
 
 class TestBuildSessions:
     def test_two_days_three_sessions(self):
-        series = build_sessions(two_day_prices(), [], CALENDAR)
+        series = build_sessions(two_day_ticks(), [], CALENDAR)
         kinds = [s.kind for s in series.sessions]
         assert kinds == [SessionKind.DAY, SessionKind.NIGHT, SessionKind.DAY]
         night = series.sessions[1]
@@ -372,7 +395,7 @@ class TestBuildSessions:
         ticks = ny_ticks("2012-06-15", ("10:00", 99.0), ("15:30", 100.0)) + ny_ticks(
             "2012-06-18", ("10:00", 103.0), ("15:30", 104.0)
         )
-        series = build_sessions(session_prices(ticks, CALENDAR), [], CALENDAR)
+        series = build_sessions(ticks, [], CALENDAR)
         assert len(series) == 3
         night = series.sessions[1]
         assert night.kind is SessionKind.NIGHT
@@ -382,51 +405,48 @@ class TestBuildSessions:
 
     def test_single_day_rejected(self):
         ticks = ny_ticks("2012-06-18", ("10:00", 1.0), ("15:30", 2.0))
-        with pytest.raises(DataError, match="at least 2"):
-            build_sessions(session_prices(ticks, CALENDAR), [], CALENDAR)
+        with pytest.raises(DataError, match="^need at least 2 trading days, got 1$"):
+            build_sessions(ticks, [], CALENDAR)
 
     def test_bucket_binning_half_open(self):
-        daily = two_day_prices()
-        day_close = daily[0].close_time
+        day_close = ny("2012-06-18", "15:30")
         buckets = [
             SentimentBucket(day_close - timedelta(minutes=30), 1, 0, 0),
             SentimentBucket(day_close, 0, 2, 0),  # boundary goes to the night
         ]
-        series = build_sessions(daily, buckets, CALENDAR)
+        series = build_sessions(two_day_ticks(), buckets, CALENDAR)
+        assert series.sessions[0].close_time == day_close
         assert series.sessions[0].pos == 1
         assert series.sessions[0].neg == 0
         assert series.sessions[1].neg == 2
 
     def test_out_of_range_buckets_discarded(self, caplog):
-        daily = two_day_prices()
         buckets = [
-            SentimentBucket(daily[0].open_time - timedelta(hours=1), 5, 5, 5),
-            SentimentBucket(daily[1].close_time, 7, 7, 7),
+            SentimentBucket(ny("2012-06-18", "10:00") - timedelta(hours=1), 5, 5, 5),
+            SentimentBucket(ny("2012-06-19", "15:30"), 7, 7, 7),
         ]
         with caplog.at_level(logging.WARNING, logger="sentrade.sessions"):
-            series = build_sessions(daily, buckets, CALENDAR)
+            series = build_sessions(two_day_ticks(), buckets, CALENDAR)
         assert sum(s.pos + s.neg + s.neu for s in series.sessions) == 0
-        assert "discarded" in caplog.text
+        assert "2 sentiment bucket(s) outside the session range discarded" in caplog.text
 
     def test_count_conservation(self):
-        daily = two_day_prices()
-        start = daily[0].open_time
+        start = ny("2012-06-18", "10:00")
         buckets = [
             SentimentBucket(start + timedelta(minutes=30 * i), i, 2 * i, 3 * i)
             for i in range(40)
-            if start + timedelta(minutes=30 * i) < daily[1].close_time
+            if start + timedelta(minutes=30 * i) < ny("2012-06-19", "15:30")
         ]
-        series = build_sessions(daily, buckets, CALENDAR)
+        series = build_sessions(two_day_ticks(), buckets, CALENDAR)
         assert sum(s.pos for s in series.sessions) == sum(b.positive for b in buckets)
         assert sum(s.neg for s in series.sessions) == sum(b.negative for b in buckets)
         assert sum(s.neu for s in series.sessions) == sum(b.neutral for b in buckets)
 
     def test_summed_count_over_cap_rejected(self):
-        daily = two_day_prices()
-        start = daily[0].open_time
+        start = ny("2012-06-18", "10:00")
         buckets = [SentimentBucket(start, 2**52, 0, 0), SentimentBucket(start, 2**52 + 1, 0, 0)]
         with pytest.raises(DataError, match="session 0: pos count must be non-negative and at"):
-            build_sessions(daily, buckets, CALENDAR)
+            build_sessions(two_day_ticks(), buckets, CALENDAR)
 
     def test_holiday_merges_sessions(self):
         def build(holidays):
@@ -436,7 +456,7 @@ class TestBuildSessions:
             ticks = []
             for day in ("2012-06-18", "2012-06-19", "2012-06-20"):
                 ticks += ny_ticks(day, ("10:00", 100.0), ("15:30", 100.0))
-            return build_sessions(session_prices(ticks, calendar), [], calendar)
+            return build_sessions(ticks, [], calendar)
 
         plain = build([])
         holiday = build([date(2012, 6, 19)])
@@ -445,9 +465,13 @@ class TestBuildSessions:
         assert len(plain) - len(holiday) == 2  # one day and one night collapsed
 
 
+def two_day_ticks():
+    return ny_ticks("2012-06-18", ("10:00", 100.0), ("15:30", 101.0)) + plain_day()
+
+
 class TestSessionSeriesValidation:
     def test_alternation_enforced(self):
-        series = build_sessions(two_day_prices(), [], CALENDAR)
+        series = build_sessions(two_day_ticks(), [], CALENDAR)
         broken = list(series.sessions)
         broken[1] = Session(
             index=1,
@@ -464,7 +488,7 @@ class TestSessionSeriesValidation:
             SessionSeries(tuple(broken))
 
     def test_boundary_price_mismatch_rejected(self):
-        series = build_sessions(two_day_prices(), [], CALENDAR)
+        series = build_sessions(two_day_ticks(), [], CALENDAR)
         broken = list(series.sessions)
         s = broken[1]
         broken[1] = Session(
@@ -491,7 +515,7 @@ class TestComputeReturns:
         ticks = ny_ticks("2012-06-18", ("10:00", open_price), ("15:30", close_price)) + ny_ticks(
             "2012-06-19", ("10:00", close_price), ("15:30", close_price)
         )
-        series = build_sessions(session_prices(ticks, CALENDAR), [], CALENDAR)
+        series = build_sessions(ticks, [], CALENDAR)
         assert series.returns[0] == pytest.approx(expected, abs=1e-15)
 
     def test_return_identity(self, series_b):
@@ -524,7 +548,7 @@ class TestSessionsCsv:
         assert parsed.sessions == series_b.sessions
 
     def test_comments_skipped(self):
-        series = build_sessions(two_day_prices(), [], CALENDAR)
+        series = build_sessions(two_day_ticks(), [], CALENDAR)
         buffer = io.StringIO()
         write_sessions_csv(series, buffer, comments=["generated for a test"])
         text = buffer.getvalue()
@@ -536,7 +560,7 @@ class TestSessionsCsv:
         calendar = MarketCalendar("UTC", time(10, 0), time(16, 0))
         ticks = [PriceTick(datetime(1, 1, day, hour, tzinfo=UTC), 100.0 + day + hour / 100)
                  for day in (1, 2) for hour in (10, 15)]
-        series = build_sessions(session_prices(ticks, calendar), [], calendar)
+        series = build_sessions(ticks, [], calendar)
         buffer = io.StringIO()
         write_sessions_csv(series, buffer)
         assert "0,day,0001-01-01T10:30:00Z,0001-01-01T15:30:00Z," in buffer.getvalue()
@@ -747,8 +771,7 @@ class TestMutatedTickAndBucketCsv:
         except DataError:
             return
         try:
-            daily = session_prices(loaded_ticks, CALENDAR)
-            series = build_sessions(daily, loaded_buckets, CALENDAR)
+            series = build_sessions(loaded_ticks, loaded_buckets, CALENDAR)
         except DataError as exc:
             message = str(exc)
             assert "|return| must be finite" in message or "count must be non-negative" in message
