@@ -31,7 +31,7 @@ from .backtest import (
     simulate,
     train_params,
 )
-from .config import parse_config
+from .config import parse_calendar, parse_config
 from .errors import ConfigError, DataError, SentradeError
 from .model_space import (
     CANDIDATES,

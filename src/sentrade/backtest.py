@@ -104,6 +104,7 @@ def simulate(
     cost_per_trade: float = 0.0,
 ) -> TradeLedger:
     """Trade the prediction series against its aligned session returns."""
+    returns = [float(r) for r in returns]  # a numpy scalar would reach the report as its repr
     if len(records) != len(returns):
         raise DataError(f"{len(records)} records but {len(returns)} returns")
     check_cost_per_trade(cost_per_trade)
@@ -177,7 +178,9 @@ def train_params(
             f"training span of {split} session(s) cannot warm up tfw_max="
             f"{params.tfw_max}; need at least {t0 + 1}"
         )
-    points = [(b, g) for b in GRID_VALUES for g in GRID_VALUES] if grid is None else list(grid)
+    if grid is None:
+        grid = [(b, g) for b in GRID_VALUES for g in GRID_VALUES]
+    points = [(float(b), float(g)) for b, g in grid]  # numpy scalars would reach the files
     if not points:
         raise ConfigError("grid must contain at least one (beta, gamma) point")
     for beta, gamma in points:

@@ -19,11 +19,10 @@ from .backtest import (
     write_report_csv,
     write_training_csv,
 )
-from .config import format_params, parse_config, parse_params_file
+from .config import format_params, parse_calendar, parse_config, parse_params_file
 from .errors import ConfigError, DataError
 from .model_space import fit_window
 from .sessions import (
-    MarketCalendar,
     SessionSeries,
     build_sessions,
     parse_buckets,
@@ -98,10 +97,15 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _open_input(path: str) -> IO[str]:
+    """An input file as UTF-8 text; a leading byte-order mark is dropped."""
+    return open(path, encoding="utf-8-sig", newline="")
+
+
 def _read_setting(path: str, what: str) -> str:
     """The text of a config, params or calendar file; these are configuration (exit 1)."""
     try:
-        with open(path, encoding="utf-8") as handle:
+        with _open_input(path) as handle:
             return handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {what}: {exc}") from None
@@ -112,7 +116,7 @@ def _load_config(path: str | None) -> PipelineParams:
 
 
 def _load_series(path: str):
-    with open(path, encoding="utf-8", newline="") as handle:
+    with _open_input(path) as handle:
         return read_sessions_csv(handle)
 
 
@@ -122,10 +126,10 @@ def _open_out(path: str) -> IO[str]:
 
 def cmd_aggregate(args: argparse.Namespace) -> int:
     params = _load_config(args.config)
-    calendar = MarketCalendar.from_config(_read_setting(args.calendar, "calendar"))
-    with open(args.prices, encoding="utf-8", newline="") as handle:
+    calendar = parse_calendar(_read_setting(args.calendar, "calendar"))
+    with _open_input(args.prices) as handle:
         ticks = parse_ticks(handle)
-    with open(args.sentiment, encoding="utf-8", newline="") as handle:
+    with _open_input(args.sentiment) as handle:
         buckets = parse_buckets(handle)
     series = build_sessions(ticks, buckets, calendar, params.offset_minutes)
     out_path = f"{args.out}sessions.csv"

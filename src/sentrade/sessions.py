@@ -7,6 +7,9 @@ minutes inside the market open/close; the gap to the next trading day
 overnight price change.  Sentiment counts are binned into sessions by
 half-open [open, close) membership, and every session's simple return is
 (close - open) / open.
+
+``config.parse_calendar`` reads a ``MarketCalendar`` from its settings
+file; this module does not know that format.
 """
 
 from __future__ import annotations
@@ -206,44 +209,13 @@ class SessionSeries:
         return L
 
 
-def parse_key_values(
-    text: str,
-    what: str,
-    allowed: Iterable[str],
-    required: Iterable[str] = (),
-) -> dict[str, tuple[int, str]]:
-    """Parse ``key = value`` lines into ``{key: (line number, raw value)}``.
-
-    Blank lines and ``#`` comments are skipped.  A line without ``=``, a key
-    outside ``allowed``, a repeated key and a missing ``required`` key are
-    ConfigErrors that start with ``what`` and, where there is one, the line.
-    """
-    values: dict[str, tuple[int, str]] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise ConfigError(f"{what} line {lineno}: expected 'key = value'")
-        key, _, raw = stripped.partition("=")
-        key = key.strip()
-        if key not in allowed:
-            raise ConfigError(f"{what} line {lineno}: unknown key {key!r}")
-        if key in values:
-            raise ConfigError(f"{what} line {lineno}: duplicate key {key!r}")
-        values[key] = (lineno, raw.strip())
-    for key in required:
-        if key not in values:
-            raise ConfigError(f"{what}: missing required key {key!r}")
-    return values
-
-
 @dataclass(frozen=True)
 class MarketCalendar:
     """Monday-to-Friday market hours in a local timezone, plus holiday closures.
 
     Every trading day opens at ``market_open`` and closes at
     ``market_close`` local wall time; weekends and holidays never trade.
+    numpy's business-day calls over ``holiday_dates`` apply that rule.
     """
 
     timezone: str
@@ -264,43 +236,13 @@ class MarketCalendar:
         except Exception as exc:  # zoneinfo raises several lookup error types
             raise ConfigError(f"timezone: unknown zone {self.timezone!r}") from exc
 
-    @classmethod
-    def from_config(cls, text: str) -> "MarketCalendar":
-        """Parse the plain-text calendar format.
-
-        Keys: ``timezone``, ``open``, ``close`` (HH:MM wall times), and an
-        optional ``holidays`` list of comma-separated ISO dates.  Unknown
-        keys are rejected.
-        """
-        pairs = parse_key_values(
-            text,
-            "calendar",
-            ("timezone", "open", "close", "holidays"),
-            required=("timezone", "open", "close"),
-        )
-        values = {key: raw for key, (_, raw) in pairs.items()}
-
-        def parse_wall_time(key: str) -> time:
-            try:
-                return datetime.strptime(values[key], "%H:%M").time()
-            except ValueError as exc:
-                raise ConfigError(f"calendar: {key} must be HH:MM, got {values[key]!r}") from exc
-
-        holidays: set[date] = set()
-        for piece in values.get("holidays", "").split(","):
-            piece = piece.strip()
-            if not piece:
-                continue
-            try:
-                holidays.add(date.fromisoformat(piece))
-            except ValueError as exc:
-                raise ConfigError(f"calendar: bad holiday date {piece!r}") from exc
-        return cls(
-            values["timezone"], parse_wall_time("open"), parse_wall_time("close"), frozenset(holidays)
-        )
+    @cached_property
+    def holiday_dates(self) -> np.ndarray:
+        """The holidays as sorted ``datetime64[D]``, numpy's business-day form of them."""
+        return np.array(sorted(self.holidays), dtype="datetime64[D]")
 
     def is_trading_day(self, day: date) -> bool:
-        return day.weekday() < 5 and day not in self.holidays
+        return bool(np.is_busday(day, holidays=self.holiday_dates))
 
     def market_open_utc(self, day: date) -> datetime:
         return datetime.combine(day, self.market_open, tzinfo=self.tzinfo).astimezone(UTC)
@@ -420,11 +362,11 @@ def build_sessions(
         except OverflowError:
             raise out_of_range(tick) from None
     tick_days = sorted(first_ticks)
-    holidays = np.array(sorted(calendar.holidays), dtype="datetime64[D]")
     spans = []  # (kind, open time, close time, open price, close price)
     for previous, day in zip([None, *tick_days], tick_days):
         if previous is not None:
-            skipped = int(np.busday_count(previous + timedelta(days=1), day, holidays=holidays))
+            skipped = int(np.busday_count(previous + timedelta(days=1), day,
+                                          holidays=calendar.holiday_dates))
             if skipped:
                 log.warning("%d trading day(s) between %s and %s hold no tick; dropped",
                             skipped, previous, day)

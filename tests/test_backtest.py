@@ -7,6 +7,7 @@ import math
 import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -31,6 +32,7 @@ from sentrade.backtest import (
     write_report_csv,
     write_training_csv,
 )
+from sentrade.config import format_params, parse_params_file
 from sentrade.errors import ConfigError, DataError
 from sentrade.model_space import FitTable, ModelClass, fit_window, votes
 from sentrade.synth import SyntheticScenario, generate
@@ -477,3 +479,28 @@ class TestCsvWriters:
         assert lines[0] == ",".join(TRAINING_HEADER)
         parsed = [tuple(float(v) for v in line.split(",")) for line in lines[1:]]
         assert tuple(parsed) == result.grid
+
+    def test_numpy_grid_writes_files_that_read_back(self):
+        series = make_series([0.01, -0.01] * 60)
+        grid = [(0.4, 0.1), (0.5, 0.2)]
+        written = []
+        for points in (grid, np.array(grid)):
+            result = train_params(series, BASE, grid=points, fit_fn=abstain_fit)
+            buffer = io.StringIO()
+            write_training_csv(result, buffer)
+            written.append((buffer.getvalue(), format_params(result.beta, result.gamma)))
+        assert written[1] == written[0]
+        training, params = written[1]
+        rows = [tuple(map(float, line.split(","))) for line in training.splitlines()[1:]]
+        assert rows == [(0.4, 0.1, 0.0), (0.5, 0.2, 0.0)]
+        assert parse_params_file(params) == (0.4, 0.1)
+
+    def test_numpy_returns_write_the_same_report(self):
+        returns = [0.01, -0.02, 0.03]
+        records = [rec(5, 1, 0.01), rec(6, -1, -0.02), rec(7, None, 0.03)]
+        written = []
+        for values in (returns, np.array(returns)):
+            buffer = io.StringIO()
+            write_report_csv(simulate(records, values), buffer)
+            written.append(buffer.getvalue())
+        assert written[1] == written[0]

@@ -17,6 +17,8 @@ open = 09:30
 close = 16:00
 """
 
+BOM = "\ufeff".encode("utf-8")
+
 # tfw small enough that sixty synthetic sessions train and evaluate quickly
 CONFIG = """
 tfw_min = 10
@@ -237,6 +239,25 @@ class TestAggregateCommand:
         )
         assert code == 1
         assert "offset_minutes: must lie in [0, 1440)" in capsys.readouterr().err
+
+    def test_byte_order_marks_change_nothing(self, workspace):
+        write_week_inputs(workspace)
+        for name in ("ticks.csv", "buckets.csv", "calendar.txt"):
+            (workspace / f"bom_{name}").write_bytes(BOM + (workspace / name).read_bytes())
+
+        def aggregate(prefix):
+            assert main(
+                [
+                    "aggregate",
+                    "--prices", str(workspace / f"{prefix}ticks.csv"),
+                    "--sentiment", str(workspace / f"{prefix}buckets.csv"),
+                    "--calendar", str(workspace / f"{prefix}calendar.txt"),
+                    "--out", str(workspace / f"{prefix}agg_"),
+                ]
+            ) == 0
+            return (workspace / f"{prefix}agg_sessions.csv").read_bytes()
+
+        assert aggregate("bom_") == aggregate("")
 
 
 class TestTrainCommand:
@@ -509,6 +530,55 @@ class TestBacktestCommand:
         assert f"line {line}:" in err and message in err
 
 
+# One file of each settings kind, with a comment on line 1.
+SETTINGS_FILES = {
+    "config": "# run settings\ntfw_min = 10\ntfw_max = 12\np_threshold = 0.1\n"
+              "normalize_sentiment = false\nbeta = 0.4\ngamma = 0.0\n",
+    "params": "# trained\nbeta = 0.4\ngamma = 0.0\n",
+    "calendar": "# market\ntimezone = America/New_York\nopen = 09:30\nclose = 16:00\n"
+                "holidays = 2012-07-04\n",
+}
+
+
+class TestSettingsValues:
+    @pytest.mark.parametrize(
+        "what, line, key, raw, expected",
+        [
+            ("config", 2, "tfw_min", "1e3", "an integer"),
+            ("config", 4, "p_threshold", "5%", "a number"),
+            ("config", 5, "normalize_sentiment", "maybe", "true or false"),
+            ("params", 3, "gamma", "high", "a number"),
+            ("calendar", 3, "open", "930", "HH:MM"),
+            ("calendar", 5, "holidays", "2012-07-04, 2012-13-01", "comma-separated ISO dates"),
+        ],
+        ids=["integer", "number", "true-false", "params-number", "wall-time", "iso-dates"],
+    )
+    def test_bad_value_names_file_line_and_key(
+        self, workspace, capsys, what, line, key, raw, expected
+    ):
+        lines = SETTINGS_FILES[what].splitlines()
+        assert lines[line - 1].startswith(f"{key} = ")
+        lines[line - 1] = f"{key} = {raw}"
+        path = workspace / f"bad.{what}"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        write_week_inputs(workspace)
+        sessions = synth_sessions(workspace)
+        capsys.readouterr()
+        out = str(workspace / "out_")
+        command = {
+            "config": ["train", "--sessions", str(sessions), "--config", str(path)],
+            "params": ["backtest", "--sessions", str(sessions), "--config",
+                       str(workspace / "run.cfg"), "--params", str(path)],
+            "calendar": ["aggregate", "--prices", str(workspace / "ticks.csv"),
+                         "--sentiment", str(workspace / "buckets.csv"), "--calendar", str(path)],
+        }[what]
+        assert main([*command, "--out", out]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {what} line {line}: {key}: expected {expected}, got {raw!r}\n"
+        )
+        assert not list(workspace.glob("out_*"))
+
+
 class TestPipelineReproducibility:
     def test_readme_quick_start(self, tmp_path, capsys):
         out = str(tmp_path / "demo_")
@@ -523,26 +593,39 @@ class TestPipelineReproducibility:
             "strategy +1.6966 benchmark -0.2014 optimal +1.8115 trades 139 hit_rate 0.878\n"
         )
 
+    @staticmethod
+    def train_and_backtest(workspace, prefix, sessions, config, threads=1):
+        """The four files a train then backtest run writes, by name."""
+        assert main(
+            ["train", "--sessions", str(sessions), "--config", str(config),
+             "--threads", str(threads), "--out", str(workspace / prefix)]
+        ) == 0
+        assert main(
+            ["backtest", "--sessions", str(sessions), "--config", str(config),
+             "--params", str(workspace / f"{prefix}params.txt"),
+             "--threads", str(threads), "--out", str(workspace / prefix)]
+        ) == 0
+        return {
+            name: (workspace / f"{prefix}{name}").read_bytes()
+            for name in ("training.csv", "params.txt", "predictions.csv", "report.csv")
+        }
+
     def test_train_then_backtest_is_byte_stable(self, workspace, no_threads):
         sessions = synth_sessions(workspace)
-
-        def run(prefix, threads):
-            assert main(
-                ["train", "--sessions", str(sessions), "--config", str(workspace / "run.cfg"),
-                 "--threads", str(threads), "--out", str(workspace / prefix)]
-            ) == 0
-            assert main(
-                ["backtest", "--sessions", str(sessions), "--config", str(workspace / "run.cfg"),
-                 "--params", str(workspace / f"{prefix}params.txt"),
-                 "--threads", str(threads), "--out", str(workspace / prefix)]
-            ) == 0
-            return {
-                name: (workspace / f"{prefix}{name}").read_bytes()
-                for name in ("training.csv", "params.txt", "predictions.csv", "report.csv")
-            }
-
-        first = run("r1_", threads=1)
-        second = run("r2_", threads=1)
-        threaded = run("r4_", threads=4)
+        config = workspace / "run.cfg"
+        first = self.train_and_backtest(workspace, "r1_", sessions, config, threads=1)
+        second = self.train_and_backtest(workspace, "r2_", sessions, config, threads=1)
+        threaded = self.train_and_backtest(workspace, "r4_", sessions, config, threads=4)
         assert first == second
         assert first == threaded
+
+    def test_byte_order_marks_change_nothing(self, workspace):
+        sessions = synth_sessions(workspace)  # its first line is a # comment
+        config = workspace / "run.cfg"
+        for path in (sessions, config):
+            (workspace / f"bom_{path.name}").write_bytes(BOM + path.read_bytes())
+        plain = self.train_and_backtest(workspace, "plain_", sessions, config)
+        marked = self.train_and_backtest(
+            workspace, "bom_", workspace / f"bom_{sessions.name}", workspace / f"bom_{config.name}"
+        )
+        assert marked == plain

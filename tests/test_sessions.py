@@ -14,6 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from sentrade.adaptive import PipelineParams
 from sentrade.backtest import evaluate
+from sentrade.config import parse_calendar
 from sentrade.errors import ConfigError, DataError
 from sentrade.sessions import (
     MarketCalendar,
@@ -255,35 +256,35 @@ class TestMarketCalendar:
             "close = 16:00\n"
             "holidays = 2012-07-04, 2012-12-25\n"
         )
-        calendar = MarketCalendar.from_config(text)
+        calendar = parse_calendar(text)
         assert calendar.is_trading_day(date(2012, 6, 18))
         assert not calendar.is_trading_day(date(2012, 6, 17))  # Sunday
         assert not calendar.is_trading_day(date(2012, 7, 4))
 
     def test_unknown_key(self):
         with pytest.raises(ConfigError, match="unknown key"):
-            MarketCalendar.from_config("timezone = UTC\nopen = 09:30\nclose = 16:00\nfoo = 1\n")
+            parse_calendar("timezone = UTC\nopen = 09:30\nclose = 16:00\nfoo = 1\n")
 
     def test_missing_key(self):
         with pytest.raises(ConfigError, match="missing required key"):
-            MarketCalendar.from_config("timezone = UTC\nopen = 09:30\n")
+            parse_calendar("timezone = UTC\nopen = 09:30\n")
 
     def test_duplicate_key(self):
         with pytest.raises(ConfigError, match="duplicate"):
-            MarketCalendar.from_config("timezone = UTC\ntimezone = UTC\nopen = 09:30\nclose = 16:00\n")
+            parse_calendar("timezone = UTC\ntimezone = UTC\nopen = 09:30\nclose = 16:00\n")
 
     def test_bad_wall_time(self):
         with pytest.raises(ConfigError, match="HH:MM"):
-            MarketCalendar.from_config("timezone = UTC\nopen = 930\nclose = 16:00\n")
+            parse_calendar("timezone = UTC\nopen = 930\nclose = 16:00\n")
 
     def test_unknown_zone(self):
         with pytest.raises(ConfigError, match="timezone"):
-            MarketCalendar.from_config("timezone = Mars/Olympus\nopen = 09:30\nclose = 16:00\n")
+            parse_calendar("timezone = Mars/Olympus\nopen = 09:30\nclose = 16:00\n")
 
     def test_open_after_close(self):
         message = "^calendar: open must precede close, got open = 16:00, close = 09:30$"
         with pytest.raises(ConfigError, match=message):
-            MarketCalendar.from_config("timezone = UTC\nopen = 16:00\nclose = 09:30\n")
+            parse_calendar("timezone = UTC\nopen = 16:00\nclose = 09:30\n")
 
     def test_open_must_precede_close(self):
         with pytest.raises(ConfigError):
