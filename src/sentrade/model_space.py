@@ -340,11 +340,12 @@ def _fit_cells(
     for members, (ok, solved, near_limit, _, _), fit in _swept_fits(cross, x_next, w_cell):
         t_abs, predicted, magnitude, rss, t_error, prediction_error = fit
         df = np.maximum(w_cell - t_abs.shape[1] - 1, 1) - 1
-        doubtful = (
-            ((t_low[df] - t_error <= t_abs) & (t_abs <= t_high[df] + t_error)).any(axis=1)
-            | (np.abs(predicted) <= SIGN_BAND * magnitude + prediction_error)
-            | (rss <= EXACT_FIT_BAND)
-        )
+        with np.errstate(invalid="ignore"):  # t_high + t_error: inf + -inf only where not ok
+            doubtful = (
+                ((t_low[df] - t_error <= t_abs) & (t_abs <= t_high[df] + t_error)).any(axis=1)
+                | (np.abs(predicted) <= SIGN_BAND * magnitude + prediction_error)
+                | (rss <= EXACT_FIT_BAND)
+            )
         unsure |= near_limit | (ok & doubtful).any(axis=0)
         eigensolved += int(np.count_nonzero(solved))
         passed[:, members] = (ok & (t_abs > t_critical[df]).all(axis=1)).T

@@ -17,12 +17,11 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from datetime import date, datetime, time, timedelta, timezone
 from enum import Enum
 from functools import cached_property
-from typing import IO, Callable, Iterable, Sequence, TypeVar
+from typing import IO, Callable, Iterable, Iterator, Sequence, TypeVar
 from zoneinfo import ZoneInfo
 
 import numpy as np
@@ -76,34 +75,6 @@ def format_utc(instant: datetime) -> str:
 class SessionKind(str, Enum):
     DAY = "day"
     NIGHT = "night"
-
-
-@dataclass(frozen=True, order=True)
-class PriceTick:
-    timestamp: datetime
-    price: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.price) and self.price > 0):
-            raise ValueError(f"price must be positive and finite, got {self.price}")
-
-
-@dataclass(frozen=True)
-class SentimentBucket:
-    bucket_start: datetime
-    positive: int
-    negative: int
-    neutral: int
-
-    def __post_init__(self) -> None:
-        start = self.bucket_start
-        if start.minute not in (0, 30) or start.second != 0 or start.microsecond != 0:
-            raise ValueError(
-                f"bucket_start must sit on a 30-minute boundary, got {start.isoformat()}"
-            )
-        for name in ("positive", "negative", "neutral"):
-            if not 0 <= getattr(self, name) <= VALUE_CAP:
-                raise ValueError(f"{name} count must be non-negative and at most 2**53")
 
 
 @dataclass(frozen=True)
@@ -256,8 +227,8 @@ def _read_csv(
     header: Sequence[str],
     parse_row: Callable[[list[str]], _T],
     follows: Callable[[_T | None, _T], None] = lambda previous, value: None,
-) -> list[_T]:
-    """Parse a CSV with a fixed header into one ``parse_row`` value per row.
+) -> Iterator[_T]:
+    """Parse a CSV with a fixed header, yielding one ``parse_row`` value per row.
 
     Blank and ``#`` lines are skipped and fields stripped.  A wrong or
     missing header, a wrong field count, and a ValueError or OverflowError
@@ -271,13 +242,14 @@ def _read_csv(
     try:
         if next(lines, None) != list(header):
             raise ValueError(f"expected header {','.join(header)!r}")
-        rows = []
+        previous = None
         for fields in lines:
             if len(fields) != len(header):
                 raise ValueError(f"expected {len(header)} fields, got {len(fields)}")
-            rows.append(parse_row(fields))
-            follows(rows[-2] if len(rows) > 1 else None, rows[-1])
-        return rows
+            value = parse_row(fields)
+            follows(previous, value)
+            yield value
+            previous = value
     except (ValueError, OverflowError, csv.Error) as exc:
         raise DataError(f"line {max(reader.line_num, 1)}: {exc}") from None
 
@@ -290,23 +262,50 @@ def _parse_field(parse: Callable[[str], _T], what: str, text: str) -> _T:
         raise ValueError(f"bad {what} {text!r}{detail}") from None
 
 
-def parse_ticks(stream: IO[str]) -> list[PriceTick]:
-    """Parse a ``timestamp,price`` CSV into time-ordered ticks.
-
-    Duplicate timestamps keep the value appearing last in the input.
-    """
-    ticks = _read_csv(stream, ("timestamp", "price"), lambda row: PriceTick(
-        _parse_field(parse_utc, "timestamp", row[0]), _parse_field(float, "price", row[1])))
-    return sorted({tick.timestamp: tick for tick in ticks}.values())
+# Tick and bucket columns hold UTC instants as datetime64[us], filled with
+# microseconds since _EPOCH: numpy converts a datetime far more slowly.
+_EPOCH = datetime(1970, 1, 1, tzinfo=UTC)
+_MICROSECOND = timedelta(microseconds=1)
 
 
-def parse_buckets(stream: IO[str]) -> list[SentimentBucket]:
-    """Parse a ``bucket_start,positive,negative,neutral`` CSV."""
+def _micros(moment: datetime) -> int:
+    return (moment - _EPOCH) // _MICROSECOND
+
+
+def _tick_row(row: list[str]) -> tuple[int, float]:
+    timestamp = _parse_field(parse_utc, "timestamp", row[0])
+    price = _parse_field(float, "price", row[1])
+    if not (math.isfinite(price) and price > 0):
+        raise ValueError(f"price must be positive and finite, got {price}")
+    return _micros(timestamp), price
+
+
+def _bucket_row(row: list[str]) -> tuple[int, tuple[int, ...]]:
+    start = _parse_field(parse_utc, "timestamp", row[0])
+    counts = tuple(_parse_field(int, "count", text) for text in row[1:])
+    if start.minute not in (0, 30) or start.second != 0 or start.microsecond != 0:
+        raise ValueError(f"bucket_start must sit on a 30-minute boundary, got {start.isoformat()}")
+    for name, count in zip(("positive", "negative", "neutral"), counts):
+        if not 0 <= count <= VALUE_CAP:
+            raise ValueError(f"{name} count must be non-negative and at most 2**53")
+    return _micros(start), counts
+
+
+def parse_ticks(stream: IO[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Parse a ``timestamp,price`` CSV into two columns in input order: the
+    UTC instants as ``datetime64[us]`` and the prices."""
+    ticks = np.fromiter(_read_csv(stream, ("timestamp", "price"), _tick_row),
+                        [("instant", "datetime64[us]"), ("price", float)])
+    return ticks["instant"], ticks["price"]
+
+
+def parse_buckets(stream: IO[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Parse a ``bucket_start,positive,negative,neutral`` CSV into two columns
+    in input order: the UTC starts as ``datetime64[us]`` and (buckets, 3) counts."""
     header = ("bucket_start", "positive", "negative", "neutral")
-    buckets = _read_csv(stream, header, lambda row: SentimentBucket(
-        _parse_field(parse_utc, "timestamp", row[0]),
-        *(_parse_field(int, "count", text) for text in row[1:])))
-    return sorted(buckets, key=lambda b: b.bucket_start)
+    buckets = np.fromiter(_read_csv(stream, header, _bucket_row),
+                          [("start", "datetime64[us]"), ("counts", np.int64, (3,))])
+    return buckets["start"], buckets["counts"]
 
 
 def check_offset_minutes(offset_minutes: int) -> None:
@@ -317,17 +316,19 @@ def check_offset_minutes(offset_minutes: int) -> None:
 
 
 def build_sessions(
-    ticks: Sequence[PriceTick],
-    buckets: Iterable[SentimentBucket],
+    ticks: tuple[np.ndarray, np.ndarray],
+    buckets: tuple[np.ndarray, np.ndarray],
     calendar: MarketCalendar,
     offset_minutes: int = 30,
 ) -> SessionSeries:
     """Sample each trading day's prices from the ticks, alternate Day and Night
     sessions, and bin the sentiment counts into them.
 
+    ``ticks`` and ``buckets`` are the parsers' columns, rows in any order.
     A Day runs from market open plus the offset to market close minus it.
     Its open and close prices are the latest ticks at or before those
-    instants, and only ticks inside that day's market hours are eligible.
+    instants (the last read of ticks at one instant), and only ticks inside
+    that day's market hours are eligible.
     A day where either instant has no eligible tick is dropped with a
     warning, and a run of trading days without any tick gets one warning.
     A Night runs from one Day's close to the next Day's open and takes
@@ -337,28 +338,31 @@ def build_sessions(
     covered range are discarded with a warning.
     """
     check_offset_minutes(offset_minutes)
-    ordered = sorted(ticks, key=lambda t: t.timestamp)
-    times = [t.timestamp for t in ordered]
+    instants, prices = ticks
+    order = np.argsort(instants, kind="stable")  # equal instants stay in reading order
+    times, prices = instants[order].astype("datetime64[us]").view(np.int64), prices[order]
     offset = timedelta(minutes=offset_minutes)
 
     def latest_at_or_before(lower: datetime, instant: datetime) -> float | None:
-        position = bisect_right(times, instant) - 1
-        if position < 0 or times[position] < lower:
+        position = np.searchsorted(times, _micros(instant), side="right") - 1
+        if position < 0 or times[position] < _micros(lower):
             return None
-        return ordered[position].price
+        return prices[position]
 
     # An eligible tick lies inside its own local day's market hours, so only
     # the local dates that hold a tick can yield prices.
     tz = calendar.tzinfo
 
-    def out_of_range(tick: PriceTick) -> DataError:
-        return DataError(f"tick {tick.timestamp.isoformat()}: its session in "
+    def out_of_range(tick: int) -> DataError:
+        return DataError(f"tick {(_EPOCH + tick * _MICROSECOND).isoformat()}: its session in "
                          f"{calendar.timezone} falls outside years 1-9999")
 
-    first_ticks: dict[date, PriceTick] = {}
-    for tick in ordered:
+    # tz.fromutc of the UTC fields tagged with tz is what astimezone(tz) returns.
+    local_epoch = _EPOCH.replace(tzinfo=tz)
+    first_ticks: dict[date, int] = {}
+    for tick in times.tolist():
         try:
-            first_ticks.setdefault(tick.timestamp.astimezone(tz).date(), tick)
+            first_ticks.setdefault(tz.fromutc(local_epoch + tick * _MICROSECOND).date(), tick)
         except OverflowError:
             raise out_of_range(tick) from None
     tick_days = sorted(first_ticks)
@@ -391,18 +395,14 @@ def build_sessions(
     if len(spans) < 3:
         raise DataError(f"need at least 2 trading days, got {(len(spans) + 1) // 2}")
 
-    opens = [span[1] for span in spans]
-    last_close = spans[-1][2]
+    starts, bucket_counts = buckets[0].astype("datetime64[us]").view(np.int64), buckets[1]
+    positions = np.searchsorted([_micros(span[1]) for span in spans], starts, side="right") - 1
+    inside = (positions >= 0) & (starts < _micros(spans[-1][2]))
+    # Python ints, as an int64 sum of counts up to 2**53 wraps past 1,024 buckets.
     counts = [[0, 0, 0] for _ in spans]
-    discarded = 0
-    for bucket in buckets:
-        position = bisect_right(opens, bucket.bucket_start) - 1
-        if position < 0 or bucket.bucket_start >= last_close:
-            discarded += 1
-            continue
-        counts[position][0] += bucket.positive
-        counts[position][1] += bucket.negative
-        counts[position][2] += bucket.neutral
+    for position, row in zip(positions[inside].tolist(), bucket_counts[inside].tolist()):
+        counts[position] = [total + count for total, count in zip(counts[position], row)]
+    discarded = len(starts) - int(np.count_nonzero(inside))
     if discarded:
         log.warning("%d sentiment bucket(s) outside the session range discarded", discarded)
 

@@ -458,6 +458,24 @@ def test_threshold_at_a_reference_p_value_falls_back(series_b):
     assert table(t, w) == votes(fit_window(series_b, t, w, p_threshold=tiny))
 
 
+def test_exact_rank_deficient_fit_below_p_band_warns_nothing():
+    """With a threshold below P_BAND (an infinite |t| band), a rank-deficient
+    member whose rss~ rounds to 0 gets a t error bound of -inf; the build
+    raises no warning (the suite turns warnings into errors) and serves the
+    reference votes.  Flat pos with four +1 steps and returns linear in the
+    lagged pos make those members."""
+    rng = np.random.default_rng(5)
+    n = 56
+    pos = np.full(n, 50)
+    pos[rng.choice(n, 4, replace=False)] += 1
+    neg, neu = rng.integers(0, 50, n), rng.integers(0, 50, n)
+    r = np.zeros(n)
+    r[1:] = 1e-4 * pos[:-1] / pos.max()
+    r += rng.normal(0, 1e-12, n)
+    series = make_series(r.tolist(), pos.tolist(), neg.tolist(), neu.tolist())
+    assert_matches_reference(series, range(15, 56), range(8, 14), p_threshold=1e-7)
+
+
 def test_cells_are_fitted_without_p_values(series_b, monkeypatch):
     """The table decides the filter on t statistics alone."""
     def refuse(*args):

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import io
 import logging
-import math
+import random
+import tracemalloc
 from dataclasses import replace
 from datetime import date, datetime, time, timedelta, timezone
 from time import perf_counter
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -18,8 +20,6 @@ from sentrade.config import parse_calendar
 from sentrade.errors import ConfigError, DataError
 from sentrade.sessions import (
     MarketCalendar,
-    PriceTick,
-    SentimentBucket,
     Session,
     SessionKind,
     SessionSeries,
@@ -36,6 +36,7 @@ from sentrade.synth import SyntheticScenario, generate
 UTC = timezone.utc
 
 CALENDAR = MarketCalendar("America/New_York", time(9, 30), time(16, 0))
+BUCKET_HEADER = "bucket_start,positive,negative,neutral\n"
 
 
 def utc(text: str) -> datetime:
@@ -48,19 +49,32 @@ def ny(day: str, wall: str) -> datetime:
     return local.astimezone(UTC)
 
 
-def ny_ticks(day: str, *pairs) -> list[PriceTick]:
+def utc_column(rows) -> np.ndarray:
+    """The UTC datetimes leading the rows, as a ``datetime64[us]`` column."""
+    return np.array([row[0].replace(tzinfo=None) for row in rows], dtype="datetime64[us]")
+
+
+def build(ticks, buckets=(), calendar=CALENDAR, offset_minutes=30) -> SessionSeries:
+    """``build_sessions`` on (UTC instant, price) ticks and (UTC start,
+    positive, negative, neutral) buckets, turned into the parsers' columns."""
+    tick_columns = utc_column(ticks), np.array([price for _, price in ticks], dtype=float)
+    counts = np.array([bucket[1:] for bucket in buckets], dtype=np.int64).reshape(-1, 3)
+    return build_sessions(tick_columns, (utc_column(buckets), counts), calendar, offset_minutes)
+
+
+def ny_ticks(day: str, *pairs) -> list[tuple[datetime, float]]:
     """Ticks at New York wall-clock times on the given ISO date."""
-    return [PriceTick(ny(day, wall), price) for wall, price in pairs]
+    return [(ny(day, wall), price) for wall, price in pairs]
 
 
-def plain_day(day: str = "2012-06-19") -> list[PriceTick]:
+def plain_day(day: str = "2012-06-19") -> list[tuple[datetime, float]]:
     """Ticks at both default sampling instants of one trading day."""
     return ny_ticks(day, ("10:00", 103.0), ("15:30", 104.0))
 
 
-def first_day(ticks: list[PriceTick]) -> Session:
+def first_day(ticks: list[tuple[datetime, float]]) -> Session:
     """The first Day session built from the ticks plus a plain trading day after them."""
-    series = build_sessions(ticks + plain_day(), [], CALENDAR)
+    series = build(ticks + plain_day())
     assert [s.kind.value for s in series.sessions] == ["day", "night", "day"]
     return series.sessions[0]
 
@@ -95,26 +109,33 @@ class TestParseUtc:
 
 class TestParseTicks:
     def test_single_row(self):
-        ticks = parse_ticks(io.StringIO("timestamp,price\n2012-06-18T13:30:00Z,41.25\n"))
-        assert ticks == [PriceTick(utc("2012-06-18T13:30:00Z"), 41.25)]
+        instants, prices = parse_ticks(io.StringIO("timestamp,price\n2012-06-18T13:30:00Z,41.25\n"))
+        assert instants.dtype == np.dtype("datetime64[us]") and prices.dtype == np.float64
+        assert instants.tolist() == [datetime(2012, 6, 18, 13, 30)]
+        assert prices.tolist() == [41.25]
 
     def test_header_only(self):
-        assert parse_ticks(io.StringIO("timestamp,price\n")) == []
+        instants, prices = parse_ticks(io.StringIO("timestamp,price\n"))
+        assert instants.shape == prices.shape == (0,)
 
     def test_duplicate_timestamp_keeps_last(self):
-        body = "timestamp,price\n2012-06-18T13:30:00Z,10\n2012-06-18T13:30:00Z,11\n"
+        """The parser keeps both rows; ``build_sessions`` samples the one read last."""
+        body = ("timestamp,price\n2012-06-18T14:00:00Z,10\n2012-06-18T14:00:00Z,11\n"
+                "2012-06-18T19:30:00Z,12\n2012-06-19T14:00:00Z,13\n2012-06-19T19:30:00Z,14\n")
         ticks = parse_ticks(io.StringIO(body))
-        assert len(ticks) == 1
-        assert ticks[0].price == 11.0
+        assert ticks[1].tolist() == [10.0, 11.0, 12.0, 13.0, 14.0]
+        series = build_sessions(ticks, parse_buckets(io.StringIO(BUCKET_HEADER)), CALENDAR)
+        assert series.sessions[0].open_price == 11.0
 
-    def test_output_sorted(self):
+    def test_output_in_input_order(self):
         body = (
             "timestamp,price\n"
             "2012-06-18T15:00:00Z,2\n"
             "2012-06-18T13:00:00Z,1\n"
         )
-        ticks = parse_ticks(io.StringIO(body))
-        assert [t.price for t in ticks] == [1.0, 2.0]
+        instants, prices = parse_ticks(io.StringIO(body))
+        assert instants.tolist() == [datetime(2012, 6, 18, 15), datetime(2012, 6, 18, 13)]
+        assert prices.tolist() == [2.0, 1.0]
 
     def test_bad_header(self):
         with pytest.raises(DataError, match="line 1"):
@@ -126,7 +147,7 @@ class TestParseTicks:
             parse_ticks(io.StringIO(body))
 
     def test_non_positive_price_rejected(self):
-        with pytest.raises(DataError, match="line 2"):
+        with pytest.raises(DataError, match="^line 2: price must be positive and finite, got 0.0$"):
             parse_ticks(io.StringIO("timestamp,price\n2012-06-18T13:30:00Z,0\n"))
 
     def test_naive_timestamp_rejected(self):
@@ -142,7 +163,7 @@ class TestParseTicks:
             "# a gap in the feed\n"
             " 2012-06-18T14:00:00Z , 41.5 \n"
         )
-        assert [t.price for t in parse_ticks(io.StringIO(body))] == [41.25, 41.5]
+        assert parse_ticks(io.StringIO(body))[1].tolist() == [41.25, 41.5]
 
     def test_bad_row_after_comment_and_blank_reports_physical_line(self):
         body = "timestamp,price\n2012-06-18T13:30:00Z,12\n# note\n\n2012-06-18T14:00:00Z,oops\n"
@@ -182,18 +203,34 @@ class TestParseTicks:
             parse_ticks(io.StringIO(body))
 
 
-class TestPriceTick:
-    @pytest.mark.parametrize("price", [math.inf, -math.inf, math.nan, 0.0, -1.0])
-    def test_price_must_be_positive_and_finite(self, price):
-        with pytest.raises(ValueError, match="price must be positive and finite"):
-            PriceTick(utc("2012-06-18T13:30:00Z"), price)
+    def test_memory_held_per_tick_is_bounded(self):
+        """The parsed columns hold at most 40 bytes per tick (16 are the
+        instant and the price), not an object per row."""
+        start = datetime(2012, 1, 2, 14, 30, tzinfo=UTC)
+        rows = (f"{format_utc(start + timedelta(seconds=10 * i))},{100 + i % 997 / 8!r}"
+                for i in range(100_000))
+        stream = io.StringIO("timestamp,price\n" + "\n".join(rows) + "\n")
+        tracemalloc.start()
+        try:
+            ticks = parse_ticks(stream)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held / 100_000 <= 40
+        assert len(ticks[0]) == 100_000
 
 
 class TestParseBuckets:
     def test_basic(self):
         body = "bucket_start,positive,negative,neutral\n2012-06-18T13:30:00Z,3,1,2\n"
-        buckets = parse_buckets(io.StringIO(body))
-        assert buckets == [SentimentBucket(utc("2012-06-18T13:30:00Z"), 3, 1, 2)]
+        starts, counts = parse_buckets(io.StringIO(body))
+        assert starts.dtype == np.dtype("datetime64[us]") and counts.dtype == np.int64
+        assert starts.tolist() == [datetime(2012, 6, 18, 13, 30)]
+        assert counts.tolist() == [[3, 1, 2]]
+
+    def test_header_only(self):
+        starts, counts = parse_buckets(io.StringIO(BUCKET_HEADER))
+        assert starts.shape == (0,) and counts.shape == (0, 3)
 
     def test_half_hour_alignment_enforced(self):
         body = "bucket_start,positive,negative,neutral\n2012-06-18T13:15:00Z,3,1,2\n"
@@ -222,7 +259,7 @@ class TestParseBuckets:
 
     def test_count_at_cap_accepted(self):
         body = f"bucket_start,positive,negative,neutral\n2012-06-18T13:30:00Z,{2**53},0,0\n"
-        assert parse_buckets(io.StringIO(body))[0].positive == 2**53
+        assert parse_buckets(io.StringIO(body))[1].tolist() == [[2**53, 0, 0]]
 
     def test_comments_and_blank_lines_skipped(self):
         body = (
@@ -232,10 +269,9 @@ class TestParseBuckets:
             "# out of order on purpose\n"
             "2012-06-18T13:30:00Z, 3 ,1,2\n"
         )
-        assert parse_buckets(io.StringIO(body)) == [
-            SentimentBucket(utc("2012-06-18T13:30:00Z"), 3, 1, 2),
-            SentimentBucket(utc("2012-06-18T14:00:00Z"), 1, 2, 3),
-        ]
+        starts, counts = parse_buckets(io.StringIO(body))
+        assert starts.tolist() == [datetime(2012, 6, 18, 14), datetime(2012, 6, 18, 13, 30)]
+        assert counts.tolist() == [[1, 2, 3], [3, 1, 2]]
 
     def test_bad_row_after_comment_and_blank_reports_physical_line(self):
         body = (
@@ -320,9 +356,9 @@ class TestSessionPrices:
         days left after sampling."""
         ticks = ny_ticks("2012-06-18", ("09:00", 98.0)) + plain_day()
         with caplog.at_level(logging.WARNING, logger="sentrade.sessions"):
-            series = build_sessions(ticks + plain_day("2012-06-20"), [], CALENDAR)
+            series = build(ticks + plain_day("2012-06-20"))
             with pytest.raises(DataError, match="^need at least 2 trading days, got 1$"):
-                build_sessions(ticks, [], CALENDAR)
+                build(ticks)
         assert day_dates(series) == [date(2012, 6, 19), date(2012, 6, 20)]
         dropped = "2012-06-18: no tick at or before the sampling instant; day dropped"
         assert caplog.text.count(dropped) == 2
@@ -339,7 +375,7 @@ class TestSessionPrices:
                  + ny_ticks("2012-06-16", ("12:00", 5.0))
                  + ny_ticks("2012-06-18", ("10:00", 3.0), ("15:30", 4.0)))
         with caplog.at_level(logging.WARNING, logger="sentrade.sessions"):
-            series = build_sessions(ticks, [], CALENDAR)
+            series = build(ticks)
         assert caplog.records == []
         assert day_dates(series) == [date(2012, 6, 15), date(2012, 6, 18)]
 
@@ -351,7 +387,8 @@ class TestSessionPrices:
                 "9999-12-31T15:00:00Z,103.0\n")
         started = perf_counter()
         with caplog.at_level(logging.WARNING, logger="sentrade.sessions"):
-            series = build_sessions(parse_ticks(io.StringIO(text)), [], CALENDAR)
+            ticks, buckets = parse_ticks(io.StringIO(text)), parse_buckets(io.StringIO(BUCKET_HEADER))
+            series = build_sessions(ticks, buckets, CALENDAR)
         assert perf_counter() - started < 1.0
         assert day_dates(series) == [date(2012, 6, 18), date(2012, 6, 19), date(9999, 12, 31)]
         assert len(caplog.records) == 1
@@ -369,13 +406,13 @@ class TestSessionPrices:
     def test_session_outside_years_1_to_9999_is_a_data_error(self, zone, opens, stamp, offset):
         calendar = MarketCalendar(zone, opens, time(16, 0))
         with pytest.raises(DataError, match=f"tick {stamp[:19]}.*outside years 1-9999"):
-            build_sessions([PriceTick(utc(stamp), 100.0)], [], calendar, offset)
+            build([(utc(stamp), 100.0)], calendar=calendar, offset_minutes=offset)
 
     def test_offset_swallowing_whole_day_rejected(self):
         ticks = ny_ticks("2012-06-18", ("10:00", 1.0)) + plain_day()
         message = "^offset_minutes: 300 leaves no session on 2012-06-18$"
         with pytest.raises(ConfigError, match=message):
-            build_sessions(ticks, [], CALENDAR, offset_minutes=300)
+            build(ticks, offset_minutes=300)
 
     def test_offset_is_checked_before_the_ticks(self):
         message = r"^offset_minutes: must lie in \[0, 1440\), got -5$"
@@ -385,7 +422,7 @@ class TestSessionPrices:
 
 class TestBuildSessions:
     def test_two_days_three_sessions(self):
-        series = build_sessions(two_day_ticks(), [], CALENDAR)
+        series = build(two_day_ticks())
         kinds = [s.kind for s in series.sessions]
         assert kinds == [SessionKind.DAY, SessionKind.NIGHT, SessionKind.DAY]
         night = series.sessions[1]
@@ -396,7 +433,7 @@ class TestBuildSessions:
         ticks = ny_ticks("2012-06-15", ("10:00", 99.0), ("15:30", 100.0)) + ny_ticks(
             "2012-06-18", ("10:00", 103.0), ("15:30", 104.0)
         )
-        series = build_sessions(ticks, [], CALENDAR)
+        series = build(ticks)
         assert len(series) == 3
         night = series.sessions[1]
         assert night.kind is SessionKind.NIGHT
@@ -407,15 +444,15 @@ class TestBuildSessions:
     def test_single_day_rejected(self):
         ticks = ny_ticks("2012-06-18", ("10:00", 1.0), ("15:30", 2.0))
         with pytest.raises(DataError, match="^need at least 2 trading days, got 1$"):
-            build_sessions(ticks, [], CALENDAR)
+            build(ticks)
 
     def test_bucket_binning_half_open(self):
         day_close = ny("2012-06-18", "15:30")
         buckets = [
-            SentimentBucket(day_close - timedelta(minutes=30), 1, 0, 0),
-            SentimentBucket(day_close, 0, 2, 0),  # boundary goes to the night
+            (day_close - timedelta(minutes=30), 1, 0, 0),
+            (day_close, 0, 2, 0),  # boundary goes to the night
         ]
-        series = build_sessions(two_day_ticks(), buckets, CALENDAR)
+        series = build(two_day_ticks(), buckets)
         assert series.sessions[0].close_time == day_close
         assert series.sessions[0].pos == 1
         assert series.sessions[0].neg == 0
@@ -423,47 +460,131 @@ class TestBuildSessions:
 
     def test_out_of_range_buckets_discarded(self, caplog):
         buckets = [
-            SentimentBucket(ny("2012-06-18", "10:00") - timedelta(hours=1), 5, 5, 5),
-            SentimentBucket(ny("2012-06-19", "15:30"), 7, 7, 7),
+            (ny("2012-06-18", "10:00") - timedelta(hours=1), 5, 5, 5),
+            (ny("2012-06-19", "15:30"), 7, 7, 7),
         ]
         with caplog.at_level(logging.WARNING, logger="sentrade.sessions"):
-            series = build_sessions(two_day_ticks(), buckets, CALENDAR)
+            series = build(two_day_ticks(), buckets)
         assert sum(s.pos + s.neg + s.neu for s in series.sessions) == 0
         assert "2 sentiment bucket(s) outside the session range discarded" in caplog.text
 
     def test_count_conservation(self):
         start = ny("2012-06-18", "10:00")
         buckets = [
-            SentimentBucket(start + timedelta(minutes=30 * i), i, 2 * i, 3 * i)
+            (start + timedelta(minutes=30 * i), i, 2 * i, 3 * i)
             for i in range(40)
             if start + timedelta(minutes=30 * i) < ny("2012-06-19", "15:30")
         ]
-        series = build_sessions(two_day_ticks(), buckets, CALENDAR)
-        assert sum(s.pos for s in series.sessions) == sum(b.positive for b in buckets)
-        assert sum(s.neg for s in series.sessions) == sum(b.negative for b in buckets)
-        assert sum(s.neu for s in series.sessions) == sum(b.neutral for b in buckets)
+        series = build(two_day_ticks(), buckets)
+        assert sum(s.pos for s in series.sessions) == sum(b[1] for b in buckets)
+        assert sum(s.neg for s in series.sessions) == sum(b[2] for b in buckets)
+        assert sum(s.neu for s in series.sessions) == sum(b[3] for b in buckets)
 
     def test_summed_count_over_cap_rejected(self):
         start = ny("2012-06-18", "10:00")
-        buckets = [SentimentBucket(start, 2**52, 0, 0), SentimentBucket(start, 2**52 + 1, 0, 0)]
+        buckets = [(start, 2**52, 0, 0), (start, 2**52 + 1, 0, 0)]
         with pytest.raises(DataError, match="session 0: pos count must be non-negative and at"):
-            build_sessions(two_day_ticks(), buckets, CALENDAR)
+            build(two_day_ticks(), buckets)
 
     def test_holiday_merges_sessions(self):
-        def build(holidays):
+        def with_holidays(holidays):
             calendar = MarketCalendar(
                 "America/New_York", time(9, 30), time(16, 0), frozenset(holidays)
             )
             ticks = []
             for day in ("2012-06-18", "2012-06-19", "2012-06-20"):
                 ticks += ny_ticks(day, ("10:00", 100.0), ("15:30", 100.0))
-            return build_sessions(ticks, [], calendar)
+            return build(ticks, calendar=calendar)
 
-        plain = build([])
-        holiday = build([date(2012, 6, 19)])
+        plain = with_holidays([])
+        holiday = with_holidays([date(2012, 6, 19)])
         assert sum(s.kind is SessionKind.DAY for s in plain.sessions) == 3
         assert sum(s.kind is SessionKind.DAY for s in holiday.sessions) == 2
         assert len(plain) - len(holiday) == 2  # one day and one night collapsed
+
+    def test_row_order_and_repeated_instants(self):
+        """Shuffled ticks with repeated instants build the series of the
+        sorted ticks in which each repeated instant keeps only the price read
+        last; shuffled buckets bin as the sorted ones do."""
+        rng = random.Random(21)
+        days = ["2012-06-15", "2012-06-16", "2012-06-18", "2012-06-19", "2012-06-20"]
+        walls = ["09:29", "09:30", "09:45", "10:00", "12:00", "15:30", "15:31", "16:05"]
+
+        def outcome(ticks, buckets):
+            try:
+                return build(ticks, buckets).sessions
+            except DataError as exc:
+                return str(exc)
+
+        built = 0
+        for _ in range(60):
+            ticks = [(ny(rng.choice(days), rng.choice(walls)), float(rng.randint(50, 150)))
+                     for _ in range(rng.randint(6, 40))]
+            buckets = [(ny(rng.choice(days), rng.choice(["09:30", "12:00", "16:00"])),
+                        rng.randint(0, 9), rng.randint(0, 9), rng.randint(0, 9))
+                       for _ in range(rng.randint(0, 10))]
+            rng.shuffle(ticks)
+            rng.shuffle(buckets)
+            last_read = dict(ticks)  # a later tick at an instant replaces the earlier one
+            want = outcome(sorted(last_read.items()), sorted(buckets))
+            assert outcome(ticks, buckets) == want
+            built += not isinstance(want, str)
+        assert built >= 30
+
+
+class TestDaylightSaving:
+    """Day sessions on both sides of a DST change, in New York (one hour) and
+    on Lord Howe Island (30 minutes), sampled 30 minutes inside the market hours."""
+
+    @pytest.mark.parametrize(
+        "zone, opens, ticks, days",
+        [
+            (  # EST to EDT on Sunday 2012-03-11
+                "America/New_York", "09:30",
+                ["2012-03-09T15:00:00Z,100", "2012-03-09T20:30:00Z,101",
+                 "2012-03-10T02:00:00Z,99",  # Friday 21:00 in New York, Saturday in UTC
+                 "2012-03-12T14:00:00Z,102", "2012-03-12T19:30:00Z,103"],
+                [("2012-03-09T15:00:00Z", "2012-03-09T20:30:00Z", 100.0, 101.0),
+                 ("2012-03-12T14:00:00Z", "2012-03-12T19:30:00Z", 102.0, 103.0)],
+            ),
+            (  # EDT to EST on Sunday 2012-11-04
+                "America/New_York", "09:30",
+                ["2012-11-02T14:00:00Z,100", "2012-11-02T19:30:00Z,101",
+                 "2012-11-05T14:30:00Z,102",  # 09:30 EST, the open itself
+                 "2012-11-05T15:00:00Z,103", "2012-11-05T20:30:00Z,104"],
+                [("2012-11-02T14:00:00Z", "2012-11-02T19:30:00Z", 100.0, 101.0),
+                 ("2012-11-05T15:00:00Z", "2012-11-05T20:30:00Z", 103.0, 104.0)],
+            ),
+            (  # +11:00 to +10:30 on Sunday 2012-04-01
+                "Australia/Lord_Howe", "10:00",
+                ["2012-03-29T23:30:00Z,50",  # Friday 10:30 on Lord Howe, Thursday in UTC
+                 "2012-03-30T04:30:00Z,51", "2012-04-02T00:00:00Z,52",
+                 "2012-04-02T05:00:00Z,53"],
+                [("2012-03-29T23:30:00Z", "2012-03-30T04:30:00Z", 50.0, 51.0),
+                 ("2012-04-02T00:00:00Z", "2012-04-02T05:00:00Z", 52.0, 53.0)],
+            ),
+            (  # +10:30 to +11:00 on Sunday 2012-10-07
+                "Australia/Lord_Howe", "10:00",
+                ["2012-10-05T00:00:00Z,50", "2012-10-05T05:00:00Z,51",
+                 "2012-10-07T23:30:00Z,52",  # Monday 10:30 on Lord Howe, Sunday in UTC
+                 "2012-10-08T04:30:00Z,53"],
+                [("2012-10-05T00:00:00Z", "2012-10-05T05:00:00Z", 50.0, 51.0),
+                 ("2012-10-07T23:30:00Z", "2012-10-08T04:30:00Z", 52.0, 53.0)],
+            ),
+        ],
+        ids=["new-york-march", "new-york-november", "lord-howe-april", "lord-howe-october"],
+    )
+    def test_day_sessions_follow_the_local_clock(self, zone, opens, ticks, days, caplog):
+        calendar = MarketCalendar(zone, time.fromisoformat(opens), time(16, 0))
+        rows = "timestamp,price\n" + "\n".join(ticks) + "\n"
+        with caplog.at_level(logging.WARNING, logger="sentrade.sessions"):
+            series = build_sessions(parse_ticks(io.StringIO(rows)),
+                                    parse_buckets(io.StringIO(BUCKET_HEADER)), calendar)
+        assert caplog.records == []
+        got = [(format_utc(s.open_time), format_utc(s.close_time), s.open_price, s.close_price)
+               for s in series.sessions]
+        night = (days[0][1], days[1][0], days[0][3], days[1][2])
+        assert got == [days[0], night, days[1]]
 
 
 def two_day_ticks():
@@ -472,7 +593,7 @@ def two_day_ticks():
 
 class TestSessionSeriesValidation:
     def test_alternation_enforced(self):
-        series = build_sessions(two_day_ticks(), [], CALENDAR)
+        series = build(two_day_ticks())
         broken = list(series.sessions)
         broken[1] = Session(
             index=1,
@@ -489,7 +610,7 @@ class TestSessionSeriesValidation:
             SessionSeries(tuple(broken))
 
     def test_boundary_price_mismatch_rejected(self):
-        series = build_sessions(two_day_ticks(), [], CALENDAR)
+        series = build(two_day_ticks())
         broken = list(series.sessions)
         s = broken[1]
         broken[1] = Session(
@@ -516,7 +637,7 @@ class TestComputeReturns:
         ticks = ny_ticks("2012-06-18", ("10:00", open_price), ("15:30", close_price)) + ny_ticks(
             "2012-06-19", ("10:00", close_price), ("15:30", close_price)
         )
-        series = build_sessions(ticks, [], CALENDAR)
+        series = build(ticks)
         assert series.returns[0] == pytest.approx(expected, abs=1e-15)
 
     def test_return_identity(self, series_b):
@@ -549,7 +670,7 @@ class TestSessionsCsv:
         assert parsed.sessions == series_b.sessions
 
     def test_comments_skipped(self):
-        series = build_sessions(two_day_ticks(), [], CALENDAR)
+        series = build(two_day_ticks())
         buffer = io.StringIO()
         write_sessions_csv(series, buffer, comments=["generated for a test"])
         text = buffer.getvalue()
@@ -559,9 +680,9 @@ class TestSessionsCsv:
 
     def test_year_one_round_trip(self):
         calendar = MarketCalendar("UTC", time(10, 0), time(16, 0))
-        ticks = [PriceTick(datetime(1, 1, day, hour, tzinfo=UTC), 100.0 + day + hour / 100)
+        ticks = [(datetime(1, 1, day, hour, tzinfo=UTC), 100.0 + day + hour / 100)
                  for day in (1, 2) for hour in (10, 15)]
-        series = build_sessions(ticks, [], calendar)
+        series = build(ticks, calendar=calendar)
         buffer = io.StringIO()
         write_sessions_csv(series, buffer)
         assert "0,day,0001-01-01T10:30:00Z,0001-01-01T15:30:00Z," in buffer.getvalue()
