@@ -1,7 +1,7 @@
 """Adaptive short-term trading prediction and backtesting.
 
-The pipeline regresses each session's simple return on lagged returns and
-lagged social-sentiment counts over a family of trailing windows, arbitrates
+The pipeline regresses each session's simple return on earlier returns and
+social-sentiment counts over a family of trailing windows, arbitrates
 between the financial and sentiment model classes with a decayed spread,
 ranks windows by a decayed quality score, and trades the resulting sign
 predictions with a fixed stake against benchmark and clairvoyant baselines.

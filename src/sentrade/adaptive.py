@@ -24,8 +24,8 @@ from typing import IO, Callable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .model_space import P_THRESHOLD, FitTable, ModelClass, Votes
-from .sessions import SessionSeries, check_offset_minutes
+from .model_space import HISTORY, P_THRESHOLD, FitTable, ModelClass, Votes
+from .sessions import VALUE_CAP, SessionSeries, check_offset_minutes
 
 PREDICTIONS_HEADER = (
     "index",
@@ -317,8 +317,9 @@ def check_train_fraction(train_fraction: float) -> None:
 
 
 def check_cost_per_trade(cost_per_trade: float) -> None:
-    if not (math.isfinite(cost_per_trade) and cost_per_trade >= 0):
-        raise ConfigError(f"cost_per_trade: must be finite and non-negative, got {cost_per_trade}")
+    # The cap on returns: a larger cost overflows the strategy sums to -inf.
+    if not 0 <= cost_per_trade <= VALUE_CAP:
+        raise ConfigError(f"cost_per_trade: must lie in [0, 2**53], got {cost_per_trade}")
 
 
 @dataclass(frozen=True)
@@ -398,12 +399,12 @@ FitFn = Callable[[int, int], Votes]
 def first_session(params: PipelineParams, start: int = 0) -> int:
     """The first session a run over [start, ...) scores.
 
-    It is pushed past tfw_max + 2 so that every window, which needs two
-    sessions of history before it, is feasible from the outset; earlier
+    It is pushed past tfw_max + HISTORY so that every window, which needs
+    HISTORY sessions before it, is feasible from the outset; earlier
     sessions serve as history only.  This is the only statement of the
     warm-up rule.
     """
-    return max(start, params.tfw_max + 2)
+    return max(start, params.tfw_max + HISTORY)
 
 
 def run_pipeline(

@@ -1,10 +1,10 @@
 """Candidate model enumeration and per-window fitting.
 
-The explanatory universe holds five lagged variables: the one- and
-two-session-lagged returns plus the one-session-lagged positive, negative,
-and neutral sentiment counts.  Candidates are every non-empty subset that
+The explanatory universe holds five lag variables: the returns one and
+two sessions back plus the previous session's positive, negative, and
+neutral sentiment counts.  Candidates are every non-empty subset that
 contains at least one sentiment variable, plus the single financial pair
-made of both lagged returns.  A candidate survives a window only when every
+made of both return lags.  A candidate survives a window only when every
 one of its regressors is individually significant below the p threshold.
 
 ``fit_window`` fits one (session, window) cell through the SVD reference
@@ -107,23 +107,36 @@ class FittedModel:
     passed_filter: bool
 
 
-def _regressors(series: SessionSeries, normalize: bool) -> np.ndarray:
-    """The series' [1 | R1 R2 P1 N1 Z1] rows, with count shares if ``normalize``."""
-    return series.lagged_share_regressors if normalize else series.lagged_regressors
-
-
-# Column of each variable in a row of _regressors (column 0 is the intercept).
+# Sessions of history a design row needs: R2 is the return two sessions back.
+HISTORY = 2
+# Column of each variable in a design row (column 0 is the intercept).
 _POSITION = {v: 1 + i for i, v in enumerate(Variable)}
+
+
+def _regressors(series: SessionSeries, rows: range, normalize: bool) -> np.ndarray:
+    """The design rows [1 | R1 R2 P1 N1 Z1] of sessions ``rows``, each as seen
+    by its session i: the returns of sessions i-1 and i-2 and the counts of
+    session i-1, as shares of their total (all zero without messages) if
+    ``normalize``.  ``rows`` may run to len(series), the out-of-sample row,
+    and must start at HISTORY or later."""
+    r, lag = series.returns_array, slice(rows.start - 1, rows.stop - 1)
+    counts = series.counts[lag]
+    if normalize:
+        total = counts.sum(axis=1, keepdims=True)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            counts = np.where(total > 0, counts / total, 0.0)
+    two_back = r[rows.start - HISTORY : rows.stop - HISTORY]
+    return np.column_stack([np.ones(len(rows)), r[lag], two_back, counts])
 
 
 def _check_window(n: int, t: int, w: int) -> None:
     """Raise a DataError unless w > 0, t <= n, and the window of sessions
-    t-w..t-1 of a series of n has two sessions of history before it."""
+    t-w..t-1 of a series of n has HISTORY sessions of history before it."""
     if not 0 < w:
         raise DataError(f"window length must be positive, got {w}")
     if t > n:
         raise DataError(f"window end {t} beyond series length {n}")
-    if t - w < 2:
+    if t - w < HISTORY:
         raise DataError(f"window [{t - w}, {t}) needs two sessions of history before it")
 
 
@@ -146,8 +159,8 @@ def fit_window(
     and its prediction are still reported whenever the solve succeeded.
     """
     _check_window(len(series), t, w)
-    L = _regressors(series, normalize)
-    rows, y, next_row = L[t - w : t], series.returns_array[t - w : t], L[t]
+    X = _regressors(series, range(t - w, t + 1), normalize)
+    rows, y, next_row = X[:-1], series.returns_array[t - w : t], X[-1]
     results = []
     for candidate in CANDIDATES:
         k = len(candidate.variables)
@@ -256,7 +269,9 @@ class FitTable:
         began = time.perf_counter()
         self.sessions = sessions
         self.windows = windows
-        L = _regressors(series, normalize)
+        # The span's design rows once, from the first session of its earliest window.
+        span = range(sessions.start - windows[-1], sessions.stop) if sessions else range(0)
+        L, r = _regressors(series, span, normalize), series.returns_array[span.start :]
         cells, chunk = len(sessions) * len(windows), max(1, _BLOCK_ROWS // windows[-1])
         counts = np.zeros((cells, 2, 3), dtype=int)
         unsure = np.zeros(cells, dtype=bool)
@@ -264,7 +279,7 @@ class FitTable:
         for first in range(0, cells, chunk):
             i, j = divmod(np.arange(first, min(first + chunk, cells)), len(windows))
             passed, predicted, unsure[first : first + chunk], eigensolved = _fit_cells(
-                L, series.returns_array, sessions.start + i, windows.start + j, p_threshold
+                L, r, sessions.start - span.start + i, windows.start + j, p_threshold
             )
             self.eigensolved += eigensolved
             tallies = np.stack([passed, passed & (predicted > 0), passed & (predicted < 0)], -1)
@@ -324,10 +339,11 @@ def _fit_cells(
     L: np.ndarray, r: np.ndarray, t_cell: np.ndarray, w_cell: np.ndarray, p_threshold: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Fit all candidates on every (session t_cell[i], window w_cell[i]) cell
-    from its sweep tree: the (cells, candidates) filter verdicts (each |t|
-    above its df's critical value) and predictions, NaN where not rank-ok,
-    the mask of cells to recompute, and the number of rank verdicts that
-    took an eigensolve."""
+    from its sweep tree, sessions counted from the first of ``L``'s design
+    rows and of the returns ``r``: the (cells, candidates) filter verdicts
+    (each |t| above its df's critical value) and predictions, NaN where not
+    rank-ok, the mask of cells to recompute, and the number of rank verdicts
+    that took an eigensolve."""
     cross, x_next = _cross_products(L, r, t_cell, w_cell)
     # |t| beyond which a coefficient's p-value is below the threshold, and the
     # |t| span of p-values within P_BAND of it (to inf below P_BAND), by df.

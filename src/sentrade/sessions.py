@@ -93,15 +93,15 @@ class Session:
         object.__setattr__(self, "open_price", float(self.open_price))
         object.__setattr__(self, "close_price", float(self.close_price))
         if not all(math.isfinite(p) and p > 0 for p in (self.open_price, self.close_price)):
-            raise ValueError(f"session {self.index}: prices must be positive and finite")
+            raise DataError(f"session {self.index}: prices must be positive and finite")
         if not abs((self.close_price - self.open_price) / self.open_price) <= VALUE_CAP:
-            raise ValueError(f"session {self.index}: |return| must be finite and at most 2**53")
+            raise DataError(f"session {self.index}: |return| must be finite and at most 2**53")
         for name in ("pos", "neg", "neu"):
             if not 0 <= getattr(self, name) <= VALUE_CAP:
-                raise ValueError(f"session {self.index}: {name} count must be non-negative "
-                                 "and at most 2**53")
+                raise DataError(f"session {self.index}: {name} count must be non-negative "
+                                "and at most 2**53")
         if not self.open_time < self.close_time:
-            raise ValueError(f"session {self.index}: open_time must precede close_time")
+            raise DataError(f"session {self.index}: open_time must precede close_time")
 
 
 def check_next_session(previous: Session | None, session: Session) -> None:
@@ -148,36 +148,6 @@ class SessionSeries:
         """The (pos, neg, neu) counts of each session, one row per session."""
         rows = [(s.pos, s.neg, s.neu) for s in self.sessions]
         return np.asarray(rows, dtype=float).reshape(-1, 3)
-
-    @cached_property
-    def lagged_regressors(self) -> np.ndarray:
-        """The intercept and the five lagged variables aligned with each session.
-
-        Row i holds [1 | R1 R2 P1 N1 Z1] as seen by session i: the returns of
-        sessions i-1 and i-2 and the pos/neg/neu counts of session i-1.  Rows
-        run to i = len(self), the out-of-sample row; rows 0 and 1 lack history
-        and hold NaN.  Every regression design is a slice of it.
-        """
-        return self._lagged(self.counts)
-
-    @cached_property
-    def lagged_share_regressors(self) -> np.ndarray:
-        """``lagged_regressors`` with each session's counts as shares of their
-        total (all zero for a session without messages)."""
-        counts = self.counts
-        total = counts.sum(axis=1, keepdims=True)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return self._lagged(np.where(total > 0, counts / total, 0.0))
-
-    def _lagged(self, counts: np.ndarray) -> np.ndarray:
-        r = self.returns_array
-        L = np.full((len(self) + 1, 6), np.nan)
-        L[2:, 0] = 1.0
-        L[2:, 1] = r[1:]
-        L[2:, 2] = r[:-1]
-        L[2:, 3:] = counts[1:]
-        L.flags.writeable = False
-        return L
 
 
 @dataclass(frozen=True)
@@ -406,11 +376,7 @@ def build_sessions(
     if discarded:
         log.warning("%d sentiment bucket(s) outside the session range discarded", discarded)
 
-    try:
-        sessions = tuple(Session(i, *s, *c) for i, (s, c) in enumerate(zip(spans, counts)))
-    except ValueError as exc:  # a summed count over VALUE_CAP
-        raise DataError(str(exc)) from None
-    return SessionSeries(sessions)
+    return SessionSeries(tuple(Session(i, *s, *c) for i, (s, c) in enumerate(zip(spans, counts))))
 
 
 def write_sessions_csv(series: SessionSeries, stream: IO[str], comments: Iterable[str] = ()) -> None:

@@ -95,36 +95,20 @@ def generate(scenario: SyntheticScenario) -> SessionSeries:
     a fixed epoch; the stored returns come from the chained prices, so they
     round-trip exactly through the sessions CSV.
     """
-    returns, pos, neg, neu = _draw(scenario)
-    if np.any(returns <= -1.0):
-        raise DataError("generated a return at or below -100%; lower the noise or signal")
-
-    sessions = []
-    price = 100.0
-    for t in range(scenario.n_sessions):
-        day_number, half = divmod(t, 2)
-        day_open = _BASE_OPEN + day_number * _FULL_SPAN
-        if half == 0:
-            kind = SessionKind.DAY
-            open_time, close_time = day_open, day_open + _DAY_SPAN
-        else:
-            kind = SessionKind.NIGHT
-            open_time, close_time = day_open + _DAY_SPAN, day_open + _FULL_SPAN
-        close_price = price * (1.0 + returns[t])
-        try:
-            session = Session(
-                index=t,
-                kind=kind,
-                open_time=open_time,
-                close_time=close_time,
-                open_price=price,
-                close_price=close_price,
-                pos=int(pos[t]),
-                neg=int(neg[t]),
-                neu=int(neu[t]),
-            )
-        except ValueError as exc:  # a price or return beyond Session's bounds
-            raise DataError(f"{exc}; lower the noise or signal") from None
-        sessions.append(session)
-        price = close_price
-    return SessionSeries(tuple(sessions))
+    with np.errstate(over="ignore", invalid="ignore"):  # a blow-up is rejected below
+        returns, pos, neg, neu = _draw(scenario)
+        prices = np.cumprod(np.concatenate(([100.0], 1.0 + returns))).tolist()
+    if not np.all((returns > -1.0) & (returns < np.inf)):
+        raise DataError("generated a return at or below -100% or not finite; "
+                        "lower the noise or signal")
+    opens = [_BASE_OPEN + t // 2 * _FULL_SPAN + t % 2 * _DAY_SPAN
+             for t in range(scenario.n_sessions + 1)]
+    kinds = (SessionKind.DAY, SessionKind.NIGHT)
+    try:
+        sessions = tuple(
+            Session(t, kinds[t % 2], opens[t], opens[t + 1], prices[t], prices[t + 1], *counts)
+            for t, counts in enumerate(zip(pos.tolist(), neg.tolist(), neu.tolist()))
+        )
+    except DataError as exc:  # a price or return beyond Session's bounds
+        raise DataError(f"{exc}; lower the noise or signal") from None
+    return SessionSeries(sessions)

@@ -6,9 +6,11 @@ import threading
 from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from sentrade import model_space
 from sentrade.sessions import Session, SessionKind, SessionSeries
 from sentrade.synth import SyntheticScenario, generate
 
@@ -74,6 +76,16 @@ def make_series(returns, pos=None, neg=None, neu=None) -> SessionSeries:
             )
         )
     return plant_returns(SessionSeries(tuple(sessions)), returns)
+
+
+def design_rows(series: SessionSeries, normalize: bool = False) -> np.ndarray:
+    """model_space's design rows of every session, at their session index
+    through len(series); the rows of the first HISTORY sessions hold NaN."""
+    L = np.full((len(series) + 1, 6), np.nan)
+    L[model_space.HISTORY :] = model_space._regressors(
+        series, range(model_space.HISTORY, len(series) + 1), normalize
+    )
+    return L
 
 
 @pytest.fixture(scope="session")

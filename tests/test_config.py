@@ -66,6 +66,7 @@ class TestConfig:
             ({"initial_spread": math.inf}, "initial_spread"),
             ({"offset_minutes": 1440}, "offset_minutes"),
             ({"offset_minutes": 99999999999999}, "offset_minutes"),
+            ({"cost_per_trade": 1e308}, "cost_per_trade"),
         ],
     )
     def test_validation_names_the_field(self, kwargs, field):

@@ -8,9 +8,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import make_series
+from conftest import design_rows, make_series
 from sentrade import model_space
-from sentrade.adaptive import PipelineParams
+from sentrade.adaptive import PipelineParams, first_session
 from sentrade.errors import DataError
 from sentrade.model_space import (
     CANDIDATES,
@@ -22,7 +22,6 @@ from sentrade.model_space import (
     _POSITION,
     _cross_products,
     _fit_cells,
-    _regressors,
     _swept_fits,
     fit_window,
     votes,
@@ -45,7 +44,7 @@ def chunks(sessions, windows):
 def block_outputs(series, sessions, windows, p_threshold, normalize):
     """_fit_cells's passed, predicted_next and unsure arrays over the span,
     computed in the same chunks as FitTable and shaped (sessions, windows, ...)."""
-    L = _regressors(series, normalize)
+    L = design_rows(series, normalize)
     parts = zip(*(
         _fit_cells(L, series.returns_array, t_cell, w_cell, p_threshold)[:3]
         for t_cell, w_cell in chunks(sessions, windows)
@@ -184,7 +183,7 @@ def test_near_collinear_counts_match_reference(base, normalize):
     sessions = range(WINDOWS[-1] + 2, len(series) + 1)
     _, rank_ok, _ = assert_matches_reference(series, sessions, WINDOWS, normalize=normalize)
     worst = 0.0
-    L = _regressors(series, normalize)
+    L = design_rows(series, normalize)
     for i, j, c in zip(*np.nonzero(rank_ok)):
         worst = max(worst, design_cond2(L, sessions[i], WINDOWS[j], c))
     assert 1e9 < worst <= CONDITION_LIMIT
@@ -203,7 +202,7 @@ def test_error_bounds_hold(series, normalize):
     """Outside the fallback cells, every rank-ok candidate's |t| statistics
     and prediction from the sweep tree lie within their computed error
     bounds of fit_ols's."""
-    L, r = _regressors(series, normalize), series.returns_array
+    L, r = design_rows(series, normalize), series.returns_array
     checked = 0
     for t_cell, w_cell in chunks(range(WINDOWS[-1] + 2, len(series) + 1), WINDOWS):
         cross, x_next = _cross_products(L, r, t_cell, w_cell)
@@ -260,7 +259,7 @@ def test_flat_pos_makes_its_supersets_rank_deficient():
     assert rank_ok[:, :, ~has_pos].all()
     # The intercept's node already holds P1's pivot, which settles P1 in every
     # cell, so no node containing it is swept, P1 alone included.
-    L = _regressors(series, False)
+    L = design_rows(series, False)
     for t_cell, w_cell in chunks(range(26, 61), range(20, 25)):
         cross, x_next = _cross_products(L, series.returns_array, t_cell, w_cell)
         swept = np.concatenate([members for members, _, _ in _swept_fits(cross, x_next, w_cell)])
@@ -305,7 +304,7 @@ def swept_verdicts(series, sessions, windows, normalize):
     """Each fitted candidate's verdict, bounds, SVD cond^2 and column count, from
     _swept_fits over FitTable's chunks: (rank_ok, eigensolved, lower, upper,
     cond2, m) rows."""
-    L, r = _regressors(series, normalize), series.returns_array
+    L, r = design_rows(series, normalize), series.returns_array
     rows = []
     for t_cell, w_cell in chunks(sessions, windows):
         cross, x_next = _cross_products(L, r, t_cell, w_cell)
@@ -411,7 +410,7 @@ def test_table_build_memory_stays_bounded():
     builds = [(1000, range(WINDOWS[-1] + 2, 1001), WINDOWS), (406, range(403, 407), range(3, 401))]
     for n, sessions, windows in builds:
         series = generate(SyntheticScenario("B", n, seed=7))
-        series.lagged_regressors, series.returns_array  # cached before tracing
+        series.counts, series.returns_array  # cached before tracing
         tracemalloc.start()
         try:
             FitTable(series, sessions, windows)
@@ -517,6 +516,19 @@ def test_call_serves_vote_counts(series_b):
 def test_history_before_first_window_required(series_b):
     with pytest.raises(DataError, match="history"):
         FitTable(series_b, range(41, 50), WINDOWS)
+
+
+@pytest.mark.parametrize("normalize", [False, True], ids=["raw", "shares"])
+def test_table_over_every_window_builds_from_first_session(series_b, normalize):
+    """first_session is the first session whose longest window has its two
+    sessions of history: a table over every window builds from it and serves
+    fit_window's votes there, and one session earlier fit_window refuses."""
+    params = PipelineParams(normalize_sentiment=normalize)
+    t0, w = first_session(params), params.tfw_max
+    table = FitTable(series_b, range(t0, t0 + 3), params.windows, normalize=normalize)
+    assert table(t0, w) == votes(fit_window(series_b, t0, w, normalize=normalize))
+    with pytest.raises(DataError, match="two sessions of history"):
+        fit_window(series_b, t0 - 1, w, normalize=normalize)
 
 
 def test_table_keeps_only_vote_counts(series_b):

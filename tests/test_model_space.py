@@ -7,7 +7,7 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import make_series
+from conftest import design_rows, make_series
 from oracles import ols_oracle
 from sentrade import model_space
 from sentrade.errors import DataError
@@ -74,22 +74,21 @@ class TestEnumerateCandidates:
 
 
 class TestBuildDesign:
-    """A window's design is built from rows [1 | R1 R2 P1 N1 Z1] of the
-    lagged regressors: sessions t-w..t-1 are the slice [t - w : t], and the
-    prediction row is row t."""
+    """A window's design is built from model_space's rows [1 | R1 R2 P1 N1 Z1]:
+    sessions t-w..t-1 are the slice [t - w : t], and the prediction row is row t."""
 
     def test_r1_window_slices(self):
         r = [0.01, 0.02, 0.03, 0.04, 0.05, 0.06]
         series = make_series(r)
-        rows = series.lagged_regressors[2:5]
+        rows = design_rows(series)[2:5]
         np.testing.assert_array_equal(series.returns_array[2:5], r[2:5])
         np.testing.assert_array_equal(rows[:, 0], 1.0)
         np.testing.assert_array_equal(rows[:, 1], r[1:4])
-        assert series.lagged_regressors[5, 1] == r[4]
+        assert design_rows(series)[5, 1] == r[4]
 
     def test_r2_history_boundary(self):
         series = make_series([0.01] * 6)
-        assert np.isnan(series.lagged_regressors[:2]).all()
+        assert np.isnan(design_rows(series)[:2]).all()
         with pytest.raises(DataError, match="history"):
             fit_window(series, t=4, w=3)
 
@@ -98,15 +97,15 @@ class TestBuildDesign:
         series = make_series([0.01] * n, pos=list(range(n)))
         t = 10
         np.testing.assert_array_equal(
-            series.lagged_regressors[t - 4 : t, 3], [t - 5, t - 4, t - 3, t - 2]
+            design_rows(series)[t - 4 : t, 3], [t - 5, t - 4, t - 3, t - 2]
         )
-        assert series.lagged_regressors[t, 3] == t - 1
+        assert design_rows(series)[t, 3] == t - 1
 
     def test_forecast_at_series_end(self):
         r = [0.01, -0.02, 0.03, -0.04, 0.05, -0.06, 0.07]
         series = make_series(r)
-        assert series.lagged_regressors.shape == (len(r) + 1, 6)
-        np.testing.assert_array_equal(series.lagged_regressors[len(r), 1:3], [r[6], r[5]])
+        assert design_rows(series).shape == (len(r) + 1, 6)
+        np.testing.assert_array_equal(design_rows(series)[len(r), 1:3], [r[6], r[5]])
         assert len(fit_window(series, len(r), 4)) == len(CANDIDATES)
 
     def test_past_series_end_rejected(self):
@@ -116,14 +115,14 @@ class TestBuildDesign:
 
     def test_normalized_shares(self):
         series = make_series([0.01] * 8, pos=[6] * 8, neg=[3] * 8, neu=[1] * 8)
-        shares = series.lagged_share_regressors
+        shares = design_rows(series, normalize=True)
         np.testing.assert_allclose(shares[4:9, 3], 0.6)
         np.testing.assert_allclose(shares[4:9, 4], 0.3)
-        np.testing.assert_array_equal(shares[:, :3], series.lagged_regressors[:, :3])
+        np.testing.assert_array_equal(shares[:, :3], design_rows(series)[:, :3])
 
     def test_normalized_zero_total_maps_to_zero(self):
         series = make_series([0.01] * 8, pos=[0] * 8, neg=[0] * 8, neu=[0] * 8)
-        np.testing.assert_array_equal(series.lagged_share_regressors[4:9, 3:], 0.0)
+        np.testing.assert_array_equal(design_rows(series, normalize=True)[4:9, 3:], 0.0)
 
     def test_lag_shift_property(self):
         rng = np.random.default_rng(21)
@@ -133,7 +132,7 @@ class TestBuildDesign:
         shifted = make_series([0.123] + r[:-1], pos=[7] + pos[:-1])
         # Columns 1, R1, R2 and P1; the default neg and neu counts do not shift.
         np.testing.assert_array_equal(
-            base.lagged_regressors[5:11, :4], shifted.lagged_regressors[6:12, :4]
+            design_rows(base)[5:11, :4], design_rows(shifted)[6:12, :4]
         )
         np.testing.assert_array_equal(base.returns_array[5:10], shifted.returns_array[6:11])
 
@@ -151,7 +150,7 @@ class TestFitWindow:
         expected_sign = 1 if 0.9 * series.returns[t - 1] > 0 else -1
         assert (1 if financial.predicted_next > 0 else -1) == expected_sign
         # Cross-check the surviving fit against the extended-precision oracle.
-        X = series.lagged_regressors[t - 30 : t, 1:3]  # R1 R2
+        X = design_rows(series)[t - 30 : t, 1:3]  # R1 R2
         ref = ols_oracle(X.tolist(), series.returns_array[t - 30 : t].tolist())
         np.testing.assert_allclose(financial.fit.coefficients, ref["coefficients"], rtol=1e-7)
         np.testing.assert_allclose(financial.fit.p_values, ref["p_values"], rtol=1e-7)

@@ -1,4 +1,5 @@
-"""Every fenced ``python`` block in README.md runs as written, and its tables match the code."""
+"""Every fenced ``python`` block in README.md runs as written without a warning, and its
+tables match the code."""
 
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ def test_readme_has_python_blocks():
 def test_readme_python_block_runs(code, tmp_path):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-W", "error", "-c", code],
         cwd=tmp_path,
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,

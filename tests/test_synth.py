@@ -100,6 +100,18 @@ class TestGenerate:
         with pytest.raises(DataError, match="-100%"):
             generate(SyntheticScenario("C", 500, noise_sigma=1.0, seed=0))
 
+    @pytest.mark.parametrize(
+        "scenario",
+        [
+            SyntheticScenario("A", 10, noise_sigma=1e308),
+            SyntheticScenario("B", 10, signal_strength=1e308),
+        ],
+        ids=["A-noise", "B-signal"],
+    )
+    def test_non_finite_return_rejected_without_warning(self, scenario):
+        with pytest.raises(DataError, match="not finite; lower the noise or signal"):
+            generate(scenario)
+
     def test_overflowing_return_rejected(self):
         with pytest.raises(DataError, match=r"session 0: \|return\| must be finite"):
             generate(SyntheticScenario("B", 1, noise_sigma=1e200, seed=3))
