@@ -15,7 +15,7 @@ import itertools
 import math
 import operator
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import IO, Iterable, Sequence
 
@@ -128,12 +128,17 @@ def simulate(
 
 @dataclass(frozen=True)
 class TrainingResult:
+    """``fit_table`` is None under ``fit_fn``; ``replay_seconds`` excludes the fits.
+    Neither takes part in equality."""
+
     beta: float
     gamma: float
     train_return: float
     grid: tuple[tuple[float, float, float], ...]
     split_index: int
     scored_sessions: int
+    fit_table: FitTable | None = field(compare=False)
+    replay_seconds: float = field(compare=False)
 
 
 def split_point(n_sessions: int, train_fraction: float) -> int:
@@ -186,8 +191,10 @@ def train_params(
     for beta, gamma in points:
         check_decays(beta, gamma)
 
-    counts, _ = _vote_counts(series, params, range(t0, split), fit_fn)
+    counts, table = _vote_counts(series, params, range(t0, split), fit_fn)
+    began = time.perf_counter()
     train_returns = replay_grid(counts, series.returns[t0:split], points, params).strategy.tolist()
+    replay_seconds = time.perf_counter() - began
     best = max(range(len(points)), key=train_returns.__getitem__)  # the first of equal maxima
     return TrainingResult(
         beta=points[best][0],
@@ -196,18 +203,21 @@ def train_params(
         grid=tuple((b, g, ret) for (b, g), ret in zip(points, train_returns)),
         split_index=split,
         scored_sessions=split - t0,
+        fit_table=table,
+        replay_seconds=replay_seconds,
     )
 
 
 @dataclass(frozen=True)
 class EvaluationResult:
-    """``fit_table`` is None under ``fit_fn``; ``replay_seconds`` excludes the fits."""
+    """``fit_table`` is None under ``fit_fn``; ``replay_seconds`` excludes the fits.
+    Neither takes part in equality."""
 
     ledger: TradeLedger
     records: tuple[PredictionRecord, ...]
     start: int
-    fit_table: FitTable | None
-    replay_seconds: float
+    fit_table: FitTable | None = field(compare=False)
+    replay_seconds: float = field(compare=False)
 
 
 def evaluate(

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import os
 import sys
 from dataclasses import replace
 from typing import IO, Sequence
@@ -21,7 +22,7 @@ from .backtest import (
 )
 from .config import format_params, parse_calendar, parse_config, parse_params_file
 from .errors import ConfigError, DataError
-from .model_space import fit_window
+from .model_space import FitTable, fit_window
 from .sessions import (
     SessionSeries,
     build_sessions,
@@ -124,6 +125,34 @@ def _open_out(path: str) -> IO[str]:
     return open(path, "w", encoding="utf-8", newline="")
 
 
+def _check_outputs(**paths: str) -> None:
+    """Raise an OSError naming the first output that cannot be written, creating
+    and truncating nothing: its directory must exist and be writable, and the
+    path must be a writable file or none at all."""
+    for what, path in paths.items():
+        directory = os.path.dirname(path) or "."
+        if os.path.isdir(path):
+            problem = "is a directory"
+        elif not os.path.isdir(directory):
+            problem = "no such directory"
+        elif not os.access(directory, os.W_OK | os.X_OK) or (
+            os.path.exists(path) and not os.access(path, os.W_OK)
+        ):
+            problem = "permission denied"
+        else:
+            continue
+        raise OSError(f"cannot write {what}: {path}: {problem}")
+
+
+def _table_summary(table: FitTable, replay_seconds: float) -> str:
+    """A FitTable's build time, cells, refitted cells and eigensolves, and the replay time."""
+    return (
+        f"fit table {1e3 * table.build_seconds:.2f} ms ({len(table.fallback_cells)} of "
+        f"{len(table.sessions) * len(table.windows)} cells refitted by the reference, "
+        f"{table.eigensolved} rank verdicts eigensolved), replay {1e3 * replay_seconds:.2f} ms"
+    )
+
+
 def cmd_aggregate(args: argparse.Namespace) -> int:
     params = _load_config(args.config)
     calendar = parse_calendar(_read_setting(args.calendar, "calendar"))
@@ -141,12 +170,12 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     params = _load_config(args.config)
+    training_path, params_path = f"{args.out}training.csv", args.params or f"{args.out}params.txt"
+    _check_outputs(training=training_path, params=params_path)
     series = _load_series(args.sessions)
     result = train_params(series, params, grid=None if params.beta is None else [params.decays])
-    training_path = f"{args.out}training.csv"
     with _open_out(training_path) as handle:
         write_training_csv(result, handle)
-    params_path = args.params or f"{args.out}params.txt"
     params_text = format_params(result.beta, result.gamma)
     with _open_out(params_path) as handle:
         handle.write(params_text)
@@ -154,9 +183,10 @@ def cmd_train(args: argparse.Namespace) -> int:
     train_returns = [train_return for _, _, train_return in result.grid]
     ties = train_returns.count(result.train_return)
     log.info(
-        "trained on %d scored sessions: best train return %s at beta=%s gamma=%s; "
+        "trained on %d scored sessions: %s; best train return %s at beta=%s gamma=%s; "
         "%d of %d grid points tie at the best, %d distinct train returns",
         result.scored_sessions,
+        _table_summary(result.fit_table, result.replay_seconds),
         result.train_return,
         result.beta,
         result.gamma,
@@ -209,27 +239,24 @@ def cmd_backtest(args: argparse.Namespace) -> int:
         beta, gamma = parse_params_file(_read_setting(args.params, "params"))
         params = replace(params, beta=beta, gamma=gamma)
     params.decays  # an untrained run fails before the sessions file is read
+    outputs = {"predictions": f"{args.out}predictions.csv", "report": f"{args.out}report.csv"}
+    if args.dump_models:
+        outputs["models"] = f"{args.out}models.csv"
+    _check_outputs(**outputs)
     series = _load_series(args.sessions)
     result = evaluate(series, params)
-    predictions_path = f"{args.out}predictions.csv"
-    with _open_out(predictions_path) as handle:
+    with _open_out(outputs["predictions"]) as handle:
         write_predictions_csv(result.records, handle)
-    report_path = f"{args.out}report.csv"
-    with _open_out(report_path) as handle:
+    with _open_out(outputs["report"]) as handle:
         write_report_csv(result.ledger, handle)
     if args.dump_models:
-        with _open_out(f"{args.out}models.csv") as handle:
+        with _open_out(outputs["models"]) as handle:
             _write_models_csv(series, params, result.start, len(series), handle)
-    ledger, table = result.ledger, result.fit_table
+    ledger = result.ledger
     log.info(
-        "evaluated %d sessions: fit table %.2fs (%d of %d cells refitted by the reference, "
-        "%d rank verdicts eigensolved), replay %.2fs",
+        "evaluated %d sessions: %s",
         len(result.records),
-        table.build_seconds,
-        len(table.fallback_cells),
-        len(table.sessions) * len(table.windows),
-        table.eigensolved,
-        result.replay_seconds,
+        _table_summary(result.fit_table, result.replay_seconds),
     )
     hit = "na" if ledger.hit_rate is None else f"{ledger.hit_rate:.3f}"
     print(

@@ -9,7 +9,7 @@ one of its regressors is individually significant below the p threshold.
 
 ``fit_window`` fits one (session, window) cell through the SVD reference
 ``fit_ols``.  ``FitTable`` fits the cells of a span in row-major chunks
-of a bounded number of padded rows: each cell's candidates come from one
+of a bounded number of cells: each cell's candidates come from one
 sweep tree over its cross-product matrix (Furnival and Wilson's
 all-subsets regression, 1974), and so do nearly all rank verdicts.  It
 hands the few cells it cannot decide with certainty back to
@@ -212,9 +212,9 @@ SIGN_BAND = 1e-6
 # up to rounding, so its standard errors (zero in fit_ols's special case)
 # are rounding noise in either path.
 EXACT_FIT_BAND = 1e-8
-# Padded design rows per chunk of cells.  A chunk pads each cell's rows to
-# the longest window, so it holds this many rows over the longest window
-# cells, at least one: 336 at the default windows 20-40, 16 sessions of 21.
+# A chunk holds _BLOCK_ROWS // (longest window) cells, at least one: 336 at
+# the default windows 20-40, 16 sessions of 21.  _cross_products gathers each
+# of a chunk's sessions' rows once, back to its longest window.
 _BLOCK_ROWS = 16 * 21 * 40
 _EPS = float(np.finfo(float).eps)
 
@@ -223,7 +223,9 @@ def _condition_band(w: np.ndarray, m: int) -> np.ndarray:
     """Relative error bound on cond(A'A) computed from the Gram matrix.
 
     Forming A'A from w rows of m columns perturbs it by at most
-    w * m * eps * lambda_max in the 2-norm, and the symmetric eigensolver
+    w * m * eps * lambda_max in the 2-norm, in whatever order each entry
+    sums its w products (``_cross_products`` sums the shortest window's,
+    then adds one more per longer window), and the symmetric eigensolver
     adds a few m * eps * lambda_max more, so lambda_min, and with it
     cond^2 = lambda_max / lambda_min, is off by a relative
     (w + 10) * m * eps * cond^2 at most.  Doubled, and evaluated at
@@ -240,10 +242,11 @@ class FitTable:
     makes of each cell.  Calling the table with (t, w) returns that cell's
     counts as Python ints, so the table serves as a run's fit function.
 
-    The cells are fitted in row-major order, in chunks of as many cells as
-    pad _BLOCK_ROWS rows at the longest window, each candidate and its rank
-    verdict read from its cell's sweep tree (see ``_swept_fits``), and each
-    chunk folded into counts at once.  A cell with any candidate within the
+    The cells are fitted in row-major order, in chunks of _BLOCK_ROWS //
+    max(windows) cells.  A chunk builds each session's cross-products once
+    for all its windows (see ``_cross_products``), reads each candidate
+    and its rank verdict from its cell's sweep tree (see ``_swept_fits``),
+    and is folded into counts at once.  A cell with any candidate within the
     error bound of a decision takes its counts from ``fit_window`` instead:
     cond^2 near CONDITION_LIMIT, a t statistic near the threshold, a
     prediction near zero, or a near-exact fit.  ``fallback_cells`` lists
@@ -373,13 +376,31 @@ def _cross_products(
     L: np.ndarray, r: np.ndarray, t_cell: np.ndarray, w_cell: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each cell's 7x7 cross-product of its rows [1 | R1 R2 P1 N1 Z1 | y],
-    from zero-padded copies of them, and its prediction row of L."""
-    offsets = np.arange(int(w_cell.max()))
-    rows = (t_cell - w_cell)[:, None] + offsets  # (cell, row)
-    valid = offsets < w_cell[:, None]
-    padded = np.zeros(rows.shape + (L.shape[1] + 1,))
-    padded[valid, :-1], padded[valid, -1] = L[rows[valid]], r[rows[valid]]
-    return np.matmul(padded.transpose(0, 2, 1), padded), L[t_cell]
+    and its prediction row of L.
+
+    The cells come in row-major order, as in FitTable's chunks, so their
+    sessions run from t_cell[0] to t_cell[-1].  Each session's rows are
+    gathered once, counting back from the session to the cells' longest
+    window (every session must have that many rows before it).  The
+    shortest window's cross-product is one product per session; a running
+    sum along the window axis adds each longer window's earliest row as an
+    outer product, and each cell reads its window's slot.
+    """
+    first, shortest, longest = int(t_cell[0]), int(w_cell.min()), int(w_cell.max())
+    sessions = np.arange(first, int(t_cell[-1]) + 1)
+    back = sessions - 1 - np.arange(longest)[:, None]  # (row, session), the latest row first
+    k = L.shape[1] + 1
+    rows = np.empty(back.shape + (k,))
+    rows[..., :-1], rows[..., -1] = L[back], r[back]
+    grams = np.empty((longest - shortest + 1, len(sessions), k, k))
+    near, far = rows[:shortest], rows[shortest:]
+    # Two copies, not one array and its transpose: numpy takes BLAS's syrk for the
+    # latter, which read about 0.1 MB higher in peak RSS on small series than a gemm.
+    np.matmul(near.transpose(1, 2, 0).copy(), near.transpose(1, 0, 2).copy(), out=grams[0])
+    np.multiply(far[:, :, :, None], far[:, :, None, :], out=grams[1:])
+    for j in range(1, len(grams)):  # np.cumsum along this axis is slower at few windows
+        grams[j] += grams[j - 1]
+    return grams[w_cell - shortest, t_cell - first], L[t_cell]
 
 
 def _swept_fits(
@@ -466,7 +487,10 @@ def _swept_fits(
 # y'y = 1.  For a candidate on the m columns K, S^-1 is the inverse of S's block on K,
 # tau its trace (>= ||S^-1||), b its coefficients, q = 1 + sqrt(m) ||b||, and
 # z = (-b, 1) on K and y, so ||z||_1 <= q.
-# - The table.  Forming and scaling S moves each entry by at most (w + 3) eps.
+# - The table.  Forming and scaling S moves each entry by at most (w + 3) eps.  A
+#   w-row window's entry G_ij is a sum of its own w products, in any order (the running
+#   sum in _cross_products adds them one window at a time), so by Cauchy-Schwarz it is
+#   off by at most w eps sqrt(G_ii G_jj), wherever the session lies in the series.
 #   Sweeping K is Gauss-Jordan elimination (GJE) without pivoting on a positive
 #   definite block, whose LU factors are its Cholesky factor R up to a diagonal; R's
 #   columns have unit norm, so (|L||U|)_ij <= 1, ||R||_F^2 = m, |U^-1||U| = |R^-1||R|,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import logging
+import re
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -306,6 +307,22 @@ class TestTrainCommand:
         # the 30% split is session 18; windows up to 12 start scoring at 14
         assert "trained on 4 scored sessions" in caplog.text
 
+    def test_log_reports_fit_table(self, workspace, caplog):
+        sessions = synth_sessions(workspace)
+        with caplog.at_level(logging.INFO, logger="sentrade.cli"):
+            code = main(
+                ["train", "--sessions", str(sessions), "--config", str(workspace / "run.cfg"),
+                 "--out", str(workspace / "t_")]
+            )
+        assert code == 0
+        # 4 sessions of windows 10-12
+        assert re.search(
+            r"trained on 4 scored sessions: fit table \d+\.\d\d ms \(0 of 12 cells refitted "
+            r"by the reference, 0 rank verdicts eigensolved\), replay \d+\.\d\d ms; "
+            r"best train return ",
+            caplog.text,
+        )
+
     @pytest.mark.parametrize(
         "seed, summary, warns",
         [
@@ -443,6 +460,8 @@ class TestBacktestCommand:
             assert self.run_backtest(workspace, sessions) == 0
         assert "evaluated 42 sessions: fit table" in caplog.text
         assert "of 126 cells refitted by the reference, 0 rank verdicts eigensolved)" in caplog.text
+        assert re.search(r"evaluated 42 sessions: fit table \d+\.\d\d ms \(", caplog.text)
+        assert re.search(r"eigensolved\), replay \d+\.\d\d ms\n", caplog.text)
 
     def test_unset_params_exit_one(self, workspace, capsys):
         sessions = synth_sessions(workspace)
@@ -528,6 +547,61 @@ class TestBacktestCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert f"line {line}:" in err and message in err
+
+
+class TestOutputChecks:
+    """Every output is checked before the sessions file is read, and a failed
+    check creates and truncates nothing."""
+
+    @pytest.fixture
+    def no_table(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the fit table was built")
+
+        monkeypatch.setattr("sentrade.backtest.FitTable", refuse)
+
+    @pytest.mark.parametrize(
+        "command, extra, blocked, what",
+        [
+            ("train", ["--params", "{missing}/p.txt"], None, "params"),
+            ("train", ["--out", "{missing}/t_"], None, "training"),
+            ("train", [], "t_params.txt", "params"),
+            ("backtest", ["--out", "{missing}/b_"], None, "predictions"),
+            ("backtest", [], "b_report.csv", "report"),
+            ("backtest", ["--dump-models"], "b_models.csv", "models"),
+        ],
+        ids=["train-params-dir", "train-out-dir", "train-params-is-dir", "backtest-out-dir",
+             "backtest-report-is-dir", "backtest-models-is-dir"],
+    )
+    def test_unwritable_output_exits_before_any_fit(
+        self, workspace, capsys, no_table, command, extra, blocked, what
+    ):
+        sessions = synth_sessions(workspace)
+        capsys.readouterr()
+        if blocked:
+            (workspace / blocked).mkdir()
+        before = sorted(workspace.rglob("*"))
+        prefix = "t_" if command == "train" else "b_"
+        missing = str(workspace / "missing")
+        code = main(
+            [command, "--sessions", str(sessions), "--config", str(workspace / "run.cfg"),
+             "--out", str(workspace / prefix), *(a.format(missing=missing) for a in extra)]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {what}: ")
+        assert sorted(workspace.rglob("*")) == before
+
+    def test_existing_outputs_are_not_truncated(self, workspace, capsys, no_table):
+        sessions = synth_sessions(workspace)
+        (workspace / "b_predictions.csv").write_text("earlier\n", encoding="utf-8")
+        (workspace / "b_report.csv").mkdir()
+        code = main(
+            ["backtest", "--sessions", str(sessions), "--config", str(workspace / "run.cfg"),
+             "--out", str(workspace / "b_")]
+        )
+        assert code == 2
+        assert "cannot write report" in capsys.readouterr().err
+        assert (workspace / "b_predictions.csv").read_text(encoding="utf-8") == "earlier\n"
 
 
 # One file of each settings kind, with a comment on line 1.

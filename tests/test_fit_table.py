@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -400,6 +401,73 @@ def test_rank_bounds_follow_their_derivation():
         )
     np.testing.assert_allclose(lower[0], [low for low, _ in expected], rtol=1e-13)
     np.testing.assert_allclose(upper[0], [high for _, high in expected], rtol=1e-13)
+
+
+def exact_cross_products(L, r, t_cell, w_cell):
+    """Each cell's cross-product of its rows [L | r], as exact Fractions of the
+    float rows, from running totals over the rows the cells span."""
+    lo, hi = int((t_cell - w_cell).min()), int(t_cell.max())
+    rows = np.array([[Fraction(x) for x in (*L[k], r[k])] for k in range(lo, hi)], dtype=object)
+    outer = rows[:, :, None] * rows[:, None, :]
+    totals = np.concatenate([np.zeros((1, *outer.shape[1:]), dtype=object), outer]).cumsum(0)
+    return totals[t_cell - lo] - totals[t_cell - w_cell - lo]
+
+
+def collinear_pos_neg_series(n=60, seed=2):
+    """neg repeats pos but for an occasional extra message."""
+    rng = np.random.default_rng(seed)
+    pos = 300 + rng.poisson(30, n)
+    neg = pos + (rng.random(n) < 0.1)
+    return make_series(rng.normal(0, 0.01, n).tolist(), pos=pos.tolist(), neg=neg.tolist())
+
+
+def huge_counts_series(n=60, seed=3):
+    """Counts near 1e13, whose products round, and returns near 1e-9."""
+    rng = np.random.default_rng(seed)
+    pos, neg, neu = (10**13 + rng.integers(0, 10**6, n) for _ in range(3))
+    return make_series(rng.normal(0, 1e-9, n).tolist(), pos.tolist(), neg.tolist(), neu.tolist())
+
+
+@pytest.mark.parametrize(
+    "series, sessions, windows, per_chunk, checked_from",
+    [
+        (generate(SyntheticScenario("B", 60, seed=7)), range(48, 61), range(3, 41), 5, 0),
+        (flat_counts_series(), range(55, 61), range(3, 41), None, 0),
+        (collinear_pos_neg_series(), range(55, 61), range(3, 41), None, 0),
+        (huge_counts_series(), range(56, 61), range(3, 41), None, 0),
+        (generate(SyntheticScenario("B", 1500, seed=7)), range(7, 1501), range(3, 6), None, 1400),
+    ],
+    ids=["B60-split-sessions", "flat", "collinear-pos-neg", "huge-counts", "B1500-late-sessions"],
+)
+def test_cross_products_keep_the_forming_bound(
+    series, sessions, windows, per_chunk, checked_from, monkeypatch
+):
+    """Every entry of every cell's cross-product lies within (w + 3) eps
+    sqrt(G_ii G_jj) of the exact one, the forming error _error_bounds and
+    _condition_band assume, however late the session lies in a long span."""
+    calls = []
+
+    def recording(L, r, t_cell, w_cell):
+        cross, x_next = _cross_products(L, r, t_cell, w_cell)
+        calls.append((L, r, t_cell, w_cell, cross))
+        return cross, x_next
+
+    monkeypatch.setattr(model_space, "_cross_products", recording)
+    if per_chunk is not None:
+        monkeypatch.setattr(model_space, "_BLOCK_ROWS", per_chunk * windows[-1])
+    FitTable(series, sessions, windows)
+    if per_chunk is not None:
+        assert any(w_cell[0] != windows.start for _, _, _, w_cell, _ in calls)  # a split session
+    L, r = calls[0][:2]
+    t_cell, w_cell, cross = (np.concatenate(part) for part in list(zip(*calls))[2:])
+    late = t_cell >= checked_from - (sessions.start - windows[-1])
+    t_cell, w_cell, cross = t_cell[late], w_cell[late], cross[late]
+    assert len(t_cell) > 0
+    exact = exact_cross_products(L, r, t_cell, w_cell)
+    error = np.abs(np.frompyfunc(Fraction, 1, 1)(cross) - exact).astype(float)
+    norms = np.sqrt(np.diagonal(exact, axis1=1, axis2=2).astype(float))
+    bound = (w_cell + 3)[:, None, None] * model_space._EPS * norms[:, :, None] * norms[:, None, :]
+    assert (error <= bound).all()
 
 
 def test_table_build_memory_stays_bounded():
