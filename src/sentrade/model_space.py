@@ -212,10 +212,12 @@ SIGN_BAND = 1e-6
 # up to rounding, so its standard errors (zero in fit_ols's special case)
 # are rounding noise in either path.
 EXACT_FIT_BAND = 1e-8
-# A chunk holds _BLOCK_ROWS // (longest window) cells, at least one: 336 at
-# the default windows 20-40, 16 sessions of 21.  _cross_products gathers each
-# of a chunk's sessions' rows once, back to its longest window.
+# A chunk holds _BLOCK_ROWS // (longest window) cells, at least one and at
+# most _BLOCK_CELLS: 336 at the default windows 20-40, 16 sessions of 21.
+# _cross_products gathers each of a chunk's sessions' rows once, back to its
+# longest window; the cap holds the per-cell arrays of short windows.
 _BLOCK_ROWS = 16 * 21 * 40
+_BLOCK_CELLS = 16 * 21
 _EPS = float(np.finfo(float).eps)
 
 
@@ -243,15 +245,16 @@ class FitTable:
     counts as Python ints, so the table serves as a run's fit function.
 
     The cells are fitted in row-major order, in chunks of _BLOCK_ROWS //
-    max(windows) cells.  A chunk builds each session's cross-products once
-    for all its windows (see ``_cross_products``), reads each candidate
-    and its rank verdict from its cell's sweep tree (see ``_swept_fits``),
-    and is folded into counts at once.  A cell with any candidate within the
-    error bound of a decision takes its counts from ``fit_window`` instead:
-    cond^2 near CONDITION_LIMIT, a t statistic near the threshold, a
-    prediction near zero, or a near-exact fit.  ``fallback_cells`` lists
-    those cells, ``eigensolved`` counts the rank verdicts that took an
-    eigensolve, and ``build_seconds`` is the wall time of the whole build.
+    max(windows) cells, at most _BLOCK_CELLS.  A chunk builds each session's
+    cross-products once for all its windows (see ``_cross_products``), reads
+    each candidate and its rank verdict from its cell's sweep tree (see
+    ``_swept_fits``), and is folded into counts at once.  A cell with any
+    candidate within the error bound of a decision takes its counts from
+    ``fit_window`` instead: cond^2 near CONDITION_LIMIT, a t statistic near
+    the threshold, a prediction near zero, or a near-exact fit.
+    ``fallback_cells`` lists those cells, ``eigensolved`` counts the rank
+    verdicts that took an eigensolve, and ``build_seconds`` is the wall time
+    of the whole build.
     """
 
     def __init__(
@@ -275,7 +278,8 @@ class FitTable:
         # The span's design rows once, from the first session of its earliest window.
         span = range(sessions.start - windows[-1], sessions.stop) if sessions else range(0)
         L, r = _regressors(series, span, normalize), series.returns_array[span.start :]
-        cells, chunk = len(sessions) * len(windows), max(1, _BLOCK_ROWS // windows[-1])
+        cells = len(sessions) * len(windows)
+        chunk = max(1, min(_BLOCK_CELLS, _BLOCK_ROWS // windows[-1]))
         counts = np.zeros((cells, 2, 3), dtype=int)
         unsure = np.zeros(cells, dtype=bool)
         self.eigensolved = 0

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import threading
 from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 
@@ -93,12 +92,3 @@ def series_b() -> SessionSeries:
     """The committed sentiment-driven scenario used across adaptive tests."""
     return generate(SyntheticScenario("B", 200, seed=7))
 
-
-@pytest.fixture
-def no_threads(monkeypatch):
-    """Fail the test if the code under test starts any thread."""
-
-    def refuse(thread):
-        raise AssertionError(f"thread {thread.name} started")
-
-    monkeypatch.setattr(threading.Thread, "start", refuse)

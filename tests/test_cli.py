@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import logging
+import os
 import re
 from datetime import datetime, timedelta, timezone
 
@@ -550,8 +551,9 @@ class TestBacktestCommand:
 
 
 class TestOutputChecks:
-    """Every output is checked before the sessions file is read, and a failed
-    check creates and truncates nothing."""
+    """Every output is checked before a data input is read or a series
+    generated, a failed check creates and truncates nothing, and a run moves
+    its outputs into place together or not at all."""
 
     @pytest.fixture
     def no_table(self, monkeypatch):
@@ -602,6 +604,69 @@ class TestOutputChecks:
         assert code == 2
         assert "cannot write report" in capsys.readouterr().err
         assert (workspace / "b_predictions.csv").read_text(encoding="utf-8") == "earlier\n"
+
+    @pytest.mark.parametrize("command", ["synth", "aggregate"])
+    @pytest.mark.parametrize("blocker", [None, os.mkdir, os.mkfifo],
+                             ids=["out-dir", "out-is-dir", "out-is-fifo"])
+    def test_unwritable_output_exits_before_any_input(
+        self, workspace, capsys, monkeypatch, command, blocker
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an input was read or a series generated")
+
+        monkeypatch.setattr("sentrade.cli.generate", refuse)
+        monkeypatch.setattr("sentrade.cli.parse_ticks", refuse)
+        write_week_inputs(workspace)
+        if blocker:
+            blocker(workspace / "s_sessions.csv")
+        before = sorted(workspace.rglob("*"))
+        out = str(workspace / ("s_" if blocker else "missing/s_"))
+        args = {
+            "synth": ["synth", "--kind", "B", "--n", "60"],
+            "aggregate": ["aggregate", "--prices", str(workspace / "ticks.csv"),
+                          "--sentiment", str(workspace / "buckets.csv"),
+                          "--calendar", str(workspace / "calendar.txt")],
+        }[command]
+        assert main([*args, "--out", out]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write sessions: {out}")
+        assert sorted(workspace.rglob("*")) == before
+
+    def test_failed_write_keeps_earlier_outputs(self, workspace, capsys, monkeypatch):
+        sessions = synth_sessions(workspace)
+        args = ["backtest", "--sessions", str(sessions), "--config", str(workspace / "run.cfg"),
+                "--out", str(workspace / "b_")]
+        assert main(args) == 0
+        before = {path: path.read_bytes() for path in workspace.iterdir()}
+        written = []
+
+        def failing(ledger, stream):
+            written.append(stream.name)
+            raise OSError("disk full")
+
+        monkeypatch.setattr("sentrade.cli.write_report_csv", failing)
+        capsys.readouterr()
+        assert main(args) == 2
+        assert capsys.readouterr().err == "error: disk full\n"
+        assert written and written[0].endswith(".partial")
+        assert {path: path.read_bytes() for path in workspace.iterdir()} == before
+
+    def test_outputs_get_the_mode_of_a_plain_open(self, workspace):
+        with open(workspace / "plain.csv", "w"):
+            pass
+        synth_sessions(workspace)
+        mode = (workspace / "plain.csv").stat().st_mode
+        assert (workspace / "data_sessions.csv").stat().st_mode == mode
+
+    def test_symlinked_output_keeps_its_link(self, workspace):
+        (workspace / "real").mkdir()
+        link = workspace / "data_sessions.csv"
+        link.symlink_to(workspace / "real" / "target.csv")
+        synth_sessions(workspace)
+        assert link.is_symlink()
+        assert (workspace / "real" / "target.csv").read_text(encoding="utf-8").startswith("# synth")
+        assert sorted(p.name for p in workspace.rglob("*")) == sorted(
+            ["calendar.txt", "run.cfg", "data_sessions.csv", "real", "target.csv"]
+        )
 
 
 # One file of each settings kind, with a comment on line 1.
@@ -684,7 +749,7 @@ class TestPipelineReproducibility:
             for name in ("training.csv", "params.txt", "predictions.csv", "report.csv")
         }
 
-    def test_train_then_backtest_is_byte_stable(self, workspace, no_threads):
+    def test_train_then_backtest_is_byte_stable(self, workspace):
         sessions = synth_sessions(workspace)
         config = workspace / "run.cfg"
         first = self.train_and_backtest(workspace, "r1_", sessions, config, threads=1)

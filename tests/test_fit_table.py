@@ -37,7 +37,7 @@ def chunks(sessions, windows):
     """The (session, window) cells of the span in row-major order, as
     FitTable's chunks of per-cell session and window arrays."""
     i, j = np.divmod(np.arange(len(sessions) * len(windows)), len(windows))
-    step = max(1, model_space._BLOCK_ROWS // windows[-1])
+    step = max(1, min(model_space._BLOCK_CELLS, model_space._BLOCK_ROWS // windows[-1]))
     for first in range(0, len(i), step):
         yield sessions.start + i[first : first + step], windows.start + j[first : first + step]
 
@@ -109,7 +109,7 @@ def test_every_cell_matches_reference(scenario, normalize):
 
 def test_block_size_follows_window_span(monkeypatch):
     """FitTable hands _fit_cells chunks of _BLOCK_ROWS // max(windows) cells,
-    at least one, and the rest of the span last."""
+    at least one and at most _BLOCK_CELLS, and the rest of the span last."""
     sizes = []
 
     def recording(L, r, t_cell, w_cell, p_threshold):
@@ -120,6 +120,8 @@ def test_block_size_follows_window_span(monkeypatch):
     monkeypatch.setattr(model_space, "_fit_cells", recording)
     spans = [
         (PipelineParams(beta=0.4, gamma=0.0).windows, 17, 336),
+        (range(3, 6), 150, 336),
+        (range(20, 21), 400, 336),
         (range(3, 61), 4, 224),
         (range(3, 121), 1, 112),
         (range(1, 2001), 1, 6),
@@ -141,12 +143,14 @@ def test_block_size_follows_window_span(monkeypatch):
     ids=["B200", "C120-normalized"],
 )
 def test_tables_do_not_depend_on_chunk_size(series, normalize, monkeypatch):
-    """Chunks of one cell, and of five that straddle sessions at 21 windows,
-    give the default build's vote counts and fallback cells."""
+    """Chunks of one cell, of five that straddle sessions at 21 windows, and
+    of 1,000, above the cap, give the default build's vote counts and
+    fallback cells."""
     sessions = range(WINDOWS[-1] + 2, len(series) + 1)
     default = FitTable(series, sessions, WINDOWS, normalize=normalize)
-    for per_chunk in (1, 5):
+    for per_chunk in (1, 5, 1000):
         monkeypatch.setattr(model_space, "_BLOCK_ROWS", per_chunk * WINDOWS[-1])
+        monkeypatch.setattr(model_space, "_BLOCK_CELLS", per_chunk)
         table = FitTable(series, sessions, WINDOWS, normalize=normalize)
         np.testing.assert_array_equal(table.vote_counts, default.vote_counts)
         assert table.fallback_cells == default.fallback_cells
@@ -471,11 +475,17 @@ def test_cross_products_keep_the_forming_bound(
 
 
 def test_table_build_memory_stays_bounded():
-    """A B1000 build at the default windows, and a four-session B406 build
-    at windows 3-400, where one session alone pads more rows than a block
-    holds, each peak under 8 MB of traced allocations, so batching cannot
+    """A B1000 build at the default windows, a four-session B406 build at
+    windows 3-400, where one session alone pads more rows than a block holds,
+    and B1500 builds at windows 3-5 and 20-20, whose chunks _BLOCK_CELLS
+    caps, each peak under 8 MB of traced allocations, so batching cannot
     quietly regrow per-block memory."""
-    builds = [(1000, range(WINDOWS[-1] + 2, 1001), WINDOWS), (406, range(403, 407), range(3, 401))]
+    builds = [
+        (1000, range(WINDOWS[-1] + 2, 1001), WINDOWS),
+        (406, range(403, 407), range(3, 401)),
+        (1500, range(7, 1501), range(3, 6)),
+        (1500, range(22, 1501), range(20, 21)),
+    ]
     for n, sessions, windows in builds:
         series = generate(SyntheticScenario("B", n, seed=7))
         series.counts, series.returns_array  # cached before tracing
