@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .model_space import HISTORY, P_THRESHOLD, FitTable, ModelClass, Votes
-from .sessions import VALUE_CAP, SessionSeries, check_offset_minutes
+from .sessions import VALUE_CAP, SessionSeries, check_offset_minutes, write_csv
 
 PREDICTIONS_HEADER = (
     "index",
@@ -548,18 +548,14 @@ def replay_grid(
 
 
 def write_predictions_csv(records: Sequence[PredictionRecord], stream: IO[str]) -> None:
-    stream.write(",".join(PREDICTIONS_HEADER) + "\n")
-    for r in records:
-        if r.correct is None:
-            correct = "na"
-        else:
-            correct = "true" if r.correct else "false"
-        row = (
-            str(r.index),
-            "none" if r.chosen_tfw is None else str(r.chosen_tfw),
+    write_csv(stream, PREDICTIONS_HEADER, (
+        (
+            r.index,
+            "none" if r.chosen_tfw is None else r.chosen_tfw,
             "none" if r.chosen_class is None else r.chosen_class.value,
-            "none" if r.predicted_sign is None else str(r.predicted_sign),
-            repr(r.realized_return),
-            correct,
+            "none" if r.predicted_sign is None else r.predicted_sign,
+            r.realized_return,
+            "na" if r.correct is None else "true" if r.correct else "false",
         )
-        stream.write(",".join(row) + "\n")
+        for r in records
+    ))

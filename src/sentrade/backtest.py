@@ -32,7 +32,7 @@ from .adaptive import (
 )
 from .errors import ConfigError, DataError
 from .model_space import FitTable, ModelClass
-from .sessions import SessionSeries
+from .sessions import SessionSeries, write_csv
 
 REPORT_HEADER = (
     "index",
@@ -104,7 +104,7 @@ def simulate(
     cost_per_trade: float = 0.0,
 ) -> TradeLedger:
     """Trade the prediction series against its aligned session returns."""
-    returns = [float(r) for r in returns]  # a numpy scalar would reach the report as its repr
+    returns = [float(r) for r in returns]  # the ledger holds Python floats, whatever comes in
     if len(records) != len(returns):
         raise DataError(f"{len(records)} records but {len(returns)} returns")
     check_cost_per_trade(cost_per_trade)
@@ -261,21 +261,13 @@ def evaluate(
 
 
 def write_report_csv(ledger: TradeLedger, stream: IO[str]) -> None:
-    stream.write(",".join(REPORT_HEADER) + "\n")
-    for i, decision in enumerate(ledger.decisions):
-        row = (
-            str(decision.index),
-            decision.action.value,
-            repr(ledger.step_pnl[i]),
-            repr(ledger.cum_strategy[i]),
-            repr(ledger.cum_benchmark[i]),
-            repr(ledger.cum_benchmark_compounded[i]),
-            repr(ledger.cum_optimal[i]),
-        )
-        stream.write(",".join(row) + "\n")
+    columns = (ledger.step_pnl, ledger.cum_strategy, ledger.cum_benchmark,
+               ledger.cum_benchmark_compounded, ledger.cum_optimal)
+    write_csv(stream, REPORT_HEADER, (
+        (decision.index, decision.action.value, *values)
+        for decision, *values in zip(ledger.decisions, *columns)
+    ))
 
 
 def write_training_csv(result: TrainingResult, stream: IO[str]) -> None:
-    stream.write(",".join(TRAINING_HEADER) + "\n")
-    for beta, gamma, train_return in result.grid:
-        stream.write(f"{beta!r},{gamma!r},{train_return!r}\n")
+    write_csv(stream, TRAINING_HEADER, result.grid)

@@ -30,6 +30,7 @@ from .sessions import (
     parse_buckets,
     parse_ticks,
     read_sessions_csv,
+    write_csv,
     write_sessions_csv,
 )
 from .synth import SyntheticScenario, generate
@@ -214,28 +215,22 @@ def _write_models_csv(
     series: SessionSeries, params: PipelineParams, start: int, end: int, stream: IO[str]
 ) -> None:
     """One row per candidate per window per session, from the reference fit_window."""
-    stream.write(",".join(MODELS_HEADER) + "\n")
-    for t in range(start, end):
-        for w in params.windows:
-            models = fit_window(
-                series, t, w, params.p_threshold, normalize=params.normalize_sentiment
-            )
-            for model in models:
-                if model.fit is not None and model.fit.rank_ok:
-                    p_max = repr(model.fit.max_p_value)
-                else:
-                    p_max = "na"
-                predicted = "na" if model.predicted_next is None else repr(model.predicted_next)
-                row = (
-                    str(t),
-                    str(w),
-                    model.candidate.label,
-                    model.candidate.model_class.value,
-                    p_max,
-                    predicted,
-                    "true" if model.passed_filter else "false",
-                )
-                stream.write(",".join(row) + "\n")
+    write_csv(stream, MODELS_HEADER, (
+        (
+            t,
+            w,
+            model.candidate.label,
+            model.candidate.model_class.value,
+            model.fit.max_p_value if model.fit is not None and model.fit.rank_ok else "na",
+            "na" if model.predicted_next is None else model.predicted_next,
+            "true" if model.passed_filter else "false",
+        )
+        for t in range(start, end)
+        for w in params.windows
+        for model in fit_window(
+            series, t, w, params.p_threshold, normalize=params.normalize_sentiment
+        )
+    ))
 
 
 def cmd_backtest(args: argparse.Namespace) -> int:

@@ -26,7 +26,6 @@ from enum import Enum
 from functools import cached_property
 
 import numpy as np
-from scipy.special import stdtrit
 
 from .errors import DataError
 from .regression import CONDITION_LIMIT, DesignMatrix, FitResult, fit_ols
@@ -351,6 +350,8 @@ def _fit_cells(
     (each |t| above its df's critical value) and predictions, NaN where not
     rank-ok, the mask of cells to recompute, and the number of rank verdicts
     that took an eigensolve."""
+    from scipy.special import stdtrit  # here, so that commands which fit nothing skip scipy
+
     cross, x_next = _cross_products(L, r, t_cell, w_cell)
     # |t| beyond which a coefficient's p-value is below the threshold, and the
     # |t| span of p-values within P_BAND of it (to inf below P_BAND), by df.

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import betainc
 
 from .errors import DataError
 
@@ -98,6 +97,8 @@ def two_sided_t_pvalue(t_abs, df):
         raise ValueError("t_abs must be non-negative")
     if (df < 1 if isinstance(df, int) else (np.asarray(df) < 1).any()):
         raise ValueError(f"df must be at least 1, got {df}")
+    from scipy.special import betainc  # here, so that commands which fit nothing skip scipy
+
     with np.errstate(invalid="ignore"):
         x = df / (df + t_abs * t_abs)
     p = betainc(df / 2.0, 0.5, x)

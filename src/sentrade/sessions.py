@@ -224,6 +224,23 @@ def _read_csv(
         raise DataError(f"line {max(reader.line_num, 1)}: {exc}") from None
 
 
+def write_csv(
+    stream: IO[str], header: Sequence[str], rows: Iterable[Iterable[object]],
+    comments: Iterable[str] = (),
+) -> None:
+    """Write a CSV that ``_read_csv`` reads back: each line of each comment
+    as its own ``# `` line, the header, then one line per row.
+
+    Fields are comma-joined as ``str`` gives them: a float, numpy's too, as
+    its shortest round-trip text.  Tokens such as ``none`` are the caller's.
+    """
+    for comment in comments:
+        stream.writelines(f"# {line}\n" for line in comment.splitlines())
+    stream.write(",".join(header) + "\n")
+    for fields in rows:
+        stream.write(",".join(map(str, fields)) + "\n")
+
+
 def _parse_field(parse: Callable[[str], _T], what: str, text: str) -> _T:
     try:
         return parse(text)
@@ -381,22 +398,11 @@ def build_sessions(
 
 def write_sessions_csv(series: SessionSeries, stream: IO[str], comments: Iterable[str] = ()) -> None:
     """Write the re-ingestible sessions CSV (optionally preceded by # comments)."""
-    for comment in comments:
-        stream.write(f"# {comment}\n")
-    stream.write(",".join(SESSIONS_HEADER) + "\n")
-    for s in series.sessions:
-        row = (
-            str(s.index),
-            s.kind.value,
-            format_utc(s.open_time),
-            format_utc(s.close_time),
-            repr(s.open_price),
-            repr(s.close_price),
-            str(s.pos),
-            str(s.neg),
-            str(s.neu),
-        )
-        stream.write(",".join(row) + "\n")
+    write_csv(stream, SESSIONS_HEADER, (
+        (s.index, s.kind.value, format_utc(s.open_time), format_utc(s.close_time),
+         s.open_price, s.close_price, s.pos, s.neg, s.neu)
+        for s in series.sessions
+    ), comments)
 
 
 def read_sessions_csv(stream: IO[str]) -> SessionSeries:

@@ -5,10 +5,13 @@ from __future__ import annotations
 import logging
 import os
 import re
+import subprocess
+import sys
 from datetime import datetime, timedelta, timezone
 
 import pytest
 
+import sentrade
 from sentrade.cli import main
 from sentrade.model_space import fit_window
 from sentrade.sessions import read_sessions_csv
@@ -86,6 +89,15 @@ class TestUsageErrors:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "aggregate" in capsys.readouterr().out
+
+
+def test_importing_the_cli_loads_no_scipy():
+    """Only fitting reads scipy.special, so synth and aggregate never import it."""
+    src = os.path.dirname(os.path.dirname(sentrade.__file__))
+    code = (f"import sys; sys.path.insert(0, {src!r}); import sentrade.cli; "
+            "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert result.stdout == "[]\n"
 
 
 class TestSynthCommand:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -27,7 +28,7 @@ from sentrade.model_space import (
     fit_window,
     votes,
 )
-from sentrade.regression import CONDITION_LIMIT
+from sentrade.regression import CONDITION_LIMIT, DesignMatrix, fit_ols
 from sentrade.synth import SyntheticScenario, generate
 
 WINDOWS = range(20, 41)
@@ -533,6 +534,50 @@ def test_threshold_at_a_reference_p_value_falls_back(series_b):
     table = FitTable(series_b, range(t, t + 1), range(w, w + 1), p_threshold=tiny)
     assert table.fallback_cells == ((t, w),)
     assert table(t, w) == votes(fit_window(series_b, t, w, p_threshold=tiny))
+
+
+@pytest.mark.parametrize("p_threshold", [P_THRESHOLD, 0.05])
+def test_p_values_planted_at_the_threshold_fall_back(p_threshold):
+    """A constructive boundary generator: returns c * pos[t-1] / max(pos)
+    plus fixed noise, with c bisected until fit_window's p-value of
+    candidate P1 on one cell is the threshold times 1 +- 10**-j, j = 3..9.
+    The table serves fit_window's votes on every such cell, each one
+    within P_BAND of the threshold falls back, and no warning is raised."""
+    n, t, w = 40, 30, 20
+    noise = np.random.default_rng(3).normal(0.0, 0.01, n)
+    pos = np.array([40 + (i * 7) % 25 for i in range(n)])
+    planted = np.zeros(n)
+    planted[1:] = pos[:-1] / pos.max()
+    p1 = CANDIDATES.index(model_space.Candidate((Variable.P1,)))
+    # fit_window's own P1 fit: c leaves the window's pos column alone.
+    rows = design_rows(make_series(noise, pos))[t - w : t]
+    x = np.ascontiguousarray(rows[:, [_POSITION[Variable.P1]]])
+
+    def p_value(c):
+        return fit_ols(DesignMatrix(x, (noise + c * planted)[t - w : t])).max_p_value
+
+    for j in range(3, 10):
+        for side in (-1, 1):
+            target = p_threshold * (1 + side * 10.0**-j)
+            lo, hi = 0.0, 1.0  # the p-value lies above the target at lo, below it at hi
+            assert p_value(lo) > target > p_value(hi)
+            while lo < (mid := (lo + hi) / 2) < hi:
+                lo, hi = (mid, hi) if p_value(mid) > target else (lo, mid)
+            c = min((lo, hi), key=lambda c: abs(p_value(c) - target))
+            series = make_series(noise + c * planted, pos)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                models = fit_window(series, t, w, p_threshold)
+                table = FitTable(series, range(t, t + 1), range(w, w + 1), p_threshold)
+            p = models[p1].fit.max_p_value
+            assert p == p_value(c)
+            assert abs(p - target) < 0.01 * abs(target - p_threshold), (j, side)
+            assert models[p1].passed_filter == (side < 0)
+            assert table(t, w) == votes(models), (j, side)
+            if abs(p - p_threshold) < model_space.P_BAND:
+                assert table.fallback_cells == ((t, w),), (j, side)
+            elif j == 3:  # the table itself settles a p-value 100 bands off
+                assert table.fallback_cells == (), (j, side)
 
 
 def test_exact_rank_deficient_fit_below_p_band_warns_nothing():

@@ -23,12 +23,14 @@ from sentrade.sessions import (
     Session,
     SessionKind,
     SessionSeries,
+    _read_csv,
     build_sessions,
     format_utc,
     parse_buckets,
     parse_ticks,
     parse_utc,
     read_sessions_csv,
+    write_csv,
     write_sessions_csv,
 )
 from sentrade.synth import SyntheticScenario, generate
@@ -678,6 +680,15 @@ class TestSessionsCsv:
         parsed = read_sessions_csv(io.StringIO(text))
         assert parsed.sessions == series.sessions
 
+    @pytest.mark.parametrize("comment", ["run 1\nseed 7", "run 1\r\nseed 7\n"])
+    def test_multi_line_comment_round_trip(self, comment):
+        series = build(two_day_ticks())
+        buffer = io.StringIO()
+        write_sessions_csv(series, buffer, comments=[comment])
+        assert buffer.getvalue().startswith("# run 1\n# seed 7\nindex,")
+        buffer.seek(0)
+        assert read_sessions_csv(buffer) == series
+
     def test_year_one_round_trip(self):
         calendar = MarketCalendar("UTC", time(10, 0), time(16, 0))
         ticks = [(datetime(1, 1, day, hour, tzinfo=UTC), 100.0 + day + hour / 100)
@@ -793,6 +804,33 @@ _edits = st.lists(
 ).map(
     lambda groups: [edit for group in groups for edit in group]
 )
+
+
+class TestCsvWriter:
+    """write_csv writes every CSV output; _read_csv reads every CSV input."""
+
+    @given(st.lists(st.tuples(st.floats(), st.integers(-(2**63), 2**63 - 1))))
+    @example([(0.1, 0), (1e16, -1), (1e-05, 2**53), (-0.0, 7), (5e-324, 1)])
+    def test_numpy_and_python_numbers_write_the_same_text(self, rows):
+        written = []
+        for row_type in (tuple, lambda row: (np.float64(row[0]), np.int64(row[1]))):
+            buffer = io.StringIO()
+            write_csv(buffer, ("value", "count"), map(row_type, rows))
+            written.append(buffer.getvalue())
+        assert written[0] == written[1] == "value,count\n" + "".join(
+            f"{value!r},{count}\n" for value, count in rows)
+
+    def test_read_csv_reads_back_what_it_wrote(self):
+        header = ("when", "value", "count", "token")
+        rows = [(format_utc(datetime(2012, 3, 5, 14, 30, tzinfo=UTC)), 0.1, np.int64(3), "none"),
+                ("0001-01-01T00:00:00Z", np.float64(-2.5e-17), 0, "true")]
+        buffer = io.StringIO()
+        write_csv(buffer, header, rows, comments=["one line", "two\nlines"])
+        text = buffer.getvalue()
+        assert text.startswith("# one line\n# two\n# lines\nwhen,value,count,token\n")
+        assert "\r" not in text
+        buffer.seek(0)
+        assert list(_read_csv(buffer, header, tuple)) == [tuple(map(str, row)) for row in rows]
 
 
 class TestMutatedSessionsCsv:
