@@ -47,8 +47,6 @@ from .model_space import (
 from .regression import DesignMatrix, FitResult, fit_ols, two_sided_t_pvalue
 from .sessions import (
     MarketCalendar,
-    Session,
-    SessionKind,
     SessionSeries,
     build_sessions,
     parse_buckets,

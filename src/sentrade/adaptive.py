@@ -438,8 +438,7 @@ def run_pipeline(
     engines = tuple(TfwEngine(w, beta, gamma, params.initial_spread) for w in params.windows)
     records: list[PredictionRecord] = []
     global_spread = params.initial_spread
-    for t in range(t0, end):
-        realized = series.returns[t]
+    for t, realized in zip(range(t0, end), series.returns[t0:end].tolist()):
         override = None
         if params.spread_scope == "global":
             override = select_class(global_spread)

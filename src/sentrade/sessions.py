@@ -15,11 +15,11 @@ file; this module does not know that format.
 from __future__ import annotations
 
 import csv
+import itertools
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import date, datetime, time, timedelta, timezone
-from enum import Enum
 from functools import cached_property
 from typing import IO, Callable, Iterable, Iterator, Sequence, TypeVar
 from zoneinfo import ZoneInfo
@@ -39,17 +39,10 @@ _T = TypeVar("_T")
 # converge instead of the file failing to load.
 VALUE_CAP = 2**53
 
-SESSIONS_HEADER = (
-    "index",
-    "kind",
-    "open_time",
-    "close_time",
-    "open_price",
-    "close_price",
-    "pos",
-    "neg",
-    "neu",
-)
+_KINDS = ("night", "day")  # by the ``day`` column's value
+_COUNTS = ("pos", "neg", "neu")
+SESSIONS_HEADER = ("index", "kind", "open_time", "close_time", "open_price", "close_price",
+                   *_COUNTS)
 
 
 def parse_utc(text: str) -> datetime:
@@ -67,87 +60,75 @@ def parse_utc(text: str) -> datetime:
     return parsed.astimezone(UTC)
 
 
-def format_utc(instant: datetime) -> str:
-    """``YYYY-MM-DDTHH:MM:SSZ`` in UTC; a four-digit year keeps every year readable."""
-    return instant.astimezone(UTC).replace(tzinfo=None).isoformat(timespec="seconds") + "Z"
+class SeriesError(DataError):
+    """A session series breaks a rule at session ``index``."""
+
+    def __init__(self, index: int, message: str) -> None:
+        super().__init__(message)
+        self.index = index
 
 
-class SessionKind(str, Enum):
-    DAY = "day"
-    NIGHT = "night"
-
-
-@dataclass(frozen=True)
-class Session:
-    index: int
-    kind: SessionKind
-    open_time: datetime
-    close_time: datetime
-    open_price: float
-    close_price: float
-    pos: int
-    neg: int
-    neu: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "open_price", float(self.open_price))
-        object.__setattr__(self, "close_price", float(self.close_price))
-        if not all(math.isfinite(p) and p > 0 for p in (self.open_price, self.close_price)):
-            raise DataError(f"session {self.index}: prices must be positive and finite")
-        if not abs((self.close_price - self.open_price) / self.open_price) <= VALUE_CAP:
-            raise DataError(f"session {self.index}: |return| must be finite and at most 2**53")
-        for name in ("pos", "neg", "neu"):
-            if not 0 <= getattr(self, name) <= VALUE_CAP:
-                raise DataError(f"session {self.index}: {name} count must be non-negative "
-                                "and at most 2**53")
-        if not self.open_time < self.close_time:
-            raise DataError(f"session {self.index}: open_time must precede close_time")
-
-
-def check_next_session(previous: Session | None, session: Session) -> None:
-    """Indices count from 0, kinds alternate, and a session opens where the previous one closed."""
-    position = 0 if previous is None else previous.index + 1
-    if session.index != position:
-        raise DataError(f"session index {session.index} out of order at {position}")
-    if previous is None:
-        return
-    if session.kind == previous.kind:
-        raise DataError(f"sessions {position - 1} and {position} do not alternate")
-    if session.open_time != previous.close_time:
-        raise DataError(f"gap between sessions {position - 1} and {position}")
-    if session.open_price != previous.close_price:
-        raise DataError(f"boundary price mismatch between sessions {position - 1} and {position}")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SessionSeries:
-    """An ordered, gap-free alternation of Day and Night sessions.
+    """An ordered, gap-free alternation of Day and Night sessions, one column per field.
 
-    ``returns`` holds each session's (close - open) / open, derived from its
-    prices; ``Session`` already bounds it to finite and at most VALUE_CAP.
+    Session i is a Day session when ``day[i]``, else a Night one.  It runs
+    from ``open_times[i]`` to ``close_times[i]`` (UTC, ``datetime64[us]``),
+    opens at ``open_prices[i]``, closes at ``close_prices[i]`` and holds the
+    (pos, neg, neu) ``counts[i]``.  ``returns`` holds each session's
+    (close - open) / open, computed from the prices.  The columns are
+    read-only, and two series are equal when their columns are.
     """
 
-    sessions: tuple[Session, ...]
-    returns: tuple[float, ...] = field(init=False)
+    day: np.ndarray
+    open_times: np.ndarray
+    close_times: np.ndarray
+    open_prices: np.ndarray
+    close_prices: np.ndarray
+    counts: np.ndarray
+    returns: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "returns", tuple(
-            (s.close_price - s.open_price) / s.open_price for s in self.sessions))
-        for previous, session in zip((None, *self.sessions), self.sessions):
-            check_next_session(previous, session)
+        """Raise a SeriesError for the earliest failing session and its first broken rule."""
+        dtypes = (bool, "datetime64[us]", "datetime64[us]", float, float, np.int64)
+        columns = [np.array(getattr(self, f.name), dtype) for f, dtype in zip(fields(self), dtypes)]
+        day, opened, closed, open_prices, close_prices, counts = columns
+        counts = columns[5] = counts.reshape(-1, 3)
+        if len({len(column) for column in columns}) > 1:
+            raise DataError("session columns must hold one row per session")
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            returns = (close_prices - open_prices) / open_prices
+        for f, column in zip(fields(self), [*columns, returns]):
+            column.flags.writeable = False
+            object.__setattr__(self, f.name, column)
+        rules = {  # each rule's message and the sessions breaking it, in reporting order
+            "session {i}: prices must be positive and finite": ~(
+                np.isfinite(open_prices) & (open_prices > 0)
+                & np.isfinite(close_prices) & (close_prices > 0)),
+            "session {i}: |return| must be finite and at most 2**53":
+                ~(np.abs(returns) <= VALUE_CAP),
+            **{f"session {{i}}: {name} count must be non-negative and at most 2**53":
+               ~((column >= 0) & (column <= VALUE_CAP)) for name, column in zip(_COUNTS, counts.T)},
+            "session {i}: open_time must precede close_time": ~(opened < closed),
+            # Session 0 is checked against a stand-in that passes.
+            "sessions {previous} and {i} do not alternate":
+                day == np.concatenate([~day[:1], day[:-1]]),
+            "gap between sessions {previous} and {i}":
+                opened != np.concatenate([opened[:1], closed[:-1]]),
+            "boundary price mismatch between sessions {previous} and {i}":
+                open_prices != np.concatenate([open_prices[:1], close_prices[:-1]]),
+        }
+        faults = np.column_stack(list(rules.values()))
+        if faults.any():
+            i, rule = divmod(int(faults.argmax()), len(rules))
+            raise SeriesError(i, list(rules)[rule].format(previous=i - 1, i=i))
 
     def __len__(self) -> int:
-        return len(self.sessions)
+        return len(self.day)
 
-    @cached_property
-    def returns_array(self) -> np.ndarray:
-        return np.asarray(self.returns, dtype=float)
-
-    @cached_property
-    def counts(self) -> np.ndarray:
-        """The (pos, neg, neu) counts of each session, one row per session."""
-        rows = [(s.pos, s.neg, s.neu) for s in self.sessions]
-        return np.asarray(rows, dtype=float).reshape(-1, 3)
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, SessionSeries) and all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
 
 
 @dataclass(frozen=True)
@@ -193,33 +174,27 @@ class MarketCalendar:
 
 
 def _read_csv(
-    stream: IO[str],
-    header: Sequence[str],
-    parse_row: Callable[[list[str]], _T],
-    follows: Callable[[_T | None, _T], None] = lambda previous, value: None,
-) -> Iterator[_T]:
-    """Parse a CSV with a fixed header, yielding one ``parse_row`` value per row.
+    stream: IO[str], header: Sequence[str], parse_row: Callable[[list[str]], _T]
+) -> Iterator[tuple[int, _T]]:
+    """Parse a CSV with a fixed header, yielding each row's physical line and
+    ``parse_row`` value.
 
-    Blank and ``#`` lines are skipped and fields stripped.  A wrong or
-    missing header, a wrong field count, and a ValueError or OverflowError
-    (a timestamp outside years 1-9999 in UTC) from ``parse_row``, or from
-    ``follows(previous value or None, value)``, are DataErrors naming the
-    physical line where the reader stopped.
+    Blank and ``#`` lines reach ``csv.reader`` as empty lines, which it
+    counts and skips, so a quote in a comment cannot swallow the lines after
+    it.  Fields are stripped.  A wrong or missing header, a wrong field
+    count, and a ValueError or OverflowError (a timestamp outside years
+    1-9999 in UTC) from ``parse_row`` are DataErrors naming the physical
+    line where the reader stopped.
     """
-    reader = csv.reader(stream)
-    lines = ([text.strip() for text in raw] for raw in reader)
-    lines = (f for f in lines if f not in ([], [""]) and not f[0].startswith("#"))
+    reader = csv.reader(text if text.lstrip()[:1] not in ("", "#") else "" for text in stream)
+    rows = ([text.strip() for text in raw] for raw in reader if raw)
     try:
-        if next(lines, None) != list(header):
+        if next(rows, None) != list(header):
             raise ValueError(f"expected header {','.join(header)!r}")
-        previous = None
-        for fields in lines:
+        for fields in rows:
             if len(fields) != len(header):
                 raise ValueError(f"expected {len(header)} fields, got {len(fields)}")
-            value = parse_row(fields)
-            follows(previous, value)
-            yield value
-            previous = value
+            yield reader.line_num, parse_row(fields)
     except (ValueError, OverflowError, csv.Error) as exc:
         raise DataError(f"line {max(reader.line_num, 1)}: {exc}") from None
 
@@ -259,6 +234,11 @@ def _micros(moment: datetime) -> int:
     return (moment - _EPOCH) // _MICROSECOND
 
 
+def _capped(count: int) -> int:
+    """The count, or one just outside [0, VALUE_CAP]: int64 holds it, the series rejects it."""
+    return min(max(count, -1), VALUE_CAP + 1)
+
+
 def _tick_row(row: list[str]) -> tuple[int, float]:
     timestamp = _parse_field(parse_utc, "timestamp", row[0])
     price = _parse_field(float, "price", row[1])
@@ -281,7 +261,7 @@ def _bucket_row(row: list[str]) -> tuple[int, tuple[int, ...]]:
 def parse_ticks(stream: IO[str]) -> tuple[np.ndarray, np.ndarray]:
     """Parse a ``timestamp,price`` CSV into two columns in input order: the
     UTC instants as ``datetime64[us]`` and the prices."""
-    ticks = np.fromiter(_read_csv(stream, ("timestamp", "price"), _tick_row),
+    ticks = np.fromiter((tick for _, tick in _read_csv(stream, ("timestamp", "price"), _tick_row)),
                         [("instant", "datetime64[us]"), ("price", float)])
     return ticks["instant"], ticks["price"]
 
@@ -290,7 +270,7 @@ def parse_buckets(stream: IO[str]) -> tuple[np.ndarray, np.ndarray]:
     """Parse a ``bucket_start,positive,negative,neutral`` CSV into two columns
     in input order: the UTC starts as ``datetime64[us]`` and (buckets, 3) counts."""
     header = ("bucket_start", "positive", "negative", "neutral")
-    buckets = np.fromiter(_read_csv(stream, header, _bucket_row),
+    buckets = np.fromiter((bucket for _, bucket in _read_csv(stream, header, _bucket_row)),
                           [("start", "datetime64[us]"), ("counts", np.int64, (3,))])
     return buckets["start"], buckets["counts"]
 
@@ -353,7 +333,10 @@ def build_sessions(
         except OverflowError:
             raise out_of_range(tick) from None
     tick_days = sorted(first_ticks)
-    spans = []  # (kind, open time, close time, open price, close price)
+    # Each sampled day's open and close instants and prices, in order: session
+    # j runs from edge j to edge j + 1, a Day when j is even and a Night after it.
+    edges: list[int] = []  # microseconds
+    marks: list[float] = []
     for previous, day in zip([None, *tick_days], tick_days):
         if previous is not None:
             skipped = int(np.busday_count(previous + timedelta(days=1), day,
@@ -376,38 +359,58 @@ def build_sessions(
         if open_price is None or close_price is None:
             log.warning("%s: no tick at or before the sampling instant; day dropped", day)
             continue
-        if spans:
-            spans.append((SessionKind.NIGHT, spans[-1][2], open_instant, spans[-1][4], open_price))
-        spans.append((SessionKind.DAY, open_instant, close_instant, open_price, close_price))
-    if len(spans) < 3:
-        raise DataError(f"need at least 2 trading days, got {(len(spans) + 1) // 2}")
+        edges += _micros(open_instant), _micros(close_instant)
+        marks += open_price, close_price
+    if len(edges) < 4:
+        raise DataError(f"need at least 2 trading days, got {len(edges) // 2}")
+    bounds = np.array(edges, dtype="datetime64[us]")
 
-    starts, bucket_counts = buckets[0].astype("datetime64[us]").view(np.int64), buckets[1]
-    positions = np.searchsorted([_micros(span[1]) for span in spans], starts, side="right") - 1
-    inside = (positions >= 0) & (starts < _micros(spans[-1][2]))
-    # Python ints, as an int64 sum of counts up to 2**53 wraps past 1,024 buckets.
-    counts = [[0, 0, 0] for _ in spans]
+    starts, bucket_counts = buckets[0].astype("datetime64[us]"), buckets[1]
+    positions = np.searchsorted(bounds[:-1], starts, side="right") - 1
+    inside = (positions >= 0) & (starts < bounds[-1])
+    # Python ints, as an int64 sum of counts up to 2**53 wraps past 1,024
+    # buckets; each total is capped before it becomes int64.
+    counts = [[0, 0, 0] for _ in range(len(bounds) - 1)]
     for position, row in zip(positions[inside].tolist(), bucket_counts[inside].tolist()):
         counts[position] = [total + count for total, count in zip(counts[position], row)]
     discarded = len(starts) - int(np.count_nonzero(inside))
     if discarded:
         log.warning("%d sentiment bucket(s) outside the session range discarded", discarded)
 
-    return SessionSeries(tuple(Session(i, *s, *c) for i, (s, c) in enumerate(zip(spans, counts))))
+    return SessionSeries(np.arange(len(bounds) - 1) % 2 == 0, bounds[:-1], bounds[1:],
+                         marks[:-1], marks[1:], [list(map(_capped, row)) for row in counts])
 
 
 def write_sessions_csv(series: SessionSeries, stream: IO[str], comments: Iterable[str] = ()) -> None:
     """Write the re-ingestible sessions CSV (optionally preceded by # comments)."""
-    write_csv(stream, SESSIONS_HEADER, (
-        (s.index, s.kind.value, format_utc(s.open_time), format_utc(s.close_time),
-         s.open_price, s.close_price, s.pos, s.neg, s.neu)
-        for s in series.sessions
+    # YYYY-MM-DDTHH:MM:SSZ, a four-digit year keeping every year readable.
+    opens, closes = (np.char.add(np.datetime_as_string(times, unit="s"), "Z").tolist()
+                     for times in (series.open_times, series.close_times))
+    write_csv(stream, SESSIONS_HEADER, zip(
+        range(len(series)), [_KINDS[day] for day in series.day.tolist()], opens, closes,
+        series.open_prices.tolist(), series.close_prices.tolist(), *series.counts.T.tolist(),
     ), comments)
 
 
 def read_sessions_csv(stream: IO[str]) -> SessionSeries:
-    """Parse a sessions CSV back into a SessionSeries; a break in the series names its line."""
-    sessions = _read_csv(stream, SESSIONS_HEADER, lambda row: Session(
-        int(row[0]), SessionKind(row[1]), parse_utc(row[2]), parse_utc(row[3]),
-        float(row[4]), float(row[5]), *map(int, row[6:])), check_next_session)
-    return SessionSeries(tuple(sessions))
+    """Parse a sessions CSV back into a SessionSeries.  Indices must count
+    from 0, and a series fault is reported at its session's line."""
+    positions = itertools.count()
+
+    def session_row(row: list[str]) -> tuple:
+        index, position = int(row[0]), next(positions)
+        if index != position:
+            raise ValueError(f"session index {index} out of order at {position}")
+        return (_parse_field(_KINDS.index, "kind", row[1]), _micros(parse_utc(row[2])),
+                _micros(parse_utc(row[3])), float(row[4]), float(row[5]),
+                tuple(_capped(int(count)) for count in row[6:]))
+
+    rows = _read_csv(stream, SESSIONS_HEADER, session_row)
+    table = np.fromiter(((line, *row) for line, row in rows), [
+        ("line", np.int64), ("day", bool), ("open_times", "datetime64[us]"),
+        ("close_times", "datetime64[us]"), ("open_prices", float), ("close_prices", float),
+        ("counts", np.int64, (3,))])
+    try:
+        return SessionSeries(*(table[name] for name in table.dtype.names[1:]))
+    except SeriesError as exc:
+        raise DataError(f"line {table['line'][exc.index]}: {exc}") from None

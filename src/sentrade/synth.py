@@ -13,18 +13,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from datetime import datetime, timedelta, timezone
 
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .sessions import Session, SessionKind, SessionSeries
+from .sessions import SessionSeries
 
 SCENARIO_KINDS = ("A", "B", "C")
 
-_BASE_OPEN = datetime(2012, 3, 5, 14, 30, tzinfo=timezone.utc)
-_DAY_SPAN = timedelta(hours=6)
-_FULL_SPAN = timedelta(hours=24)
+_BASE_OPEN = np.datetime64("2012-03-05T14:30", "us")  # UTC
 _BURN_IN = 50
 
 
@@ -97,18 +94,14 @@ def generate(scenario: SyntheticScenario) -> SessionSeries:
     """
     with np.errstate(over="ignore", invalid="ignore"):  # a blow-up is rejected below
         returns, pos, neg, neu = _draw(scenario)
-        prices = np.cumprod(np.concatenate(([100.0], 1.0 + returns))).tolist()
+        prices = np.cumprod(np.concatenate(([100.0], 1.0 + returns)))
     if not np.all((returns > -1.0) & (returns < np.inf)):
         raise DataError("generated a return at or below -100% or not finite; "
                         "lower the noise or signal")
-    opens = [_BASE_OPEN + t // 2 * _FULL_SPAN + t % 2 * _DAY_SPAN
-             for t in range(scenario.n_sessions + 1)]
-    kinds = (SessionKind.DAY, SessionKind.NIGHT)
+    t = np.arange(scenario.n_sessions + 1)
+    opens = _BASE_OPEN + (t // 2 * 24 + t % 2 * 6) * np.timedelta64(1, "h")
     try:
-        sessions = tuple(
-            Session(t, kinds[t % 2], opens[t], opens[t + 1], prices[t], prices[t + 1], *counts)
-            for t, counts in enumerate(zip(pos.tolist(), neg.tolist(), neu.tolist()))
-        )
-    except DataError as exc:  # a price or return beyond Session's bounds
+        return SessionSeries(t[:-1] % 2 == 0, opens[:-1], opens[1:], prices[:-1], prices[1:],
+                             np.column_stack([pos, neg, neu]))
+    except DataError as exc:  # a price or return beyond the series' bounds
         raise DataError(f"{exc}; lower the noise or signal") from None
-    return SessionSeries(sessions)

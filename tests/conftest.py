@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import replace
-from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
 from sentrade import model_space
-from sentrade.sessions import Session, SessionKind, SessionSeries
+from sentrade.sessions import SessionSeries
 from sentrade.synth import SyntheticScenario, generate
 
 settings.register_profile(
@@ -18,18 +17,18 @@ settings.register_profile(
 )
 settings.load_profile("default")
 
-_BASE = datetime(2012, 3, 5, 14, 30, tzinfo=timezone.utc)
+_BASE = np.datetime64("2012-03-05T14:30", "us")  # UTC
 
 
 def plant_returns(series: SessionSeries, returns) -> SessionSeries:
     """A fresh copy of ``series`` whose ``returns`` are ``returns``, exactly.
 
     A series derives its returns from its prices; tests that need exact
-    returns on flat-price sessions set them here, before any cached array of
-    the copy is read.
+    returns on flat-price sessions set them here.
     """
-    returns = tuple(float(r) for r in returns)
+    returns = np.array([float(r) for r in returns])
     assert len(returns) == len(series)
+    returns.flags.writeable = False
     planted = replace(series)
     object.__setattr__(planted, "returns", returns)
     return planted
@@ -49,32 +48,12 @@ def make_series(returns, pos=None, neg=None, neu=None) -> SessionSeries:
         neg = [30 + (i * 11) % 30 for i in range(n)]
     if neu is None:
         neu = [20 + (i * 3) % 15 for i in range(n)]
-    sessions = []
-    for t in range(n):
-        day, half = divmod(t, 2)
-        day_open = _BASE + timedelta(hours=24 * day)
-        if half == 0:
-            kind, open_time, close_time = SessionKind.DAY, day_open, day_open + timedelta(hours=6)
-        else:
-            kind, open_time, close_time = (
-                SessionKind.NIGHT,
-                day_open + timedelta(hours=6),
-                day_open + timedelta(hours=24),
-            )
-        sessions.append(
-            Session(
-                index=t,
-                kind=kind,
-                open_time=open_time,
-                close_time=close_time,
-                open_price=100.0,
-                close_price=100.0,
-                pos=int(pos[t]),
-                neg=int(neg[t]),
-                neu=int(neu[t]),
-            )
-        )
-    return plant_returns(SessionSeries(tuple(sessions)), returns)
+    t = np.arange(n + 1)
+    bounds = _BASE + t // 2 * np.timedelta64(24, "h") + t % 2 * np.timedelta64(6, "h")
+    flat = np.full(n, 100.0)
+    counts = np.column_stack([pos, neg, neu]).reshape(n, 3)
+    series = SessionSeries(t[:-1] % 2 == 0, bounds[:-1], bounds[1:], flat, flat, counts)
+    return plant_returns(series, returns)
 
 
 def design_rows(series: SessionSeries, normalize: bool = False) -> np.ndarray:

@@ -48,7 +48,7 @@ def block_outputs(series, sessions, windows, p_threshold, normalize):
     computed in the same chunks as FitTable and shaped (sessions, windows, ...)."""
     L = design_rows(series, normalize)
     parts = zip(*(
-        _fit_cells(L, series.returns_array, t_cell, w_cell, p_threshold)[:3]
+        _fit_cells(L, series.returns, t_cell, w_cell, p_threshold)[:3]
         for t_cell, w_cell in chunks(sessions, windows)
     ))
     return tuple(
@@ -208,7 +208,7 @@ def test_error_bounds_hold(series, normalize):
     """Outside the fallback cells, every rank-ok candidate's |t| statistics
     and prediction from the sweep tree lie within their computed error
     bounds of fit_ols's."""
-    L, r = design_rows(series, normalize), series.returns_array
+    L, r = design_rows(series, normalize), series.returns
     checked = 0
     for t_cell, w_cell in chunks(range(WINDOWS[-1] + 2, len(series) + 1), WINDOWS):
         cross, x_next = _cross_products(L, r, t_cell, w_cell)
@@ -267,7 +267,7 @@ def test_flat_pos_makes_its_supersets_rank_deficient():
     # cell, so no node containing it is swept, P1 alone included.
     L = design_rows(series, False)
     for t_cell, w_cell in chunks(range(26, 61), range(20, 25)):
-        cross, x_next = _cross_products(L, series.returns_array, t_cell, w_cell)
+        cross, x_next = _cross_products(L, series.returns, t_cell, w_cell)
         swept = np.concatenate([members for members, _, _ in _swept_fits(cross, x_next, w_cell)])
         assert not has_pos[swept].any()
 
@@ -310,7 +310,7 @@ def swept_verdicts(series, sessions, windows, normalize):
     """Each fitted candidate's verdict, bounds, SVD cond^2 and column count, from
     _swept_fits over FitTable's chunks: (rank_ok, eigensolved, lower, upper,
     cond2, m) rows."""
-    L, r = design_rows(series, normalize), series.returns_array
+    L, r = design_rows(series, normalize), series.returns
     rows = []
     for t_cell, w_cell in chunks(sessions, windows):
         cross, x_next = _cross_products(L, r, t_cell, w_cell)
@@ -489,7 +489,6 @@ def test_table_build_memory_stays_bounded():
     ]
     for n, sessions, windows in builds:
         series = generate(SyntheticScenario("B", n, seed=7))
-        series.counts, series.returns_array  # cached before tracing
         tracemalloc.start()
         try:
             FitTable(series, sessions, windows)

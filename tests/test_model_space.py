@@ -81,7 +81,7 @@ class TestBuildDesign:
         r = [0.01, 0.02, 0.03, 0.04, 0.05, 0.06]
         series = make_series(r)
         rows = design_rows(series)[2:5]
-        np.testing.assert_array_equal(series.returns_array[2:5], r[2:5])
+        np.testing.assert_array_equal(series.returns[2:5], r[2:5])
         np.testing.assert_array_equal(rows[:, 0], 1.0)
         np.testing.assert_array_equal(rows[:, 1], r[1:4])
         assert design_rows(series)[5, 1] == r[4]
@@ -134,7 +134,7 @@ class TestBuildDesign:
         np.testing.assert_array_equal(
             design_rows(base)[5:11, :4], design_rows(shifted)[6:12, :4]
         )
-        np.testing.assert_array_equal(base.returns_array[5:10], shifted.returns_array[6:11])
+        np.testing.assert_array_equal(base.returns[5:10], shifted.returns[6:11])
 
 
 class TestFitWindow:
@@ -151,7 +151,7 @@ class TestFitWindow:
         assert (1 if financial.predicted_next > 0 else -1) == expected_sign
         # Cross-check the surviving fit against the extended-precision oracle.
         X = design_rows(series)[t - 30 : t, 1:3]  # R1 R2
-        ref = ols_oracle(X.tolist(), series.returns_array[t - 30 : t].tolist())
+        ref = ols_oracle(X.tolist(), series.returns[t - 30 : t].tolist())
         np.testing.assert_allclose(financial.fit.coefficients, ref["coefficients"], rtol=1e-7)
         np.testing.assert_allclose(financial.fit.p_values, ref["p_values"], rtol=1e-7)
 

@@ -9,6 +9,7 @@ import tracemalloc
 from dataclasses import replace
 from datetime import date, datetime, time, timedelta, timezone
 from time import perf_counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,12 +21,9 @@ from sentrade.config import parse_calendar
 from sentrade.errors import ConfigError, DataError
 from sentrade.sessions import (
     MarketCalendar,
-    Session,
-    SessionKind,
     SessionSeries,
     _read_csv,
     build_sessions,
-    format_utc,
     parse_buckets,
     parse_ticks,
     parse_utc,
@@ -43,6 +41,22 @@ BUCKET_HEADER = "bucket_start,positive,negative,neutral\n"
 
 def utc(text: str) -> datetime:
     return parse_utc(text)
+
+
+def utc_text(instant: datetime) -> str:
+    """A UTC instant after year 999 as the input files write it."""
+    return f"{instant:%Y-%m-%dT%H:%M:%SZ}"
+
+
+def written_open_time(instant: datetime) -> str:
+    """The open_time field a sessions CSV holds for a session opening a
+    quarter second after the UTC ``instant``."""
+    opened = np.datetime64(instant.replace(tzinfo=None), "us") + np.timedelta64(250_000, "us")
+    series = SessionSeries([True], [opened], [opened + np.timedelta64(1, "s")], [1.0], [1.0],
+                           [[0, 0, 0]])
+    buffer = io.StringIO()
+    write_sessions_csv(series, buffer)
+    return buffer.getvalue().splitlines()[1].split(",")[2]
 
 
 def ny(day: str, wall: str) -> datetime:
@@ -74,17 +88,31 @@ def plain_day(day: str = "2012-06-19") -> list[tuple[datetime, float]]:
     return ny_ticks(day, ("10:00", 103.0), ("15:30", 104.0))
 
 
-def first_day(ticks: list[tuple[datetime, float]]) -> Session:
+def sessions_of(series: SessionSeries) -> list[SimpleNamespace]:
+    """Each session's fields by name: its kind as text, its times as aware UTC
+    datetimes, its prices and its pos, neg and neu counts."""
+    columns = (np.where(series.day, "day", "night"), series.open_times, series.close_times,
+               series.open_prices, series.close_prices, *series.counts.T)
+    return [
+        SimpleNamespace(kind=kind, open_time=opened.replace(tzinfo=UTC),
+                        close_time=closed.replace(tzinfo=UTC), open_price=open_price,
+                        close_price=close_price, pos=pos, neg=neg, neu=neu)
+        for kind, opened, closed, open_price, close_price, pos, neg, neu
+        in zip(*(column.tolist() for column in columns))
+    ]
+
+
+def first_day(ticks: list[tuple[datetime, float]]) -> SimpleNamespace:
     """The first Day session built from the ticks plus a plain trading day after them."""
-    series = build(ticks + plain_day())
-    assert [s.kind.value for s in series.sessions] == ["day", "night", "day"]
-    return series.sessions[0]
+    sessions = sessions_of(build(ticks + plain_day()))
+    assert [s.kind for s in sessions] == ["day", "night", "day"]
+    return sessions[0]
 
 
 def day_dates(series: SessionSeries) -> list[date]:
     """The New York dates of the series' Day sessions."""
     return [s.open_time.astimezone(CALENDAR.tzinfo).date()
-            for s in series.sessions if s.kind is SessionKind.DAY]
+            for s in sessions_of(series) if s.kind == "day"]
 
 
 class TestParseUtc:
@@ -100,13 +128,13 @@ class TestParseUtc:
 
     def test_format_round_trip(self):
         instant = datetime(2012, 6, 18, 13, 30, tzinfo=UTC)
-        assert parse_utc(format_utc(instant)) == instant
+        assert parse_utc(written_open_time(instant)) == instant
 
     @pytest.mark.parametrize("year", [1, 999, 1000, 9999])
     def test_format_pads_the_year_to_four_digits(self, year):
         instant = datetime(year, 12, 31, 23, 59, 59, tzinfo=UTC)
-        assert format_utc(instant) == f"{year:04d}-12-31T23:59:59Z"
-        assert parse_utc(format_utc(instant)) == instant
+        assert written_open_time(instant) == f"{year:04d}-12-31T23:59:59Z"
+        assert parse_utc(written_open_time(instant)) == instant
 
 
 class TestParseTicks:
@@ -127,7 +155,7 @@ class TestParseTicks:
         ticks = parse_ticks(io.StringIO(body))
         assert ticks[1].tolist() == [10.0, 11.0, 12.0, 13.0, 14.0]
         series = build_sessions(ticks, parse_buckets(io.StringIO(BUCKET_HEADER)), CALENDAR)
-        assert series.sessions[0].open_price == 11.0
+        assert series.open_prices[0] == 11.0
 
     def test_output_in_input_order(self):
         body = (
@@ -209,7 +237,7 @@ class TestParseTicks:
         """The parsed columns hold at most 40 bytes per tick (16 are the
         instant and the price), not an object per row."""
         start = datetime(2012, 1, 2, 14, 30, tzinfo=UTC)
-        rows = (f"{format_utc(start + timedelta(seconds=10 * i))},{100 + i % 997 / 8!r}"
+        rows = (f"{utc_text(start + timedelta(seconds=10 * i))},{100 + i % 997 / 8!r}"
                 for i in range(100_000))
         stream = io.StringIO("timestamp,price\n" + "\n".join(rows) + "\n")
         tracemalloc.start()
@@ -220,7 +248,6 @@ class TestParseTicks:
             tracemalloc.stop()
         assert held / 100_000 <= 40
         assert len(ticks[0]) == 100_000
-
 
 class TestParseBuckets:
     def test_basic(self):
@@ -425,9 +452,9 @@ class TestSessionPrices:
 class TestBuildSessions:
     def test_two_days_three_sessions(self):
         series = build(two_day_ticks())
-        kinds = [s.kind for s in series.sessions]
-        assert kinds == [SessionKind.DAY, SessionKind.NIGHT, SessionKind.DAY]
-        night = series.sessions[1]
+        kinds = [s.kind for s in sessions_of(series)]
+        assert kinds == ["day", "night", "day"]
+        night = sessions_of(series)[1]
         assert night.open_price == 101.0
         assert night.close_price == 103.0
 
@@ -437,8 +464,8 @@ class TestBuildSessions:
         )
         series = build(ticks)
         assert len(series) == 3
-        night = series.sessions[1]
-        assert night.kind is SessionKind.NIGHT
+        night = sessions_of(series)[1]
+        assert night.kind == "night"
         assert night.open_price == 100.0
         assert night.close_price == 103.0
         assert (night.close_time - night.open_time) > timedelta(days=2)
@@ -455,10 +482,10 @@ class TestBuildSessions:
             (day_close, 0, 2, 0),  # boundary goes to the night
         ]
         series = build(two_day_ticks(), buckets)
-        assert series.sessions[0].close_time == day_close
-        assert series.sessions[0].pos == 1
-        assert series.sessions[0].neg == 0
-        assert series.sessions[1].neg == 2
+        assert sessions_of(series)[0].close_time == day_close
+        assert sessions_of(series)[0].pos == 1
+        assert sessions_of(series)[0].neg == 0
+        assert sessions_of(series)[1].neg == 2
 
     def test_out_of_range_buckets_discarded(self, caplog):
         buckets = [
@@ -467,7 +494,7 @@ class TestBuildSessions:
         ]
         with caplog.at_level(logging.WARNING, logger="sentrade.sessions"):
             series = build(two_day_ticks(), buckets)
-        assert sum(s.pos + s.neg + s.neu for s in series.sessions) == 0
+        assert sum(s.pos + s.neg + s.neu for s in sessions_of(series)) == 0
         assert "2 sentiment bucket(s) outside the session range discarded" in caplog.text
 
     def test_count_conservation(self):
@@ -478,14 +505,21 @@ class TestBuildSessions:
             if start + timedelta(minutes=30 * i) < ny("2012-06-19", "15:30")
         ]
         series = build(two_day_ticks(), buckets)
-        assert sum(s.pos for s in series.sessions) == sum(b[1] for b in buckets)
-        assert sum(s.neg for s in series.sessions) == sum(b[2] for b in buckets)
-        assert sum(s.neu for s in series.sessions) == sum(b[3] for b in buckets)
+        assert sum(s.pos for s in sessions_of(series)) == sum(b[1] for b in buckets)
+        assert sum(s.neg for s in sessions_of(series)) == sum(b[2] for b in buckets)
+        assert sum(s.neu for s in sessions_of(series)) == sum(b[3] for b in buckets)
 
     def test_summed_count_over_cap_rejected(self):
         start = ny("2012-06-18", "10:00")
         buckets = [(start, 2**52, 0, 0), (start, 2**52 + 1, 0, 0)]
         with pytest.raises(DataError, match="session 0: pos count must be non-negative and at"):
+            build(two_day_ticks(), buckets)
+
+    def test_count_sum_past_int64_rejected(self):
+        """A session's summed count past 2**63 is rejected by the series rule,
+        not lost to an int64 overflow."""
+        buckets = [(ny("2012-06-18", "10:00"), 0, 2**53, 0)] * 1100
+        with pytest.raises(DataError, match="^session 0: neg count must be non-negative and at"):
             build(two_day_ticks(), buckets)
 
     def test_holiday_merges_sessions(self):
@@ -500,8 +534,8 @@ class TestBuildSessions:
 
         plain = with_holidays([])
         holiday = with_holidays([date(2012, 6, 19)])
-        assert sum(s.kind is SessionKind.DAY for s in plain.sessions) == 3
-        assert sum(s.kind is SessionKind.DAY for s in holiday.sessions) == 2
+        assert sum(plain.day) == 3
+        assert sum(holiday.day) == 2
         assert len(plain) - len(holiday) == 2  # one day and one night collapsed
 
     def test_row_order_and_repeated_instants(self):
@@ -514,7 +548,7 @@ class TestBuildSessions:
 
         def outcome(ticks, buckets):
             try:
-                return build(ticks, buckets).sessions
+                return build(ticks, buckets)
             except DataError as exc:
                 return str(exc)
 
@@ -583,8 +617,8 @@ class TestDaylightSaving:
             series = build_sessions(parse_ticks(io.StringIO(rows)),
                                     parse_buckets(io.StringIO(BUCKET_HEADER)), calendar)
         assert caplog.records == []
-        got = [(format_utc(s.open_time), format_utc(s.close_time), s.open_price, s.close_price)
-               for s in series.sessions]
+        got = [(utc_text(s.open_time), utc_text(s.close_time), s.open_price, s.close_price)
+               for s in sessions_of(series)]
         night = (days[0][1], days[1][0], days[0][3], days[1][2])
         assert got == [days[0], night, days[1]]
 
@@ -596,38 +630,15 @@ def two_day_ticks():
 class TestSessionSeriesValidation:
     def test_alternation_enforced(self):
         series = build(two_day_ticks())
-        broken = list(series.sessions)
-        broken[1] = Session(
-            index=1,
-            kind=SessionKind.DAY,  # should be night
-            open_time=broken[1].open_time,
-            close_time=broken[1].close_time,
-            open_price=broken[1].open_price,
-            close_price=broken[1].close_price,
-            pos=0,
-            neg=0,
-            neu=0,
-        )
         with pytest.raises(DataError, match="alternate"):
-            SessionSeries(tuple(broken))
+            replace(series, day=[True, True, True])  # session 1 should be a night
 
     def test_boundary_price_mismatch_rejected(self):
         series = build(two_day_ticks())
-        broken = list(series.sessions)
-        s = broken[1]
-        broken[1] = Session(
-            index=1,
-            kind=s.kind,
-            open_time=s.open_time,
-            close_time=s.close_time,
-            open_price=s.open_price + 1,
-            close_price=s.close_price,
-            pos=0,
-            neg=0,
-            neu=0,
-        )
+        open_prices = series.open_prices.copy()
+        open_prices[1] += 1
         with pytest.raises(DataError, match="price"):
-            SessionSeries(tuple(broken))
+            replace(series, open_prices=open_prices)
 
 
 class TestComputeReturns:
@@ -643,33 +654,47 @@ class TestComputeReturns:
         assert series.returns[0] == pytest.approx(expected, abs=1e-15)
 
     def test_return_identity(self, series_b):
-        for session, r in zip(series_b.sessions, series_b.returns):
+        for session, r in zip(sessions_of(series_b), series_b.returns):
             reconstructed = session.open_price * (1.0 + r)
             assert abs(reconstructed - session.close_price) <= 1e-12 * session.close_price
 
     def test_series_computes_returns_from_prices(self, series_b):
         """A series holds (close - open) / open of its own sessions, bit for
         bit, also after a round trip through the sessions CSV and after
-        ``replace`` swaps its sessions."""
-        want = repr(tuple(float((s.close_price - s.open_price) / s.open_price)
-                          for s in series_b.sessions))
-        assert repr(SessionSeries(series_b.sessions).returns) == want
-        other = generate(SyntheticScenario("C", 60, seed=8))
-        assert repr(replace(series_b, sessions=other.sessions).returns) == repr(other.returns)
+        ``replace`` swaps its prices."""
+        want = repr(tuple((s.close_price - s.open_price) / s.open_price for s in sessions_of(series_b)))
+        assert repr(tuple(series_b.returns.tolist())) == want
+        other = generate(SyntheticScenario("C", len(series_b), seed=8))
+        swapped = replace(series_b, open_prices=other.open_prices, close_prices=other.close_prices)
+        assert repr(swapped.returns.tolist()) == repr(other.returns.tolist())
         buffer = io.StringIO()
         write_sessions_csv(series_b, buffer)
         buffer.seek(0)
-        assert repr(read_sessions_csv(buffer).returns) == want
-        assert repr(tuple(series_b.returns_array.tolist())) == want
+        assert repr(tuple(read_sessions_csv(buffer).returns.tolist())) == want
 
 
 class TestSessionsCsv:
+    def test_memory_held_per_session_is_bounded(self):
+        """A series read back holds at most 128 bytes per session (its seven
+        columns come to 65), not an object per session."""
+        buffer = io.StringIO()
+        write_sessions_csv(generate(SyntheticScenario("B", 5000, seed=7)), buffer)
+        stream = io.StringIO(buffer.getvalue())
+        tracemalloc.start()
+        try:
+            series = read_sessions_csv(stream)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held / 5000 <= 128
+        assert len(series) == 5000
+
     def test_round_trip_exact(self, series_b):
         buffer = io.StringIO()
         write_sessions_csv(series_b, buffer)
         buffer.seek(0)
         parsed = read_sessions_csv(buffer)
-        assert parsed.sessions == series_b.sessions
+        assert parsed == series_b
 
     def test_comments_skipped(self):
         series = build(two_day_ticks())
@@ -678,7 +703,7 @@ class TestSessionsCsv:
         text = buffer.getvalue()
         assert text.startswith("# generated for a test\n")
         parsed = read_sessions_csv(io.StringIO(text))
-        assert parsed.sessions == series.sessions
+        assert parsed == series
 
     @pytest.mark.parametrize("comment", ["run 1\nseed 7", "run 1\r\nseed 7\n"])
     def test_multi_line_comment_round_trip(self, comment):
@@ -698,7 +723,7 @@ class TestSessionsCsv:
         write_sessions_csv(series, buffer)
         assert "0,day,0001-01-01T10:30:00Z,0001-01-01T15:30:00Z," in buffer.getvalue()
         buffer.seek(0)
-        assert read_sessions_csv(buffer).sessions == series.sessions
+        assert read_sessions_csv(buffer) == series
 
     def test_lf_line_endings(self, series_b):
         buffer = io.StringIO()
@@ -750,6 +775,19 @@ class TestSessionsCsv:
         )
         with pytest.raises(DataError, match=f"line 3: session 1: {message}"):
             read_sessions_csv(io.StringIO(text))
+
+    def test_a_parse_error_is_reported_before_an_earlier_series_fault(self):
+        """Every row is parsed before the series is checked, so a malformed
+        later row wins over a series rule broken on an earlier one."""
+        buffer = io.StringIO()
+        write_sessions_csv(generate(SyntheticScenario("B", 10, seed=7)), buffer)
+        rows = buffer.getvalue().splitlines()
+        rows[2] = rows[2].replace(",night,", ",day,")  # session 1 no longer alternates
+        with pytest.raises(DataError, match="^line 3: sessions 0 and 1 do not alternate$"):
+            read_sessions_csv(io.StringIO("\n".join(rows) + "\n"))
+        rows[8] += ",1"
+        with pytest.raises(DataError, match="^line 9: expected 9 fields, got 10$"):
+            read_sessions_csv(io.StringIO("\n".join(rows) + "\n"))
 
     @pytest.mark.parametrize(
         "index, column, text, message",
@@ -822,7 +860,7 @@ class TestCsvWriter:
 
     def test_read_csv_reads_back_what_it_wrote(self):
         header = ("when", "value", "count", "token")
-        rows = [(format_utc(datetime(2012, 3, 5, 14, 30, tzinfo=UTC)), 0.1, np.int64(3), "none"),
+        rows = [("2012-03-05T14:30:00Z", 0.1, np.int64(3), "none"),
                 ("0001-01-01T00:00:00Z", np.float64(-2.5e-17), 0, "true")]
         buffer = io.StringIO()
         write_csv(buffer, header, rows, comments=["one line", "two\nlines"])
@@ -830,7 +868,18 @@ class TestCsvWriter:
         assert text.startswith("# one line\n# two\n# lines\nwhen,value,count,token\n")
         assert "\r" not in text
         buffer.seek(0)
-        assert list(_read_csv(buffer, header, tuple)) == [tuple(map(str, row)) for row in rows]
+        assert list(_read_csv(buffer, header, tuple)) == [
+            (line, tuple(map(str, row))) for line, row in zip((5, 6), rows)]
+
+    @pytest.mark.parametrize("comment", ['a,"b', '"', 'x,"y\nz"'])
+    def test_a_comment_with_quotes_reads_back(self, comment):
+        """Comment lines are dropped before the CSV parser sees them, so an
+        open quote in one cannot swallow the header."""
+        buffer = io.StringIO()
+        write_csv(buffer, ("a", "b"), [(1, 2)], [comment])
+        buffer.seek(0)
+        lines = len(comment.splitlines())
+        assert list(_read_csv(buffer, ("a", "b"), tuple)) == [(lines + 2, ("1", "2"))]
 
 
 class TestMutatedSessionsCsv:
@@ -858,12 +907,12 @@ class TestMutatedSessionsCsv:
 # market hours (13:30Z to 20:00Z) and a bucket every three hours of the sessions.
 _WEEK = datetime(2012, 6, 18, tzinfo=UTC)
 _TICK_ROWS = ["timestamp,price"] + [
-    f"{format_utc(_WEEK + timedelta(days=day, hours=13.5 + half / 2))},{100 + day + half / 8!r}"
+    f"{utc_text(_WEEK + timedelta(days=day, hours=13.5 + half / 2))},{100 + day + half / 8!r}"
     for day in range(5)
     for half in range(14)
 ]
 _BUCKET_ROWS = ["bucket_start,positive,negative,neutral"] + [
-    f"{format_utc(_WEEK + timedelta(hours=13.5 + 3 * k))},{k % 7},{k % 5},{k % 3}"
+    f"{utc_text(_WEEK + timedelta(hours=13.5 + 3 * k))},{k % 7},{k % 5},{k % 3}"
     for k in range(34)
 ]
 TEXT_MUTATIONS = MUTATIONS + (
@@ -941,4 +990,4 @@ class TestMutatedTickAndBucketCsv:
         buffer = io.StringIO()
         write_sessions_csv(series, buffer)
         buffer.seek(0)
-        assert read_sessions_csv(buffer).sessions == series.sessions
+        assert read_sessions_csv(buffer) == series

@@ -56,18 +56,17 @@ class TestGenerate:
     def test_seed_changes_output(self):
         a = generate(SyntheticScenario("C", 60, seed=1))
         b = generate(SyntheticScenario("C", 60, seed=2))
-        assert a.returns != b.returns
+        assert a.returns.tolist() != b.returns.tolist()
 
     def test_baseline_shape(self):
         series = generate(SyntheticScenario("B", 75, seed=3))
         assert len(series) == 75
-        assert series.sessions[0].open_price == 100.0
+        assert series.open_prices[0] == 100.0
         assert len(series.returns) == 75
 
     def test_prices_chain(self):
         series = generate(SyntheticScenario("C", 40, seed=5))
-        for prev, cur in zip(series.sessions, series.sessions[1:]):
-            assert cur.open_price == prev.close_price
+        assert series.open_prices[1:].tolist() == series.close_prices[:-1].tolist()
 
     def test_csv_round_trip_exact(self):
         series = generate(SyntheticScenario("B", 80, seed=11))
@@ -79,22 +78,17 @@ class TestGenerate:
 
     def test_kind_a_counts_flat(self):
         series = generate(SyntheticScenario("A", 50, signal_strength=0.5, seed=2))
-        for session in series.sessions:
-            assert (session.pos, session.neg, session.neu) == (50, 50, 50)
+        assert (series.counts == 50).all()
 
     def test_count_ranges(self):
         series = generate(SyntheticScenario("C", 300, seed=9))
-        for session in series.sessions:
-            assert 0 <= session.pos <= 200
-            assert 0 <= session.neg <= 200
-            assert 0 <= session.neu <= 100
+        assert ((0 <= series.counts) & (series.counts <= [200, 200, 100])).all()
 
     def test_zero_strength_b_replays_c(self):
         b = generate(SyntheticScenario("B", 90, signal_strength=0.0, seed=13))
         c = generate(SyntheticScenario("C", 90, seed=13))
-        assert b.returns == c.returns
-        for sb, sc in zip(b.sessions, c.sessions):
-            assert (sb.pos, sb.neg, sb.neu) == (sc.pos, sc.neg, sc.neu)
+        assert b.returns.tolist() == c.returns.tolist()
+        assert b.counts.tolist() == c.counts.tolist()
 
     def test_blowup_rejected(self):
         with pytest.raises(DataError, match="-100%"):
