@@ -1,7 +1,8 @@
 """Command-line surface: aggregate, train, backtest, and synth subcommands.
 
 Exit codes: 0 on success, 1 for usage or configuration problems, 2 for
-data problems (unreadable or malformed inputs, spans too short to run).
+data problems (unreadable or malformed inputs, spans too short to run),
+143 when a command is ended by SIGTERM.
 """
 
 from __future__ import annotations
@@ -9,7 +10,9 @@ from __future__ import annotations
 import argparse
 import logging
 import os
+import signal
 import sys
+import threading
 from contextlib import contextmanager, suppress
 from dataclasses import replace
 from typing import IO, Iterator, Sequence
@@ -283,13 +286,25 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
+def _terminate(signum: int, frame: object) -> None:
+    raise SystemExit(128 + signum)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(levelname)s: %(message)s")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
-    except SystemExit as exc:  # argparse --help
+        # SIGTERM becomes SystemExit(143) for the command, so _outputs removes its partial
+        # files; Python sets handlers, and runs them, in the main thread only.
+        main_thread = threading.current_thread() is threading.main_thread()
+        previous = signal.signal(signal.SIGTERM, _terminate) if main_thread else None
+        try:
+            return args.func(args)
+        finally:
+            if main_thread:  # None: a handler not set from Python, which it cannot restore
+                signal.signal(signal.SIGTERM, signal.SIG_DFL if previous is None else previous)
+    except SystemExit as exc:  # argparse --help, or SIGTERM
         code = exc.code
         if code is None:
             return 0

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -252,8 +252,10 @@ class FitTable:
     ``fit_window`` instead: cond^2 near CONDITION_LIMIT, a t statistic near
     the threshold, a prediction near zero, or a near-exact fit.
     ``fallback_cells`` lists those cells, ``eigensolved`` counts the rank
-    verdicts that took an eigensolve, and ``build_seconds`` is the wall time
-    of the whole build.
+    verdicts that took an eigensolve, ``exact_bounded`` the cells whose trace
+    screen left a rank-ok candidate doubtful, so that their exact error
+    bounds were formed, and ``build_seconds`` is the wall time of the whole
+    build.
     """
 
     def __init__(
@@ -282,13 +284,14 @@ class FitTable:
         chunk = max(1, min(_BLOCK_CELLS, _BLOCK_ROWS // windows[-1]))
         counts = np.zeros((cells, 2, 3), dtype=int)
         unsure = np.zeros(cells, dtype=bool)
-        self.eigensolved = 0
+        self.eigensolved = self.exact_bounded = 0
         for first in range(0, cells, chunk):
             i, j = divmod(np.arange(first, min(first + chunk, cells)), len(windows))
-            passed, predicted, unsure[first : first + chunk], eigensolved = _fit_cells(
+            passed, predicted, unsure[first : first + chunk], eigensolved, bounded = _fit_cells(
                 L, r, sessions.start - span.start + i, windows.start + j, p_threshold
             )
             self.eigensolved += eigensolved
+            self.exact_bounded += bounded
             tallies = np.stack([passed, passed & (predicted > 0), passed & (predicted < 0)], -1)
             by_class = [tallies[:, ~_SENTIMENT].sum(1), tallies[:, _SENTIMENT].sum(1)]
             counts[first : first + chunk] = np.stack(by_class, axis=1)
@@ -344,13 +347,14 @@ def _sub_grams(gram: np.ndarray, cells: np.ndarray, columns: np.ndarray) -> np.n
 
 def _fit_cells(
     L: np.ndarray, r: np.ndarray, t_cell: np.ndarray, w_cell: np.ndarray, p_threshold: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
     """Fit all candidates on every (session t_cell[i], window w_cell[i]) cell
     from its sweep tree, sessions counted from the first of ``L``'s design
     rows and of the returns ``r``: the (cells, candidates) filter verdicts
     (each |t| above its df's critical value) and predictions, NaN where not
-    rank-ok, the mask of cells to recompute, and the number of rank verdicts
-    that took an eigensolve."""
+    rank-ok, the mask of cells to recompute, the number of rank verdicts
+    that took an eigensolve, and the number of cells whose exact error
+    bounds were formed."""
     from scipy.special import stdtrit  # here, so that commands which fit nothing skip scipy
 
     cross, x_next = _cross_products(L, r, t_cell, w_cell)
@@ -359,23 +363,35 @@ def _fit_cells(
     levels = np.array([p_threshold, p_threshold + P_BAND, max(0.0, p_threshold - P_BAND)])
     all_df = np.arange(1, int(w_cell.max()) + 1)[:, None]
     t_critical, t_low, t_high = stdtrit(all_df, 1.0 - levels / 2.0).T
-    shape = (len(w_cell), len(CANDIDATES))
-    passed, predicted_next = np.zeros(shape, bool), np.full(shape, np.nan)
-    unsure, eigensolved = np.zeros(len(w_cell), dtype=bool), 0
-    for members, (ok, solved, near_limit, _, _), fit in _swept_fits(cross, x_next, w_cell):
-        t_abs, predicted, magnitude, rss, t_error, prediction_error = fit
-        df = np.maximum(w_cell - t_abs.shape[1] - 1, 1) - 1
+
+    def doubtful(fit: tuple[np.ndarray, ...], cells=slice(None)) -> np.ndarray:
+        """Which members of a level's ``fit`` lie within their error bounds of a
+        decision on ``cells``: a |t| near the threshold, a prediction near zero,
+        or a near-exact fit."""
+        t_abs, predicted, magnitude, rss, t_error, prediction_error = (a[..., cells] for a in fit)
+        df = np.maximum(w_cell[cells] - t_abs.shape[1] - 1, 1) - 1
         with np.errstate(invalid="ignore"):  # t_high + t_error: inf + -inf only where not ok
-            doubtful = (
+            return (
                 ((t_low[df] - t_error <= t_abs) & (t_abs <= t_high[df] + t_error)).any(axis=1)
                 | (np.abs(predicted) <= SIGN_BAND * magnitude + prediction_error)
                 | (rss <= EXACT_FIT_BAND)
             )
-        unsure |= near_limit | (ok & doubtful).any(axis=0)
+
+    shape = (len(w_cell), len(CANDIDATES))
+    passed, predicted_next = np.zeros(shape, bool), np.full(shape, np.nan)
+    (unsure, bounded), eigensolved = np.zeros((2, len(w_cell)), dtype=bool), 0
+    fits = _swept_fits(cross, x_next, w_cell, doubtful)
+    for members, (ok, solved, near_limit, _, _, exact), fit in fits:
+        unsure |= near_limit
+        if exact.any():  # cells the screen left doubtful, decided by their exact bounds
+            unsure[exact] |= (ok[:, exact] & doubtful(fit, exact)).any(axis=0)
+            bounded |= exact
         eigensolved += int(np.count_nonzero(solved))
+        t_abs, predicted = fit[:2]
+        df = np.maximum(w_cell - t_abs.shape[1] - 1, 1) - 1
         passed[:, members] = (ok & (t_abs > t_critical[df]).all(axis=1)).T
         predicted_next[:, members] = np.where(ok, predicted, np.nan).T
-    return passed, predicted_next, unsure, eigensolved
+    return passed, predicted_next, unsure, eigensolved, int(np.count_nonzero(bounded))
 
 
 def _cross_products(
@@ -410,19 +426,27 @@ def _cross_products(
 
 
 def _swept_fits(
-    cross: np.ndarray, x_next: np.ndarray, w: np.ndarray
+    cross: np.ndarray,
+    x_next: np.ndarray,
+    w: np.ndarray,
+    doubtful: Callable[[tuple[np.ndarray, ...]], np.ndarray] | None = None,
 ) -> Iterator[tuple[np.ndarray, tuple[np.ndarray, ...], tuple[np.ndarray, ...]]]:
     """Sweep the cells' cross-products, Jacobi-scaled once (a unit scale for a
     zero diagonal), down the subset tree a level at a time.  A node swept on K
     holds -S_KK^-1, the coefficients in its last column and rss~ (y'y = 1) in
     its corner, and carries the least pivot on its path.  A fitted member is
-    rank-ok or rank-deficient where its bounds on cond^2 from ``_error_bounds``
+    rank-ok or rank-deficient where its bounds on cond^2 from ``_rank_bounds``
     clear CONDITION_LIMIT by 4 ``_condition_band``, and is eigensolved
     otherwise.  A node with a subset deficient or not fitted in every cell is
     not swept, and neither is a member whose path floor, read off its parent,
-    already settles it so by ``_pivot_bound``.  Yields each level's swept
-    members, their verdicts (rank-ok and eigensolved, (members, cells), the
-    cells eigensolved within their band, and the bounds), and their |t|
+    already settles it so by ``_pivot_bound``.  Each member's |t| and
+    prediction bounds are first screened by tau = tr S^-1 (see above
+    ``_error_bounds``), then replaced by the exact ones of ``_error_bounds``
+    in the cells where ``doubtful`` of the screened fit holds for a rank-ok
+    member (with no ``doubtful``, in every cell with a rank-ok member).
+    Yields each level's swept members, their verdicts (rank-ok and
+    eigensolved, (members, cells), the cells eigensolved within their band,
+    the bounds, and the cells whose exact bounds were formed), and their |t|
     (members, variables, cells), prediction, sum of its terms' magnitudes,
     rss~ and error bounds."""
     diagonal = np.diagonal(cross, axis1=1, axis2=2).T
@@ -462,16 +486,18 @@ def _swept_fits(
             continue
         K, node = nodes[: len(members)][live], where[: len(members)][live, None]
         beta, rss = level[node, K, -1], level[node[:, 0], -1, -1]
-        S_inv = -level[node[:, :, None], K[:, :, None], K[:, None, :]]
         inverse = -level[node, K, K]
-        x = x_next.T[K] * d[K] / d[-1]
+        scales, path_floor = d[K], floor[node[:, 0]]
+        x = x_next.T[K] * scales / d[-1]
         with np.errstate(all="ignore"):
+            tau = inverse.sum(axis=1)
+            lower, upper = _rank_bounds(tau, inverse, w, scales, path_floor)
             se = np.sqrt(rss[:, None] * inverse / (w - m))
             t_abs, terms = np.abs(beta[:, 1:]) / se[:, 1:], x * beta
             fit = t_abs, terms.sum(axis=1), np.abs(terms).sum(axis=1), rss
-            *bounds, lower, upper = _error_bounds(
-                S_inv, inverse, beta, se, t_abs, x, rss, w, d[K], floor[node[:, 0]]
-            )
+            parts = tau, inverse, beta, se, t_abs, x, rss, w, scales
+            screen = np.sqrt(tau[:, None] * inverse), tau * np.sqrt((x * x).sum(axis=1))
+            bounds = _t_bounds(*screen, *parts)
         rank_ok = fitted & (upper < CONDITION_LIMIT * (1.0 - margin))
         deficient = lower > deficient_above
         solved, near_limit = fitted & ~rank_ok & ~deficient, np.zeros(len(w), dtype=bool)
@@ -484,8 +510,17 @@ def _swept_fits(
             band = _condition_band(w[cells], m) * CONDITION_LIMIT
             near_limit[cells[np.abs(cond2 - CONDITION_LIMIT) <= band]] = True
             rank_ok[c, cells] = cond2 <= CONDITION_LIMIT
+        exact = (rank_ok & (True if doubtful is None else doubtful((*fit, *bounds)))).any(axis=0)
+        if exact.any():
+            cells = np.flatnonzero(exact)
+            S_inv = -level[node[:, :, None, None], K[:, :, None, None], K[:, None, :, None], cells]
+            with np.errstate(all="ignore"):  # [:2]: the rank bounds are those above
+                formed = _error_bounds(S_inv, *(part[..., cells] for part in parts[1:]),
+                                       path_floor[:, cells])[:2]
+            for bound, value in zip(bounds, formed):
+                bound[..., cells] = value
         dead = np.append(dead, masks[: len(members)][live][(deficient | ~fitted).all(axis=1)])
-        yield members[live], (rank_ok, solved, near_limit, lower, upper), (*fit, *bounds)
+        yield members[live], (rank_ok, solved, near_limit, lower, upper, exact), (*fit, *bounds)
 
 
 # How far the table's |t| and prediction can lie from fit_window's, to first order.
@@ -525,6 +560,12 @@ def _swept_fits(
 # m e ||S^-1 e_i||^2 / S^-1_ii / (1 - m tau e), and of s,
 # (sqrt(tau) R + e q) / sqrt(rss~) + delta q^2 / (2 rss~).  Where m tau e reaches 1,
 # both bounds are infinite.
+# The screen.  S^-1 is positive definite, so its largest eigenvalue is at most tau, and
+# ||S^-1 e_i||^2 = e_i' S^-2 e_i <= tau S^-1_ii and ||S^-1 x~|| <= tau ||x~||.  Put in place
+# of the exact norms, which need all of S^-1, these give bounds never below the exact ones
+# from the node's diagonal alone (``_t_bounds`` rises with both norms).  _swept_fits screens
+# every rank-ok candidate so, and forms the exact bounds (``_error_bounds``) only in the
+# cells where the screened ones leave a candidate doubtful, which decide those cells.
 
 # Bounds on a candidate's cond^2 = cond(G_K), G_K = A'A on its columns A = [1 X_K], read
 # off its node, with S = D G D, m = |K|, delta and tau as above, and L = CONDITION_LIMIT.
@@ -560,31 +601,52 @@ def _pivot_bound(floor: np.ndarray, w: np.ndarray, m: int) -> np.ndarray:
     return 1.0 / (m * (np.maximum(floor, 0.0) + 2 * m * (w + 3 + 16 * m) * _EPS))
 
 
-def _error_bounds(
-    S_inv: np.ndarray, diagonal: np.ndarray, beta: np.ndarray, se: np.ndarray, t_abs: np.ndarray,
-    x: np.ndarray, rss: np.ndarray, w: np.ndarray, scales: np.ndarray, floor: np.ndarray,
-) -> tuple[np.ndarray, ...]:
-    """The bounds argued above on |t| and on the prediction, from S^-1's
-    diagonal as ``diagonal`` and x~ as ``x``, then the lower and upper ones on
-    cond^2, from the least pivot on the path as ``floor``."""
+def _t_bounds(
+    row_norms: np.ndarray, shifted: np.ndarray, tau: np.ndarray, diagonal: np.ndarray,
+    beta: np.ndarray, se: np.ndarray, t_abs: np.ndarray, x: np.ndarray, rss: np.ndarray,
+    w: np.ndarray, scales: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The bounds argued above on |t| and on the prediction, from bounds on
+    ||S^-1 e_i|| as ``row_norms`` and on ||S^-1 x~|| as ``shifted``, tr S^-1
+    as ``tau``, S^-1's diagonal as ``diagonal`` and x~ as ``x``."""
     m = beta.shape[1]
-    tau = diagonal.sum(axis=1)
     delta = (w + 3 + 16 * m) * _EPS
     e = 3.0 * (w + 10) * m * _EPS * scales.max(axis=1) / scales.min(axis=1) + delta
     growth = m * tau * e
     q = 1.0 + np.sqrt(m) * np.linalg.norm(beta, axis=1)
     R = np.where(growth < 1.0, e * np.sqrt(m) * q / (1.0 - growth), np.inf)
-    row_norms = np.sqrt(np.einsum("nijc,nijc->nic", S_inv, S_inv))
     residual = (np.sqrt(tau) * R + e * q) / np.sqrt(rss) + delta * q**2 / (2.0 * rss)
     relative = (m * e / (1.0 - growth))[:, None] * row_norms**2 / diagonal + residual[:, None]
     t_error = (row_norms * R[:, None] / se)[:, 1:] + t_abs * relative[:, 1:]
-    shifted = np.linalg.norm(np.einsum("nijc,njc->nic", S_inv, x), axis=1)
     jordan = 8 * m * _EPS * q * (np.abs(x) * np.sqrt(diagonal)).sum(axis=1)
-    table_growth = np.where(floor > 0.0, m * tau * delta, np.inf)
+    return t_error, shifted * R + jordan
+
+
+def _rank_bounds(
+    tau: np.ndarray, diagonal: np.ndarray, w: np.ndarray, scales: np.ndarray, floor: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The lower and upper bounds argued above on cond^2, from tr S^-1 as
+    ``tau``, S^-1's diagonal as ``diagonal`` and the least pivot on the path
+    as ``floor``."""
+    m = diagonal.shape[1]
+    table_growth = np.where(floor > 0.0, m * tau * ((w + 3 + 16 * m) * _EPS), np.inf)
     trusted, eta = table_growth < 1.0, table_growth / (1.0 - table_growth)
     gram, gram_inverse = scales**-2.0, diagonal * scales**2
     pivot = _pivot_bound(floor, w, m)
     sandwich = gram.max(axis=1) * gram_inverse.max(axis=1) * (1.0 - 2.0 * eta)
     upper = gram.sum(axis=1) * gram_inverse.sum(axis=1) * (1.0 + eta) ** 2
     lower = np.where(trusted, np.maximum(pivot, sandwich), pivot)
-    return t_error, shifted * R + jordan, lower, np.where(trusted, upper, np.inf)
+    return lower, np.where(trusted, upper, np.inf)
+
+
+def _error_bounds(
+    S_inv: np.ndarray, diagonal: np.ndarray, beta: np.ndarray, se: np.ndarray, t_abs: np.ndarray,
+    x: np.ndarray, rss: np.ndarray, w: np.ndarray, scales: np.ndarray, floor: np.ndarray,
+) -> tuple[np.ndarray, ...]:
+    """The exact bounds: ``_t_bounds`` from the norms of S^-1 itself, then
+    ``_rank_bounds``."""
+    tau = diagonal.sum(axis=1)
+    row_norms = np.sqrt(np.einsum("nijc,nijc->nic", S_inv, S_inv))
+    shifted = np.linalg.norm(np.einsum("nijc,njc->nic", S_inv, x), axis=1)
+    return (*_t_bounds(row_norms, shifted, tau, diagonal, beta, se, t_abs, x, rss, w, scales),
+            *_rank_bounds(tau, diagonal, w, scales, floor))

@@ -5,8 +5,11 @@ from __future__ import annotations
 import logging
 import os
 import re
+import signal
 import subprocess
 import sys
+import threading
+import time
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -661,6 +664,39 @@ class TestOutputChecks:
         assert capsys.readouterr().err == "error: disk full\n"
         assert written and written[0].endswith(".partial")
         assert {path: path.read_bytes() for path in workspace.iterdir()} == before
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_sigterm_leaves_no_partial_file(self, workspace):
+        """An aggregate reading a FIFO as its ticks blocks once its partial
+        output exists; SIGTERM then ends it with exit 143, leaving no partial file."""
+        os.mkfifo(workspace / "ticks.csv")
+        src = os.path.dirname(os.path.dirname(sentrade.__file__))
+        argv = ["aggregate", "--prices", str(workspace / "ticks.csv"), "--sentiment",
+                str(workspace / "buckets.csv"), "--calendar", str(workspace / "calendar.txt"),
+                "--out", str(workspace / "s_")]
+        code = f"import sys; sys.path.insert(0, {src!r}); from sentrade.cli import main; " \
+               f"sys.exit(main({argv!r}))"
+        process = subprocess.Popen([sys.executable, "-c", code], stderr=subprocess.DEVNULL)
+        try:
+            deadline = time.monotonic() + 60
+            while not list(workspace.glob("*.partial")):
+                assert process.poll() is None and time.monotonic() < deadline
+                time.sleep(0.01)
+            process.send_signal(signal.SIGTERM)
+            assert process.wait(timeout=60) == 128 + signal.SIGTERM
+        finally:
+            process.kill()
+            process.wait()
+        assert not list(workspace.glob("*.partial"))
+
+    def test_command_runs_off_the_main_thread(self, tmp_path):
+        """Only the main thread may set a signal handler, so elsewhere main leaves SIGTERM be."""
+        codes = []
+        argv = ["synth", "--kind", "B", "--n", "60", "--out", str(tmp_path / "x_")]
+        worker = threading.Thread(target=lambda: codes.append(main(argv)))
+        worker.start()
+        worker.join(timeout=60)
+        assert codes == [0]
 
     def test_outputs_get_the_mode_of_a_plain_open(self, workspace):
         with open(workspace / "plain.csv", "w"):

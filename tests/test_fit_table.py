@@ -116,7 +116,7 @@ def test_block_size_follows_window_span(monkeypatch):
     def recording(L, r, t_cell, w_cell, p_threshold):
         sizes.append(len(t_cell))
         none = np.zeros((len(t_cell), len(CANDIDATES)), dtype=bool)
-        return none, np.full(none.shape, np.nan), np.zeros(len(t_cell), dtype=bool), 0
+        return none, np.full(none.shape, np.nan), np.zeros(len(t_cell), dtype=bool), 0, 0
 
     monkeypatch.setattr(model_space, "_fit_cells", recording)
     spans = [
@@ -229,6 +229,48 @@ def test_error_bounds_hold(series, normalize):
     assert checked > 0
 
 
+@pytest.mark.parametrize(
+    "windows", [WINDOWS, range(3, 6), range(10, 15)], ids=["20-40", "3-5", "10-14"]
+)
+@pytest.mark.parametrize(
+    "series, normalize",
+    [
+        (near_collinear_series(400), False),
+        (near_collinear_series(1000), True),
+        (generate(SyntheticScenario("B", 200, seed=7)), False),
+    ],
+    ids=["raw", "shares", "B200"],
+)
+def test_trace_screen_never_undercuts_the_exact_bounds(series, normalize, windows, monkeypatch):
+    """On every chunk, each rank-ok candidate's screened |t| and prediction
+    bounds are at least those of _error_bounds, so the unsure mask that
+    _fit_cells takes through the screen is the one the exact bounds give."""
+    L, r = design_rows(series, normalize), series.returns
+    sessions = range(windows[-1] + 2, len(series) + 1)
+    spans = list(chunks(sessions, windows))
+    screened = [_fit_cells(L, r, t_cell, w_cell, P_THRESHOLD)[2] for t_cell, w_cell in spans]
+    checked = 0
+    for t_cell, w_cell in spans:
+        cross, x_next = _cross_products(L, r, t_cell, w_cell)
+        screens = []
+
+        def everywhere(fit):  # keeps each level's screened bounds, and forms the exact ones
+            screens.append([bound.copy() for bound in fit[4:]])
+            return True
+
+        levels = list(_swept_fits(cross, x_next, w_cell, everywhere))
+        for (_, (rank_ok, *_), fit), screen in zip(levels, screens, strict=True):
+            for bound, exact in zip(screen, fit[4:]):
+                holds = np.moveaxis(bound >= exact, -1, 1)[rank_ok]  # (members, cells) first
+                assert holds.all()
+                checked += holds.size
+    assert checked > 0
+    swept = model_space._swept_fits  # without the screen, every cell's exact bounds are formed
+    monkeypatch.setattr(model_space, "_swept_fits", lambda cross, x, w, _: swept(cross, x, w))
+    for (t_cell, w_cell), unsure in zip(spans, screened):
+        np.testing.assert_array_equal(unsure, _fit_cells(L, r, t_cell, w_cell, P_THRESHOLD)[2])
+
+
 def flat_counts_series():
     rng = np.random.default_rng(5)
     flat = [50] * 60
@@ -314,7 +356,7 @@ def swept_verdicts(series, sessions, windows, normalize):
     rows = []
     for t_cell, w_cell in chunks(sessions, windows):
         cross, x_next = _cross_products(L, r, t_cell, w_cell)
-        for members, (rank_ok, solved, _, lower, upper), _ in _swept_fits(cross, x_next, w_cell):
+        for members, (rank_ok, solved, _, lower, upper, _), _ in _swept_fits(cross, x_next, w_cell):
             m = len(CANDIDATES[members[0]].variables) + 1
             fitted = (w_cell - m >= MIN_RESIDUAL_DF) & np.ones_like(rank_ok)
             for k, cell in zip(*np.nonzero(fitted)):
@@ -611,9 +653,9 @@ def test_cells_are_fitted_without_p_values(series_b, monkeypatch):
 def test_fallback_cells_are_exposed_and_served(monkeypatch):
     def garbled(*args):
         """_fit_cells with every candidate of an unsure cell passing and voting up."""
-        passed, predicted, unsure, eigensolved = _fit_cells(*args)
+        passed, predicted, unsure, *counts = _fit_cells(*args)
         passed[unsure], predicted[unsure] = True, 1.0
-        return passed, predicted, unsure, eigensolved
+        return passed, predicted, unsure, *counts
 
     monkeypatch.setattr(model_space, "_fit_cells", garbled)
     series = make_series([0.0] * 30 + [0.01, -0.02] * 5)
