@@ -22,9 +22,7 @@ from .adaptive import (
     update_spread,
 )
 from .backtest import (
-    Action,
     EvaluationResult,
-    TradeDecision,
     TradeLedger,
     TrainingResult,
     evaluate,

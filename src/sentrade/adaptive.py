@@ -508,15 +508,15 @@ def replay_grid(
         )
     beta = np.array([b for b, _ in points], dtype=float)[:, None]
     gamma = np.array([g for _, g in points], dtype=float)[:, None]
-    per_tfw = params.spread_scope == "per_tfw"
-    n_windows = counts.shape[1] if per_tfw else 1
-    spread = np.full((len(points), n_windows), float(params.initial_spread))
+    # A spread step's counts: each window's, or in global scope all windows' pooled.
+    step = counts if params.spread_scope == "per_tfw" else counts.sum(axis=1, keepdims=True)
+    spread = np.full((len(points), step.shape[1]), float(params.initial_spread))
     quality = np.zeros((len(points), counts.shape[1]))
     strategy = np.zeros(len(points))
     picks = np.zeros((3, len(returns), len(points)), dtype=np.int64)
     rows = np.arange(len(points))
-    n_models, up, down = counts[..., 0], counts[..., 1], counts[..., 2]
-    majority = np.sign(up - down)
+    n_models, up, down = step[..., 0], step[..., 1], step[..., 2]
+    majority = np.sign(counts[..., 1] - counts[..., 2])
     for t, realized in enumerate(returns):
         magnitude = abs(100.0 * realized)
         correct = up[t] if realized > 0 else down[t] if realized < 0 else np.zeros_like(up[t])
@@ -536,13 +536,9 @@ def replay_grid(
         else:
             lam = emitted * (1 if realized > 0 else -1)
         quality = beta * quality + lam * magnitude
-        if per_tfw:
-            theta = _theta_array(n_models[t], correct)
-            decayed = gamma * spread
-            spread = np.where(theta == 0, decayed, decayed + theta * magnitude)
-        else:
-            theta = int(_theta_array(n_models[t].sum(axis=0), correct.sum(axis=0)))
-            spread = gamma * spread + (theta * magnitude if theta != 0 else 0.0)
+        theta = _theta_array(n_models[t], correct)
+        decayed = gamma * spread
+        spread = np.where(theta == 0, decayed, decayed + theta * magnitude)
     return GridReplay(strategy, picks[0], picks[1].astype(bool), picks[2])
 
 

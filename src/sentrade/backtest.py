@@ -16,7 +16,6 @@ import math
 import operator
 import time
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import IO, Iterable, Sequence
 
 from .adaptive import (
@@ -48,27 +47,17 @@ TRAINING_HEADER = ("beta", "gamma", "train_return")
 GRID_VALUES = tuple(i / 10 for i in range(11))
 
 
-class Action(str, Enum):
-    LONG = "long"
-    SHORT = "short"
-    NOOP = "none"
-
-
-@dataclass(frozen=True)
-class TradeDecision:
-    index: int
-    action: Action
-
-
 @dataclass(frozen=True)
 class TradeLedger:
-    """Per-session decisions and the running curves they produce.
+    """Per-session decisions and the running curves they produce, as columns.
 
-    ``hit_rate`` is None when no prediction landed on a nonzero return, the
-    only sessions where correctness is defined.
+    ``decisions[i]`` is the trade in session ``index[i]``: +1 long, -1 short,
+    0 flat.  ``hit_rate`` is None when no prediction landed on a nonzero
+    return, the only sessions where correctness is defined.
     """
 
-    decisions: tuple[TradeDecision, ...]
+    index: tuple[int, ...]
+    decisions: tuple[int, ...]
     step_pnl: tuple[float, ...]
     cum_strategy: tuple[float, ...]
     cum_benchmark: tuple[float, ...]
@@ -90,7 +79,8 @@ class TradeLedger:
         return self.cum_optimal[-1] if self.cum_optimal else 0.0
 
 
-_ACTIONS = {1: Action.LONG, -1: Action.SHORT, 0: Action.NOOP}
+# A decision's word in the report.
+_ACTIONS = {1: "long", -1: "short", 0: "none"}
 
 
 def _running(values: Iterable[float], op=operator.add, start: float = 0.0) -> tuple[float, ...]:
@@ -113,9 +103,8 @@ def simulate(
     scored = [d * r > 0 for d, r in zip(directions, returns) if d and r]
     growth = _running([1.0 + r for r in returns], operator.mul, 1.0)
     return TradeLedger(
-        decisions=tuple(
-            TradeDecision(record.index, _ACTIONS[d]) for record, d in zip(records, directions)
-        ),
+        index=tuple(record.index for record in records),
+        decisions=tuple(directions),
         step_pnl=tuple(steps),
         cum_strategy=_running(steps),
         cum_benchmark=_running(returns),
@@ -262,11 +251,10 @@ def evaluate(
 
 
 def write_report_csv(ledger: TradeLedger, stream: IO[str]) -> None:
-    columns = (ledger.step_pnl, ledger.cum_strategy, ledger.cum_benchmark,
-               ledger.cum_benchmark_compounded, ledger.cum_optimal)
-    write_csv(stream, REPORT_HEADER, (
-        (decision.index, decision.action.value, *values)
-        for decision, *values in zip(ledger.decisions, *columns)
+    write_csv(stream, REPORT_HEADER, zip(
+        ledger.index, map(_ACTIONS.__getitem__, ledger.decisions), ledger.step_pnl,
+        ledger.cum_strategy, ledger.cum_benchmark, ledger.cum_benchmark_compounded,
+        ledger.cum_optimal,
     ))
 
 

@@ -2,7 +2,7 @@
 
 Exit codes: 0 on success, 1 for usage or configuration problems, 2 for
 data problems (unreadable or malformed inputs, spans too short to run),
-143 when a command is ended by SIGTERM.
+130 when a command is ended by SIGINT (Ctrl-C), 143 when by SIGTERM.
 """
 
 from __future__ import annotations
@@ -103,18 +103,24 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _open_input(path: str) -> IO[str]:
-    """An input file as UTF-8 text; a leading byte-order mark is dropped."""
-    return open(path, encoding="utf-8-sig", newline="")
+def _open_input(path: str, what: str) -> IO[str]:
+    """The input ``what`` as UTF-8 text, a leading byte-order mark dropped; one that
+    cannot be opened is an OSError naming it (exit 2)."""
+    try:
+        return open(path, encoding="utf-8-sig", newline="")
+    except OSError as exc:
+        raise OSError(f"cannot read {what}: {path}: {exc.strerror or exc}") from None
 
 
 def _read_setting(path: str, what: str) -> str:
     """The text of a config, params or calendar file; these are configuration (exit 1)."""
     try:
-        with _open_input(path) as handle:
+        with _open_input(path, what) as handle:
             return handle.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read {what}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot read {what}: {path}: {exc}") from None
+    except OSError as exc:  # from _open_input, which names the file
+        raise ConfigError(str(exc)) from None
 
 
 def _load_config(path: str | None) -> PipelineParams:
@@ -122,7 +128,7 @@ def _load_config(path: str | None) -> PipelineParams:
 
 
 def _load_series(path: str):
-    with _open_input(path) as handle:
+    with _open_input(path, "sessions") as handle:
         return read_sessions_csv(handle)
 
 
@@ -130,7 +136,14 @@ def _load_series(path: str):
 def _outputs(**paths: str) -> Iterator[dict[str, IO[str]]]:
     """Each output as a new ``<path>.<pid>.partial`` file beside its target, whose
     creation checks that it can be written.  A clean exit moves every file into
-    place; any exception removes them all, leaving earlier outputs as they were."""
+    place; any exception removes them all, leaving earlier outputs as they were.
+    Two outputs that resolve to one file are refused before any is created."""
+    targets = {what: os.path.realpath(path) for what, path in paths.items()}
+    owners: dict[str, str] = {}
+    for what, target in targets.items():
+        first = owners.setdefault(target, what)
+        if first != what:
+            raise OSError(f"cannot write {what}: {paths[what]}: also the {first} output")
     partial: dict[str, IO[str]] = {}
     try:
         for what, path in paths.items():
@@ -139,14 +152,14 @@ def _outputs(**paths: str) -> Iterator[dict[str, IO[str]]]:
                     raise OSError("is a directory")
                 if os.path.exists(path) and not (os.path.isfile(path) and os.access(path, os.W_OK)):
                     raise OSError("not a writable file")
-                sibling = f"{os.path.realpath(path)}.{os.getpid()}.partial"
+                sibling = f"{targets[what]}.{os.getpid()}.partial"
                 partial[what] = open(sibling, "x", encoding="utf-8", newline="")
             except OSError as exc:
                 raise OSError(f"cannot write {what}: {path}: {exc.strerror or exc}") from None
         yield partial
         for what, handle in partial.items():
             handle.close()
-            os.replace(handle.name, os.path.realpath(paths[what]))
+            os.replace(handle.name, targets[what])
     except BaseException:
         for handle in partial.values():
             with suppress(OSError):  # removed first: closing flushes, which fails on a full disk
@@ -156,11 +169,13 @@ def _outputs(**paths: str) -> Iterator[dict[str, IO[str]]]:
 
 
 def _table_summary(table: FitTable, replay_seconds: float) -> str:
-    """A FitTable's build time, cells, refitted cells and eigensolves, and the replay time."""
+    """A FitTable's build time, cells, refitted cells, eigensolves and cells whose
+    exact error bounds were formed, and the replay time."""
     return (
         f"fit table {1e3 * table.build_seconds:.2f} ms ({len(table.fallback_cells)} of "
         f"{len(table.sessions) * len(table.windows)} cells refitted by the reference, "
-        f"{table.eigensolved} rank verdicts eigensolved), replay {1e3 * replay_seconds:.2f} ms"
+        f"{table.eigensolved} rank verdicts eigensolved, {table.exact_bounded} cells "
+        f"exact-bounded), replay {1e3 * replay_seconds:.2f} ms"
     )
 
 
@@ -169,9 +184,9 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
     calendar = parse_calendar(_read_setting(args.calendar, "calendar"))
     out_path = f"{args.out}sessions.csv"
     with _outputs(sessions=out_path) as out:
-        with _open_input(args.prices) as handle:
+        with _open_input(args.prices, "prices") as handle:
             ticks = parse_ticks(handle)
-        with _open_input(args.sentiment) as handle:
+        with _open_input(args.sentiment, "sentiment") as handle:
             buckets = parse_buckets(handle)
         series = build_sessions(ticks, buckets, calendar, params.offset_minutes)
         write_sessions_csv(series, out["sessions"])
@@ -309,6 +324,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         if code is None:
             return 0
         return code if isinstance(code, int) else 1
+    except KeyboardInterrupt:  # SIGINT, where Python's own handler is in place
+        return 128 + signal.SIGINT
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

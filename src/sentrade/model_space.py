@@ -204,7 +204,7 @@ def votes(models: list[FittedModel]) -> Votes:
 # any |t| whose p-value lies within P_BAND of the threshold, or a prediction
 # within SIGN_BAND of zero relative to the sum of its terms' magnitudes.
 # These floors cover fit_window's rounding of the p-value and of the
-# prediction's sum; _error_bounds widens them by the fit's own conditioning.
+# prediction's sum; _t_bounds widens them by the fit's own conditioning.
 P_BAND = 1e-6
 SIGN_BAND = 1e-6
 # A fit whose residual sum of squares is this small relative to y'y is exact
@@ -429,7 +429,7 @@ def _swept_fits(
     cross: np.ndarray,
     x_next: np.ndarray,
     w: np.ndarray,
-    doubtful: Callable[[tuple[np.ndarray, ...]], np.ndarray] | None = None,
+    doubtful: Callable[[tuple[np.ndarray, ...]], np.ndarray],
 ) -> Iterator[tuple[np.ndarray, tuple[np.ndarray, ...], tuple[np.ndarray, ...]]]:
     """Sweep the cells' cross-products, Jacobi-scaled once (a unit scale for a
     zero diagonal), down the subset tree a level at a time.  A node swept on K
@@ -441,9 +441,9 @@ def _swept_fits(
     not swept, and neither is a member whose path floor, read off its parent,
     already settles it so by ``_pivot_bound``.  Each member's |t| and
     prediction bounds are first screened by tau = tr S^-1 (see above
-    ``_error_bounds``), then replaced by the exact ones of ``_error_bounds``
-    in the cells where ``doubtful`` of the screened fit holds for a rank-ok
-    member (with no ``doubtful``, in every cell with a rank-ok member).
+    ``_pivot_bound``), then, in the cells where ``doubtful`` of the screened
+    fit holds for a rank-ok member, replaced by ``_t_bounds`` of the exact
+    norms of S^-1 (``lambda fit: True`` forms them wherever a member is rank-ok).
     Yields each level's swept members, their verdicts (rank-ok and
     eigensolved, (members, cells), the cells eigensolved within their band,
     the bounds, and the cells whose exact bounds were formed), and their |t|
@@ -510,13 +510,14 @@ def _swept_fits(
             band = _condition_band(w[cells], m) * CONDITION_LIMIT
             near_limit[cells[np.abs(cond2 - CONDITION_LIMIT) <= band]] = True
             rank_ok[c, cells] = cond2 <= CONDITION_LIMIT
-        exact = (rank_ok & (True if doubtful is None else doubtful((*fit, *bounds)))).any(axis=0)
-        if exact.any():
+        exact = (rank_ok & doubtful((*fit, *bounds))).any(axis=0)
+        if exact.any():  # the exact norms of S^-1 in the doubtful cells
             cells = np.flatnonzero(exact)
             S_inv = -level[node[:, :, None, None], K[:, :, None, None], K[:, None, :, None], cells]
-            with np.errstate(all="ignore"):  # [:2]: the rank bounds are those above
-                formed = _error_bounds(S_inv, *(part[..., cells] for part in parts[1:]),
-                                       path_floor[:, cells])[:2]
+            with np.errstate(all="ignore"):
+                row_norms = np.sqrt(np.einsum("nijc,nijc->nic", S_inv, S_inv))
+                shifted = np.linalg.norm(np.einsum("nijc,njc->nic", S_inv, x[..., cells]), axis=1)
+                formed = _t_bounds(row_norms, shifted, *(part[..., cells] for part in parts))
             for bound, value in zip(bounds, formed):
                 bound[..., cells] = value
         dead = np.append(dead, masks[: len(members)][live][(deficient | ~fitted).all(axis=1)])
@@ -564,8 +565,9 @@ def _swept_fits(
 # ||S^-1 e_i||^2 = e_i' S^-2 e_i <= tau S^-1_ii and ||S^-1 x~|| <= tau ||x~||.  Put in place
 # of the exact norms, which need all of S^-1, these give bounds never below the exact ones
 # from the node's diagonal alone (``_t_bounds`` rises with both norms).  _swept_fits screens
-# every rank-ok candidate so, and forms the exact bounds (``_error_bounds``) only in the
-# cells where the screened ones leave a candidate doubtful, which decide those cells.
+# every rank-ok candidate so, and forms the exact norms, from the node's whole S^-1, only
+# in the cells where the screened bounds leave a candidate doubtful; ``_t_bounds`` of those
+# norms decide the cells.
 
 # Bounds on a candidate's cond^2 = cond(G_K), G_K = A'A on its columns A = [1 X_K], read
 # off its node, with S = D G D, m = |K|, delta and tau as above, and L = CONDITION_LIMIT.
@@ -637,16 +639,3 @@ def _rank_bounds(
     upper = gram.sum(axis=1) * gram_inverse.sum(axis=1) * (1.0 + eta) ** 2
     lower = np.where(trusted, np.maximum(pivot, sandwich), pivot)
     return lower, np.where(trusted, upper, np.inf)
-
-
-def _error_bounds(
-    S_inv: np.ndarray, diagonal: np.ndarray, beta: np.ndarray, se: np.ndarray, t_abs: np.ndarray,
-    x: np.ndarray, rss: np.ndarray, w: np.ndarray, scales: np.ndarray, floor: np.ndarray,
-) -> tuple[np.ndarray, ...]:
-    """The exact bounds: ``_t_bounds`` from the norms of S^-1 itself, then
-    ``_rank_bounds``."""
-    tau = diagonal.sum(axis=1)
-    row_norms = np.sqrt(np.einsum("nijc,nijc->nic", S_inv, S_inv))
-    shifted = np.linalg.norm(np.einsum("nijc,njc->nic", S_inv, x), axis=1)
-    return (*_t_bounds(row_norms, shifted, tau, diagonal, beta, se, t_abs, x, rss, w, scales),
-            *_rank_bounds(tau, diagonal, w, scales, floor))

@@ -24,7 +24,6 @@ from sentrade.backtest import (
     GRID_VALUES,
     REPORT_HEADER,
     TRAINING_HEADER,
-    Action,
     evaluate,
     simulate,
     split_point,
@@ -45,6 +44,9 @@ def rec(index: int, sign: int | None, realized: float) -> PredictionRecord:
     return PredictionRecord(index, 20, ModelClass.FINANCIAL, sign, realized, correct)
 
 
+# A ledger decision's word in the report.
+WORDS = {1: "long", -1: "short", 0: "none"}
+
 returns_strategy = st.lists(
     st.floats(min_value=-0.5, max_value=0.5, allow_nan=False), min_size=1, max_size=30
 )
@@ -64,11 +66,8 @@ class TestSimulate:
         )
         assert ledger.hit_rate == 1.0
         assert ledger.n_trades == 2
-        assert [d.action for d in ledger.decisions] == [
-            Action.LONG,
-            Action.SHORT,
-            Action.NOOP,
-        ]
+        assert ledger.index == (5, 6, 7)
+        assert ledger.decisions == (1, -1, 0)
 
     def test_abstaining_strategy_is_flat(self):
         returns = [0.04, -0.03, 0.02]
@@ -167,9 +166,9 @@ class TestSimulateMatchesOracle:
     def check(signs, returns, cost=0.0):
         records = [rec(100 + i, s, r) for i, (s, r) in enumerate(zip(signs, returns))]
         ledger = simulate(records, returns, cost)
-        assert [d.index for d in ledger.decisions] == [r.index for r in records]
+        assert ledger.index == tuple(r.index for r in records)
         fields = {
-            "actions": tuple(d.action.value for d in ledger.decisions),
+            "actions": tuple(WORDS[d] for d in ledger.decisions),
             "step_pnl": ledger.step_pnl,
             "cum_strategy": ledger.cum_strategy,
             "cum_benchmark": ledger.cum_benchmark,
@@ -460,8 +459,8 @@ class TestCsvWriters:
         assert len(lines) == 4
         for i, line in enumerate(lines[1:]):
             fields = line.split(",")
-            assert int(fields[0]) == ledger.decisions[i].index
-            assert fields[1] == ledger.decisions[i].action.value
+            assert int(fields[0]) == ledger.index[i]
+            assert fields[1] == WORDS[ledger.decisions[i]]
             assert float(fields[2]) == ledger.step_pnl[i]
             assert float(fields[3]) == ledger.cum_strategy[i]
             assert float(fields[4]) == ledger.cum_benchmark[i]

@@ -334,7 +334,8 @@ class TestTrainCommand:
         # 4 sessions of windows 10-12
         assert re.search(
             r"trained on 4 scored sessions: fit table \d+\.\d\d ms \(0 of 12 cells refitted "
-            r"by the reference, 0 rank verdicts eigensolved\), replay \d+\.\d\d ms; "
+            r"by the reference, 0 rank verdicts eigensolved, 0 cells exact-bounded\), "
+            r"replay \d+\.\d\d ms; "
             r"best train return ",
             caplog.text,
         )
@@ -475,9 +476,10 @@ class TestBacktestCommand:
         with caplog.at_level(logging.INFO, logger="sentrade.cli"):
             assert self.run_backtest(workspace, sessions) == 0
         assert "evaluated 42 sessions: fit table" in caplog.text
-        assert "of 126 cells refitted by the reference, 0 rank verdicts eigensolved)" in caplog.text
+        assert ("of 126 cells refitted by the reference, 0 rank verdicts eigensolved, "
+                "0 cells exact-bounded)") in caplog.text
         assert re.search(r"evaluated 42 sessions: fit table \d+\.\d\d ms \(", caplog.text)
-        assert re.search(r"eigensolved\), replay \d+\.\d\d ms\n", caplog.text)
+        assert re.search(r"exact-bounded\), replay \d+\.\d\d ms\n", caplog.text)
 
     def test_unset_params_exit_one(self, workspace, capsys):
         sessions = synth_sessions(workspace)
@@ -620,6 +622,44 @@ class TestOutputChecks:
         assert "cannot write report" in capsys.readouterr().err
         assert (workspace / "b_predictions.csv").read_text(encoding="utf-8") == "earlier\n"
 
+    @pytest.mark.parametrize("link", [False, True], ids=["same-path", "symlink"])
+    def test_outputs_naming_one_file_are_refused_by_name(self, workspace, capsys, no_table, link):
+        """--params naming the training output, as a path or through a symlink,
+        is refused by name before any partial file is made."""
+        sessions = synth_sessions(workspace)
+        capsys.readouterr()
+        params = workspace / ("t_params.txt" if link else "t_training.csv")
+        if link:
+            params.symlink_to(workspace / "t_training.csv")
+        before = sorted(workspace.rglob("*"))
+        code = main(
+            ["train", "--sessions", str(sessions), "--config", str(workspace / "run.cfg"),
+             "--out", str(workspace / "t_"), "--params", str(params)]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot write params: {params}: also the training output\n"
+        )
+        assert sorted(workspace.rglob("*")) == before
+
+    @pytest.mark.parametrize("what", ["sessions", "prices", "sentiment"])
+    def test_missing_data_input_names_itself(self, workspace, capsys, what):
+        write_week_inputs(workspace)
+        absent = str(workspace / "absent.csv")
+        if what == "sessions":
+            args = ["train", "--sessions", absent, "--config", str(workspace / "run.cfg")]
+        else:
+            inputs = {"prices": str(workspace / "ticks.csv"),
+                      "sentiment": str(workspace / "buckets.csv"), what: absent}
+            args = ["aggregate", "--prices", inputs["prices"], "--sentiment", inputs["sentiment"],
+                    "--calendar", str(workspace / "calendar.txt")]
+        before = sorted(workspace.rglob("*"))
+        assert main([*args, "--out", str(workspace / "x_")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot read {what}: {absent}: No such file or directory\n"
+        )
+        assert sorted(workspace.rglob("*")) == before
+
     @pytest.mark.parametrize("command", ["synth", "aggregate"])
     @pytest.mark.parametrize("blocker", [None, os.mkdir, os.mkfifo],
                              ids=["out-dir", "out-is-dir", "out-is-fifo"])
@@ -666,27 +706,34 @@ class TestOutputChecks:
         assert {path: path.read_bytes() for path in workspace.iterdir()} == before
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
-    def test_sigterm_leaves_no_partial_file(self, workspace):
+    @pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT], ids=["TERM", "INT"])
+    def test_sigterm_leaves_no_partial_file(self, workspace, signum):
         """An aggregate reading a FIFO as its ticks blocks once its partial
-        output exists; SIGTERM then ends it with exit 143, leaving no partial file."""
+        output exists; SIGTERM then ends it with exit 143, and SIGINT with 130,
+        leaving no partial file and no traceback.  The child takes Python's
+        own SIGINT handler, which a shell leaves out when it starts a
+        background job with SIGINT ignored."""
         os.mkfifo(workspace / "ticks.csv")
         src = os.path.dirname(os.path.dirname(sentrade.__file__))
         argv = ["aggregate", "--prices", str(workspace / "ticks.csv"), "--sentiment",
                 str(workspace / "buckets.csv"), "--calendar", str(workspace / "calendar.txt"),
                 "--out", str(workspace / "s_")]
-        code = f"import sys; sys.path.insert(0, {src!r}); from sentrade.cli import main; " \
+        code = f"import signal, sys; signal.signal(signal.SIGINT, signal.default_int_handler); " \
+               f"sys.path.insert(0, {src!r}); from sentrade.cli import main; " \
                f"sys.exit(main({argv!r}))"
-        process = subprocess.Popen([sys.executable, "-c", code], stderr=subprocess.DEVNULL)
+        process = subprocess.Popen([sys.executable, "-c", code], stderr=subprocess.PIPE)
         try:
             deadline = time.monotonic() + 60
             while not list(workspace.glob("*.partial")):
                 assert process.poll() is None and time.monotonic() < deadline
                 time.sleep(0.01)
-            process.send_signal(signal.SIGTERM)
-            assert process.wait(timeout=60) == 128 + signal.SIGTERM
+            process.send_signal(signum)
+            _, err = process.communicate(timeout=60)
+            assert process.returncode == 128 + signum
         finally:
             process.kill()
             process.wait()
+        assert b"Traceback" not in err
         assert not list(workspace.glob("*.partial"))
 
     def test_command_runs_off_the_main_thread(self, tmp_path):

@@ -214,7 +214,7 @@ def test_error_bounds_hold(series, normalize):
         cross, x_next = _cross_products(L, r, t_cell, w_cell)
         sure = ~_fit_cells(L, r, t_cell, w_cell, P_THRESHOLD)[2]
         models = {}
-        fits = _swept_fits(cross, x_next, w_cell)
+        fits = _swept_fits(cross, x_next, w_cell, lambda fit: True)
         for members, (rank_ok, *_), (t_abs, predicted, _, _, t_error, prediction_error) in fits:
             for k, cell in zip(*np.nonzero(rank_ok & sure)):
                 t, w = int(t_cell[cell]), int(w_cell[cell])
@@ -243,7 +243,7 @@ def test_error_bounds_hold(series, normalize):
 )
 def test_trace_screen_never_undercuts_the_exact_bounds(series, normalize, windows, monkeypatch):
     """On every chunk, each rank-ok candidate's screened |t| and prediction
-    bounds are at least those of _error_bounds, so the unsure mask that
+    bounds are at least the exact ones, so the unsure mask that
     _fit_cells takes through the screen is the one the exact bounds give."""
     L, r = design_rows(series, normalize), series.returns
     sessions = range(windows[-1] + 2, len(series) + 1)
@@ -266,7 +266,8 @@ def test_trace_screen_never_undercuts_the_exact_bounds(series, normalize, window
                 checked += holds.size
     assert checked > 0
     swept = model_space._swept_fits  # without the screen, every cell's exact bounds are formed
-    monkeypatch.setattr(model_space, "_swept_fits", lambda cross, x, w, _: swept(cross, x, w))
+    monkeypatch.setattr(model_space, "_swept_fits",
+                        lambda cross, x, w, _: swept(cross, x, w, lambda fit: True))
     for (t_cell, w_cell), unsure in zip(spans, screened):
         np.testing.assert_array_equal(unsure, _fit_cells(L, r, t_cell, w_cell, P_THRESHOLD)[2])
 
@@ -310,7 +311,8 @@ def test_flat_pos_makes_its_supersets_rank_deficient():
     L = design_rows(series, False)
     for t_cell, w_cell in chunks(range(26, 61), range(20, 25)):
         cross, x_next = _cross_products(L, series.returns, t_cell, w_cell)
-        swept = np.concatenate([members for members, _, _ in _swept_fits(cross, x_next, w_cell)])
+        levels = _swept_fits(cross, x_next, w_cell, lambda fit: True)
+        swept = np.concatenate([members for members, _, _ in levels])
         assert not has_pos[swept].any()
 
 
@@ -356,7 +358,8 @@ def swept_verdicts(series, sessions, windows, normalize):
     rows = []
     for t_cell, w_cell in chunks(sessions, windows):
         cross, x_next = _cross_products(L, r, t_cell, w_cell)
-        for members, (rank_ok, solved, _, lower, upper, _), _ in _swept_fits(cross, x_next, w_cell):
+        levels = _swept_fits(cross, x_next, w_cell, lambda fit: True)
+        for members, (rank_ok, solved, _, lower, upper, _), _ in levels:
             m = len(CANDIDATES[members[0]].variables) + 1
             fitted = (w_cell - m >= MIN_RESIDUAL_DF) & np.ones_like(rank_ok)
             for k, cell in zip(*np.nonzero(fitted)):
@@ -404,7 +407,7 @@ def test_rank_bounds_hold(series, sessions, windows, normalize):
 
 def test_rank_bounds_follow_their_derivation():
     """On hand-built inputs whose eta is at least 1e-2, the lower and upper
-    bounds on cond^2 equal the expressions derived above ``_error_bounds``:
+    bounds on cond^2 from ``_rank_bounds`` equal the expressions derived above it:
     the pivot bound 1 / (m (max(f, 0) + 2 m delta)), the sandwich widened by
     (1 - 2 eta) and (1 + eta)^2, and the pivot bound alone, with no upper
     bound, where f <= 0 or m tau delta >= 1.  The cells are one where the
@@ -439,12 +442,9 @@ def test_rank_bounds_follow_their_derivation():
         return np.moveaxis(np.asarray(values, dtype=float), 0, -1)[None]
 
     floor, diagonal, scales = (stacked(part) for part in zip(*cells))
-    beta = np.ones_like(diagonal)
-    S_inv = np.einsum("nic,ij->nijc", diagonal, np.eye(m))
     with np.errstate(all="ignore"):
-        *_, lower, upper = model_space._error_bounds(
-            S_inv, diagonal, beta, beta, beta[:, 1:], beta, np.ones_like(floor),
-            np.full(len(cells), w), scales, floor,
+        lower, upper = model_space._rank_bounds(
+            diagonal.sum(axis=1), diagonal, np.full(len(cells), w), scales, floor
         )
     np.testing.assert_allclose(lower[0], [low for low, _ in expected], rtol=1e-13)
     np.testing.assert_allclose(upper[0], [high for _, high in expected], rtol=1e-13)
@@ -490,7 +490,7 @@ def test_cross_products_keep_the_forming_bound(
     series, sessions, windows, per_chunk, checked_from, monkeypatch
 ):
     """Every entry of every cell's cross-product lies within (w + 3) eps
-    sqrt(G_ii G_jj) of the exact one, the forming error _error_bounds and
+    sqrt(G_ii G_jj) of the exact one, the forming error _t_bounds and
     _condition_band assume, however late the session lies in a long span."""
     calls = []
 
