@@ -51,22 +51,14 @@ def majority_sign(up: int, down: int) -> int | None:
 
 @dataclass(frozen=True)
 class ClassOutcome:
-    """How one model class fared on a single resolved session."""
+    """How many of one class's models passed the filter, and how many of them called a session."""
 
-    model_class: ModelClass
     n_models: int
     n_correct: int
-    majority_sign: int | None
 
     def __post_init__(self) -> None:
         if not 0 <= self.n_correct <= self.n_models:
             raise DataError(f"n_correct {self.n_correct} out of range for {self.n_models} models")
-
-    @property
-    def correctness(self) -> float | None:
-        if self.n_models == 0:
-            return None
-        return self.n_correct / self.n_models
 
 
 def class_outcomes(votes: Votes, realized_return: float) -> tuple[ClassOutcome, ClassOutcome]:
@@ -76,15 +68,8 @@ def class_outcomes(votes: Votes, realized_return: float) -> tuple[ClassOutcome, 
     realized return, so a flat session scores zero correct in both classes.
     """
     financial, sentiment = (
-        ClassOutcome(
-            model_class,
-            n_models,
-            up if realized_return > 0 else down if realized_return < 0 else 0,
-            majority_sign(up, down),
-        )
-        for model_class, (n_models, up, down) in zip(
-            (ModelClass.FINANCIAL, ModelClass.SENTIMENT), votes
-        )
+        ClassOutcome(n_models, up if realized_return > 0 else down if realized_return < 0 else 0)
+        for n_models, up, down in votes
     )
     return financial, sentiment
 
@@ -204,18 +189,13 @@ class TfwEngine:
         pending = self.pending
         if pending is None:
             raise DataError(f"engine w={self.w}: no pending session to resolve")
-        if pending.emitted is None:
-            lam = 0
-        elif realized_return > 0:
-            lam = 1 if pending.emitted == 1 else -1
-        elif realized_return < 0:
-            lam = 1 if pending.emitted == -1 else -1
-        else:
-            lam = -1
+        lam = 0 if pending.emitted is None else 1 if pending.emitted * realized_return > 0 else -1
         financial = sentiment = None
         if pending.votes is not None:
             financial, sentiment = class_outcomes(pending.votes, realized_return)
-            self.spread = update_spread(self, financial, sentiment, realized_return)
+            self.spread = update_spread(
+                self.spread, self.gamma, financial, sentiment, realized_return
+            )
         self.quality = update_quality(self, lam, realized_return)
         step = EngineStep(
             index=pending.index,
@@ -235,7 +215,8 @@ class TfwEngine:
 
 
 def update_spread(
-    engine: TfwEngine,
+    spread: float,
+    gamma: float,
     financial: ClassOutcome,
     sentiment: ClassOutcome,
     realized_return: float,
@@ -243,8 +224,8 @@ def update_spread(
     """New spread after one session; decay-only when both classes were empty."""
     theta = _theta(financial, sentiment)
     if theta is None:
-        return engine.gamma * engine.spread
-    return engine.gamma * engine.spread + theta * abs(100.0 * realized_return)
+        return gamma * spread
+    return gamma * spread + theta * abs(100.0 * realized_return)
 
 
 def update_quality(engine: TfwEngine, lam: int, realized_return: float) -> float:
@@ -383,16 +364,6 @@ class PipelineResult:
     start: int
 
 
-def _pooled_outcome(steps: Sequence[EngineStep], model_class: ModelClass) -> ClassOutcome:
-    n_models = n_correct = 0
-    for step in steps:
-        outcome = step.financial if model_class is ModelClass.FINANCIAL else step.sentiment
-        if outcome is not None:
-            n_models += outcome.n_models
-            n_correct += outcome.n_correct
-    return ClassOutcome(model_class, n_models, n_correct, None)
-
-
 FitFn = Callable[[int, int], Votes]
 
 
@@ -439,19 +410,18 @@ def run_pipeline(
     records: list[PredictionRecord] = []
     global_spread = params.initial_spread
     for t, realized in zip(range(t0, end), series.returns[t0:end].tolist()):
-        override = None
-        if params.spread_scope == "global":
-            override = select_class(global_spread)
-        for engine in engines:
-            engine.propose(t, fit_fn(t, engine.w), class_override=override)
+        override = select_class(global_spread) if params.spread_scope == "global" else None
+        cells = [fit_fn(t, engine.w) for engine in engines]
+        for engine, cell in zip(engines, cells):
+            engine.propose(t, cell, class_override=override)
         records.append(select_tfw(engines, t, realized))
-        steps = [engine.resolve(realized) for engine in engines]
-        if params.spread_scope == "global":
-            financial = _pooled_outcome(steps, ModelClass.FINANCIAL)
-            sentiment = _pooled_outcome(steps, ModelClass.SENTIMENT)
-            theta = _theta(financial, sentiment)
-            global_spread = gamma * global_spread + (
-                theta * abs(100.0 * realized) if theta is not None else 0.0
+        for engine in engines:
+            engine.resolve(realized)
+        if params.spread_scope == "global":  # one step on the feasible windows' pooled counts
+            feasible = [cell for cell in cells if cell is not None]
+            pooled = np.array(feasible, dtype=np.int64).reshape(-1, 2, 3).sum(axis=0).tolist()
+            global_spread = update_spread(
+                global_spread, gamma, *class_outcomes(pooled, realized), realized
             )
     return PipelineResult(tuple(records), engines, t0)
 

@@ -117,8 +117,8 @@ def simulate(
 
 @dataclass(frozen=True)
 class TrainingResult:
-    """``fit_table`` is None under ``fit_fn``; ``replay_seconds`` excludes the fits.
-    Neither takes part in equality."""
+    """``fit_table`` is None under ``fit_fn``; ``replay_seconds`` times ``replay_grid``
+    alone.  Neither takes part in equality."""
 
     beta: float
     gamma: float
@@ -135,16 +135,18 @@ def split_point(n_sessions: int, train_fraction: float) -> int:
     return math.floor(n_sessions * train_fraction)
 
 
-def _vote_counts(series: SessionSeries, params: PipelineParams, span: range, fit_fn: FitFn | None):
-    """The (sessions, windows, 2, 3) vote counts of a span, and the FitTable built for them.
-
-    ``fit_fn(t, w)``, when given, serves every cell instead and no table is built.
-    """
-    if fit_fn is not None:
-        return [[fit_fn(t, w) for w in params.windows] for t in span], None
-    table = FitTable(series, span, params.windows, params.p_threshold,
-                     normalize=params.normalize_sentiment)
-    return table.vote_counts, table
+def _replay(series: SessionSeries, params: PipelineParams, span: range, points, fit_fn):
+    """``replay_grid`` of ``points`` over a span's sessions, the FitTable of their cells
+    (None when ``fit_fn(t, w)`` serves them instead), and the seconds of the replay alone."""
+    if fit_fn is None:
+        table = FitTable(series, span, params.windows, params.p_threshold,
+                         normalize=params.normalize_sentiment)
+        counts = table.vote_counts
+    else:
+        table, counts = None, [[fit_fn(t, w) for w in params.windows] for t in span]
+    began = time.perf_counter()
+    replay = replay_grid(counts, series.returns[span.start:span.stop].tolist(), points, params)
+    return replay, table, time.perf_counter() - began
 
 
 def train_params(
@@ -180,11 +182,8 @@ def train_params(
     for beta, gamma in points:
         check_decays(beta, gamma)
 
-    counts, table = _vote_counts(series, params, range(t0, split), fit_fn)
-    began = time.perf_counter()
-    returns = series.returns[t0:split].tolist()
-    train_returns = replay_grid(counts, returns, points, params).strategy.tolist()
-    replay_seconds = time.perf_counter() - began
+    replay, table, replay_seconds = _replay(series, params, range(t0, split), points, fit_fn)
+    train_returns = replay.strategy.tolist()
     best = max(range(len(points)), key=train_returns.__getitem__)  # the first of equal maxima
     return TrainingResult(
         beta=points[best][0],
@@ -200,8 +199,8 @@ def train_params(
 
 @dataclass(frozen=True)
 class EvaluationResult:
-    """``fit_table`` is None under ``fit_fn``; ``replay_seconds`` excludes the fits.
-    Neither takes part in equality."""
+    """``fit_table`` is None under ``fit_fn``; ``replay_seconds`` times ``replay_grid``
+    alone.  Neither takes part in equality."""
 
     ledger: TradeLedger
     records: tuple[PredictionRecord, ...]
@@ -233,10 +232,8 @@ def evaluate(
             f"no sessions to evaluate in [{start}, {end}) after warm-up; "
             f"need sessions beyond {first_session(params)}"
         )
-    counts, table = _vote_counts(series, params, range(t0, end), fit_fn)
-    began = time.perf_counter()
+    replay, table, replay_seconds = _replay(series, params, range(t0, end), [point], fit_fn)
     returns = series.returns[t0:].tolist()
-    replay = replay_grid(counts, returns, [point], params)
     picks = zip(*(pick[:, 0].tolist() for pick in (replay.window, replay.sentiment, replay.sign)))
     classes = (ModelClass.FINANCIAL, ModelClass.SENTIMENT)
     records = tuple(
@@ -245,7 +242,6 @@ def evaluate(
         else prediction_record(t, None, None, None, r)
         for t, r, (k, sentiment, sign) in zip(range(t0, end), returns, picks)
     )
-    replay_seconds = time.perf_counter() - began
     ledger = simulate(records, returns, params.cost_per_trade)
     return EvaluationResult(ledger, records, t0, table, replay_seconds)
 

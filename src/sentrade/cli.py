@@ -1,8 +1,9 @@
 """Command-line surface: aggregate, train, backtest, and synth subcommands.
 
 Exit codes: 0 on success, 1 for usage or configuration problems, 2 for
-data problems (unreadable or malformed inputs, spans too short to run),
-130 when a command is ended by SIGINT (Ctrl-C), 143 when by SIGTERM.
+data problems (unreadable or malformed inputs, an output that names an
+input, spans too short to run, running out of memory), 130 when a command
+is ended by SIGINT (Ctrl-C), 143 when by SIGTERM.
 """
 
 from __future__ import annotations
@@ -133,17 +134,18 @@ def _load_series(path: str):
 
 
 @contextmanager
-def _outputs(**paths: str) -> Iterator[dict[str, IO[str]]]:
+def _outputs(inputs: dict[str, str | None], **paths: str) -> Iterator[dict[str, IO[str]]]:
     """Each output as a new ``<path>.<pid>.partial`` file beside its target, whose
     creation checks that it can be written.  A clean exit moves every file into
     place; any exception removes them all, leaving earlier outputs as they were.
-    Two outputs that resolve to one file are refused before any is created."""
+    An output that resolves to the file of one of the command's ``inputs`` (None
+    for one not given), or of another output, is refused before any is created."""
     targets = {what: os.path.realpath(path) for what, path in paths.items()}
-    owners: dict[str, str] = {}
+    owners = {os.path.realpath(path): f"{what} input" for what, path in inputs.items() if path}
     for what, target in targets.items():
-        first = owners.setdefault(target, what)
-        if first != what:
-            raise OSError(f"cannot write {what}: {paths[what]}: also the {first} output")
+        first = owners.setdefault(target, f"{what} output")
+        if first != f"{what} output":
+            raise OSError(f"cannot write {what}: {paths[what]}: also the {first}")
     partial: dict[str, IO[str]] = {}
     try:
         for what, path in paths.items():
@@ -183,7 +185,9 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
     params = _load_config(args.config)
     calendar = parse_calendar(_read_setting(args.calendar, "calendar"))
     out_path = f"{args.out}sessions.csv"
-    with _outputs(sessions=out_path) as out:
+    inputs = {"prices": args.prices, "sentiment": args.sentiment, "calendar": args.calendar,
+              "config": args.config}
+    with _outputs(inputs, sessions=out_path) as out:
         with _open_input(args.prices, "prices") as handle:
             ticks = parse_ticks(handle)
         with _open_input(args.sentiment, "sentiment") as handle:
@@ -197,7 +201,8 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     params = _load_config(args.config)
     params_path = args.params or f"{args.out}params.txt"
-    with _outputs(training=f"{args.out}training.csv", params=params_path) as out:
+    inputs = {"sessions": args.sessions, "config": args.config}
+    with _outputs(inputs, training=f"{args.out}training.csv", params=params_path) as out:
         series = _load_series(args.sessions)
         result = train_params(series, params, grid=None if params.beta is None else [params.decays])
         write_training_csv(result, out["training"])
@@ -258,7 +263,8 @@ def cmd_backtest(args: argparse.Namespace) -> int:
         params = replace(params, beta=beta, gamma=gamma)
     params.decays  # an untrained run fails before the sessions file is read
     names = ("predictions", "report", "models")[: 3 if args.dump_models else 2]
-    with _outputs(**{name: f"{args.out}{name}.csv" for name in names}) as out:
+    inputs = {"sessions": args.sessions, "config": args.config, "params": args.params}
+    with _outputs(inputs, **{name: f"{args.out}{name}.csv" for name in names}) as out:
         series = _load_series(args.sessions)
         result = evaluate(series, params)
         write_predictions_csv(result.records, out["predictions"])
@@ -294,7 +300,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         f"seed={scenario.seed} ar2={scenario.ar2!r}"
     )
     out_path = f"{args.out}sessions.csv"
-    with _outputs(sessions=out_path) as out:
+    with _outputs({}, sessions=out_path) as out:
         series = generate(scenario)
         write_sessions_csv(series, out["sessions"], comments=[comment])
     print(f"wrote {len(series)} sessions to {out_path}", file=sys.stderr)
@@ -331,6 +337,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
     except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

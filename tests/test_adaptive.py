@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+from dataclasses import replace
 from functools import partial
 
 import pytest
@@ -15,6 +16,7 @@ from sentrade.adaptive import (
     PredictionRecord,
     TfwEngine,
     class_outcomes,
+    first_session,
     majority_sign,
     run_pipeline,
     select_class,
@@ -24,7 +26,15 @@ from sentrade.adaptive import (
     write_predictions_csv,
 )
 from sentrade.errors import ConfigError, DataError
-from sentrade.model_space import CANDIDATES, FittedModel, ModelClass, Variable, fit_window, votes
+from sentrade.model_space import (
+    CANDIDATES,
+    FitTable,
+    FittedModel,
+    ModelClass,
+    Variable,
+    fit_window,
+    votes,
+)
 
 FINANCIAL = next(c for c in CANDIDATES if c.model_class is ModelClass.FINANCIAL)
 SENTIMENT = next(c for c in CANDIDATES if c.variables == (Variable.P1,))
@@ -41,7 +51,7 @@ def vote_sign(predictions) -> int | None:
 
 
 def outcome(model_class, n_models, n_correct) -> ClassOutcome:
-    return ClassOutcome(model_class, n_models, n_correct, None)
+    return ClassOutcome(n_models, n_correct)
 
 
 class TestMajoritySign:
@@ -72,9 +82,7 @@ class TestClassOutcomes:
         fin, sent = class_outcomes(votes([fitted(FINANCIAL, 0.002)]), realized_return=0.01)
         assert fin.n_models == 1
         assert fin.n_correct == 1
-        assert fin.correctness == 1.0
         assert sent.n_models == 0
-        assert sent.correctness is None
 
     def test_sentiment_counting(self):
         models = [
@@ -85,13 +93,6 @@ class TestClassOutcomes:
         fin, sent = class_outcomes(votes(models), realized_return=-0.02)
         assert sent.n_models == 3
         assert sent.n_correct == 1
-        assert sent.correctness == pytest.approx(1 / 3)
-        assert sent.majority_sign == 1
-
-    def test_tied_votes_abstain(self):
-        models = [fitted(SENTIMENT, 0.004), fitted(SENTIMENT, -0.002)]
-        _, sent = class_outcomes(votes(models), realized_return=0.05)
-        assert sent.majority_sign is None
 
     def test_zero_realized_scores_nothing(self):
         models = [fitted(FINANCIAL, 0.002), fitted(SENTIMENT, -0.001)]
@@ -106,7 +107,7 @@ class TestClassOutcomes:
 
     def test_invalid_counts_rejected(self):
         with pytest.raises(DataError):
-            ClassOutcome(ModelClass.FINANCIAL, 1, 2, None)
+            ClassOutcome(1, 2)
 
 
 class TestSelectClass:
@@ -124,49 +125,56 @@ class TestUpdateSpread:
     def test_financial_win_gamma_zero(self):
         engine = TfwEngine(w=20, beta=0.4, gamma=0.0)
         new = update_spread(
-            engine, outcome(ModelClass.FINANCIAL, 1, 1), outcome(ModelClass.SENTIMENT, 1, 0), 0.02
+            engine.spread, engine.gamma,
+            outcome(ModelClass.FINANCIAL, 1, 1), outcome(ModelClass.SENTIMENT, 1, 0), 0.02,
         )
         assert new == pytest.approx(2.0)
 
     def test_sentiment_win_with_decay(self):
         engine = TfwEngine(w=20, beta=0.4, gamma=0.5)
         new = update_spread(
-            engine, outcome(ModelClass.FINANCIAL, 1, 0), outcome(ModelClass.SENTIMENT, 1, 1), 0.01
+            engine.spread, engine.gamma,
+            outcome(ModelClass.FINANCIAL, 1, 0), outcome(ModelClass.SENTIMENT, 1, 1), 0.01,
         )
         assert new == pytest.approx(-0.5)
 
     def test_both_empty_pure_decay(self):
         engine = TfwEngine(w=20, beta=0.4, gamma=0.5, initial_spread=-2.0)
         new = update_spread(
-            engine, outcome(ModelClass.FINANCIAL, 0, 0), outcome(ModelClass.SENTIMENT, 0, 0), 0.03
+            engine.spread, engine.gamma,
+            outcome(ModelClass.FINANCIAL, 0, 0), outcome(ModelClass.SENTIMENT, 0, 0), 0.03,
         )
         assert new == pytest.approx(-1.0)
 
     def test_tie_favors_financial(self):
         engine = TfwEngine(w=20, beta=0.4, gamma=0.0)
         new = update_spread(
-            engine, outcome(ModelClass.FINANCIAL, 2, 1), outcome(ModelClass.SENTIMENT, 2, 1), 0.01
+            engine.spread, engine.gamma,
+            outcome(ModelClass.FINANCIAL, 2, 1), outcome(ModelClass.SENTIMENT, 2, 1), 0.01,
         )
         assert new == pytest.approx(1.0)
 
     def test_equal_ratios_compare_exactly(self):
         engine = TfwEngine(w=20, beta=0.4, gamma=0.0)
         new = update_spread(
-            engine, outcome(ModelClass.FINANCIAL, 3, 1), outcome(ModelClass.SENTIMENT, 6, 2), 0.01
+            engine.spread, engine.gamma,
+            outcome(ModelClass.FINANCIAL, 3, 1), outcome(ModelClass.SENTIMENT, 6, 2), 0.01,
         )
         assert new == pytest.approx(1.0)
 
     def test_sentiment_empty_favors_financial(self):
         engine = TfwEngine(w=20, beta=0.4, gamma=0.0)
         new = update_spread(
-            engine, outcome(ModelClass.FINANCIAL, 1, 0), outcome(ModelClass.SENTIMENT, 0, 0), 0.01
+            engine.spread, engine.gamma,
+            outcome(ModelClass.FINANCIAL, 1, 0), outcome(ModelClass.SENTIMENT, 0, 0), 0.01,
         )
         assert new == pytest.approx(1.0)
 
     def test_financial_empty_goes_negative(self):
         engine = TfwEngine(w=20, beta=0.4, gamma=0.0)
         new = update_spread(
-            engine, outcome(ModelClass.FINANCIAL, 0, 0), outcome(ModelClass.SENTIMENT, 1, 0), 0.01
+            engine.spread, engine.gamma,
+            outcome(ModelClass.FINANCIAL, 0, 0), outcome(ModelClass.SENTIMENT, 1, 0), 0.01,
         )
         assert new == pytest.approx(-1.0)
 
@@ -425,6 +433,40 @@ class TestRunPipeline:
     def test_invalid_span(self, series_b):
         with pytest.raises(DataError):
             run_pipeline(series_b, SMALL, start=50, end=20)
+
+
+GLOBAL_SMALL = replace(SMALL, spread_scope="global")
+
+
+def global_table(series):
+    """GLOBAL_SMALL's fits of every session it scores."""
+    t0 = first_session(GLOBAL_SMALL)
+    return FitTable(series, range(t0, len(series)), GLOBAL_SMALL.windows, GLOBAL_SMALL.p_threshold)
+
+
+class TestPooledSpread:
+    """The global-scope spread steps on the pooled counts of the feasible windows alone."""
+
+    def test_infeasible_window_adds_nothing(self, series_b):
+        table = global_table(series_b)
+        gapped = run_pipeline(
+            series_b, GLOBAL_SMALL, fit_fn=lambda t, w: None if w == 20 else table(t, w)
+        )
+        # same tfw_max, so the same first session
+        narrow = run_pipeline(series_b, replace(GLOBAL_SMALL, tfw_min=21), fit_fn=table)
+        assert repr(gapped.records) == repr(narrow.records)
+
+    def test_session_without_feasible_window_only_decays(self, series_b):
+        # gamma = 0: the decay zeroes the pooled spread, which then picks the financial class
+        table = global_table(series_b)
+        blank = first_session(GLOBAL_SMALL) + 10
+
+        def serving(empty):
+            return lambda t, w: empty if t == blank else table(t, w)
+
+        infeasible = run_pipeline(series_b, GLOBAL_SMALL, fit_fn=serving(None))
+        empty = run_pipeline(series_b, GLOBAL_SMALL, fit_fn=serving(((0, 0, 0), (0, 0, 0))))
+        assert repr(infeasible.records) == repr(empty.records)
 
 
 class TestPredictionsCsv:

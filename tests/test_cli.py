@@ -642,6 +642,53 @@ class TestOutputChecks:
         )
         assert sorted(workspace.rglob("*")) == before
 
+    @pytest.mark.parametrize(
+        "command, given, output, link",
+        [
+            ("aggregate", "sentiment", "sessions.csv", False),
+            ("train", "sessions", "params.txt", False),
+            ("train", "sessions", "params.txt", True),
+            ("backtest", "sessions", "predictions.csv", False),
+            ("backtest", "params", "report.csv", False),
+        ],
+        ids=["aggregate", "train", "train-symlink", "backtest", "backtest-params"],
+    )
+    def test_output_naming_an_input_is_refused_by_name(
+        self, workspace, capsys, no_table, command, given, output, link
+    ):
+        """An output that is one of the command's inputs, as a path or through a
+        symlink, is refused by name before any partial file is made."""
+        write_week_inputs(workspace)
+        synth_sessions(workspace)
+        capsys.readouterr()
+        (workspace / "p.txt").write_text("beta = 0.4\ngamma = 0.0\n", encoding="utf-8")
+        inputs = {"prices": "ticks.csv", "sentiment": "buckets.csv", "calendar": "calendar.txt",
+                  "config": "run.cfg", "sessions": "data_sessions.csv", "params": "p.txt"}
+        inputs = {what: workspace / name for what, name in inputs.items()}
+        colliding = workspace / f"x_{output}"
+        if link:
+            colliding.symlink_to(inputs[given])
+        else:
+            inputs[given] = inputs[given].rename(colliding)
+        names = {"aggregate": ("prices", "sentiment", "calendar", "config"),
+                 "train": ("sessions", "config"), "backtest": ("sessions", "config", "params")}
+        args = [command, *(a for what in names[command] for a in (f"--{what}", str(inputs[what])))]
+        kept = inputs[given].read_bytes()
+        before = sorted(workspace.rglob("*"))
+        assert main([*args, "--out", str(workspace / "x_")]) == 2
+        what = output.split(".")[0]
+        assert capsys.readouterr().err == (
+            f"error: cannot write {what}: {colliding}: also the {given} input\n"
+        )
+        assert inputs[given].read_bytes() == kept
+        assert sorted(workspace.rglob("*")) == before  # no partial file either
+
+    def test_out_of_memory_is_one_line(self, tmp_path, capsys):
+        """numpy refuses a synth of 10**15 sessions (7 PiB) at once, allocating nothing."""
+        assert main(["synth", "--kind", "B", "--n", str(10**15), "--out", str(tmp_path / "x_")]) == 2
+        assert re.fullmatch(r"error: out of memory: Unable to allocate .+\n", capsys.readouterr().err)
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("what", ["sessions", "prices", "sentiment"])
     def test_missing_data_input_names_itself(self, workspace, capsys, what):
         write_week_inputs(workspace)

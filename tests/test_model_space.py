@@ -120,6 +120,15 @@ class TestBuildDesign:
         np.testing.assert_allclose(shares[4:9, 4], 0.3)
         np.testing.assert_array_equal(shares[:, :3], design_rows(series)[:, :3])
 
+    def test_share_totals_are_float64_sums(self):
+        """A total sums its counts as float64, left to right: at (2**53, 1, 1) it is
+        2**53, where the int64 sum 2**53 + 2 would give a pos share below 1."""
+        p, n, z = 2**53, 1, 1
+        series = make_series([0.01] * 8, pos=[p] * 8, neg=[n] * 8, neu=[z] * 8)
+        total = (float(p) + float(n)) + float(z)
+        shares = design_rows(series, normalize=True)[4:9, 3:]
+        np.testing.assert_array_equal(shares, [[p / total, n / total, z / total]] * 5)
+
     def test_normalized_zero_total_maps_to_zero(self):
         series = make_series([0.01] * 8, pos=[0] * 8, neg=[0] * 8, neu=[0] * 8)
         np.testing.assert_array_equal(design_rows(series, normalize=True)[4:9, 3:], 0.0)
