@@ -1,4 +1,4 @@
-"""Adaptive per-window prediction engines and top-level window selection.
+"""Run parameters, prediction records, and the array replay of the window engines.
 
 One engine per trailing-window length w tracks two running indicators over
 the session stream: the financial-sentiment spread s, which arbitrates
@@ -13,19 +13,22 @@ where theta rewards the class whose models called the session better and
 lambda rewards the engine's emission itself.  At every session the engine
 whose pre-update Q is highest among those emitting a sign supplies the
 system-level prediction.
-"""
 
+``replay_grid`` runs every engine at any number of (beta, gamma) points in
+one pass over a span's vote counts.  ``reference.TfwEngine`` and
+``reference.run_pipeline`` are the one-engine-at-a-time form it matches.
+"""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import IO, Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .model_space import HISTORY, P_THRESHOLD, FitTable, ModelClass, Votes
-from .sessions import VALUE_CAP, SessionSeries, check_offset_minutes, write_csv
+from .model_space import HISTORY, P_THRESHOLD, ModelClass, Votes
+from .sessions import VALUE_CAP, check_offset_minutes, write_csv
 
 PREDICTIONS_HEADER = (
     "index",
@@ -37,202 +40,11 @@ PREDICTIONS_HEADER = (
 )
 
 
-def majority_sign(up: int, down: int) -> int | None:
-    """Strict-majority sign of up and down votes.
-
-    A tie (including no votes at all) yields None, meaning abstain.
-    """
-    if up > down:
-        return 1
-    if down > up:
-        return -1
-    return None
-
-
-@dataclass(frozen=True)
-class ClassOutcome:
-    """How many of one class's models passed the filter, and how many of them called a session."""
-
-    n_models: int
-    n_correct: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.n_correct <= self.n_models:
-            raise DataError(f"n_correct {self.n_correct} out of range for {self.n_models} models")
-
-
-def class_outcomes(votes: Votes, realized_return: float) -> tuple[ClassOutcome, ClassOutcome]:
-    """Score one session's per-class vote counts against its return.
-
-    A model counts correct only when its predicted sign matches a nonzero
-    realized return, so a flat session scores zero correct in both classes.
-    """
-    financial, sentiment = (
-        ClassOutcome(n_models, up if realized_return > 0 else down if realized_return < 0 else 0)
-        for n_models, up, down in votes
-    )
-    return financial, sentiment
-
-
-def select_class(spread: float) -> ModelClass:
-    """Sentiment models take over only on a strictly negative spread."""
-    return ModelClass.SENTIMENT if spread < 0 else ModelClass.FINANCIAL
-
-
-def _theta(financial: ClassOutcome, sentiment: ClassOutcome) -> int | None:
-    """Direction of the spread step, or None when both classes were empty.
-
-    Ties and sessions without sentiment models favor the financial side;
-    comparison is by exact cross-multiplication of the correct/total
-    fractions so equal ratios never split on rounding.
-    """
-    if financial.n_models == 0 and sentiment.n_models == 0:
-        return None
-    if financial.n_models == 0:
-        return -1
-    if sentiment.n_models == 0:
-        return 1
-    if financial.n_correct * sentiment.n_models >= sentiment.n_correct * financial.n_models:
-        return 1
-    return -1
-
-
 def check_decays(beta: float, gamma: float) -> None:
     """The quality decay beta and the spread decay gamma each lie in [0, 1]."""
     for name, value in (("beta", beta), ("gamma", gamma)):
         if not 0.0 <= value <= 1.0:
             raise ConfigError(f"{name}: must lie in [0, 1], got {value}")
-
-
-@dataclass(frozen=True)
-class PendingStep:
-    """An engine's proposal for a session whose return is not yet known."""
-
-    index: int
-    votes: Votes | None  # None when the window was infeasible
-    chosen_class: ModelClass | None
-    emitted: int | None
-
-
-@dataclass(frozen=True)
-class EngineStep:
-    """One fully resolved session in an engine's history."""
-
-    index: int
-    feasible: bool
-    financial: ClassOutcome | None
-    sentiment: ClassOutcome | None
-    chosen_class: ModelClass | None
-    emitted: int | None
-    realized_return: float
-    lam: int
-    spread_after: float
-    quality_after: float
-
-
-@dataclass
-class TfwEngine:
-    """Adaptive engine for one trailing window length.
-
-    Step an engine in two phases: ``propose`` with the session's vote
-    counts (None when the window does not fit the available history) and,
-    once the session's return is known, ``resolve``.  State advances only
-    in ``resolve``.
-    """
-
-    w: int
-    beta: float
-    gamma: float
-    initial_spread: float = 1.0
-    spread: float = field(init=False)
-    quality: float = field(init=False, default=0.0)
-    history: list[EngineStep] = field(init=False, default_factory=list)
-    pending: PendingStep | None = field(init=False, default=None, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.w < 1:
-            raise ConfigError(f"w: must be at least 1, got {self.w}")
-        check_decays(self.beta, self.gamma)
-        self.spread = float(self.initial_spread)
-
-    def propose(
-        self,
-        t: int,
-        votes: Votes | None,
-        class_override: ModelClass | None = None,
-    ) -> int | None:
-        """Stage the engine's emission for session t and return it.
-
-        ``votes`` holds the per-class vote counts of this engine's window
-        (see ``model_space.votes``), or None when the window was infeasible;
-        the emission is the chosen class's majority sign.  ``class_override``
-        substitutes an externally arbitrated class for the engine's own
-        spread-based choice.
-        """
-        if self.pending is not None:
-            raise DataError(f"engine w={self.w}: session {self.pending.index} is unresolved")
-        if self.history and t != self.history[-1].index + 1:
-            raise DataError(
-                f"engine w={self.w}: expected session {self.history[-1].index + 1}, got {t}"
-            )
-        if votes is None:
-            self.pending = PendingStep(t, None, None, None)
-            return None
-        chosen = class_override if class_override is not None else select_class(self.spread)
-        _, up, down = votes[0 if chosen is ModelClass.FINANCIAL else 1]
-        emitted = majority_sign(up, down)
-        self.pending = PendingStep(t, votes, chosen, emitted)
-        return emitted
-
-    def resolve(self, realized_return: float) -> EngineStep:
-        """Apply session outcomes to the spread and quality recursions."""
-        pending = self.pending
-        if pending is None:
-            raise DataError(f"engine w={self.w}: no pending session to resolve")
-        lam = 0 if pending.emitted is None else 1 if pending.emitted * realized_return > 0 else -1
-        financial = sentiment = None
-        if pending.votes is not None:
-            financial, sentiment = class_outcomes(pending.votes, realized_return)
-            self.spread = update_spread(
-                self.spread, self.gamma, financial, sentiment, realized_return
-            )
-        self.quality = update_quality(self, lam, realized_return)
-        step = EngineStep(
-            index=pending.index,
-            feasible=pending.votes is not None,
-            financial=financial,
-            sentiment=sentiment,
-            chosen_class=pending.chosen_class,
-            emitted=pending.emitted,
-            realized_return=realized_return,
-            lam=lam,
-            spread_after=self.spread,
-            quality_after=self.quality,
-        )
-        self.history.append(step)
-        self.pending = None
-        return step
-
-
-def update_spread(
-    spread: float,
-    gamma: float,
-    financial: ClassOutcome,
-    sentiment: ClassOutcome,
-    realized_return: float,
-) -> float:
-    """New spread after one session; decay-only when both classes were empty."""
-    theta = _theta(financial, sentiment)
-    if theta is None:
-        return gamma * spread
-    return gamma * spread + theta * abs(100.0 * realized_return)
-
-
-def update_quality(engine: TfwEngine, lam: int, realized_return: float) -> float:
-    """New quality after one session; the beta decay applies unconditionally."""
-    if lam not in (-1, 0, 1):
-        raise DataError(f"lam must be -1, 0, or +1, got {lam}")
-    return engine.beta * engine.quality + lam * abs(100.0 * realized_return)
 
 
 @dataclass(frozen=True)
@@ -253,32 +65,6 @@ class PredictionRecord:
             raise DataError(f"predicted_sign must be +1 or -1, got {self.predicted_sign}")
         if self.correct is not None and (self.predicted_sign is None or self.realized_return == 0):
             raise DataError("correct is defined only for predictions on nonzero returns")
-
-
-def select_tfw(
-    engines: Sequence[TfwEngine],
-    t: int,
-    realized_return: float,
-) -> PredictionRecord:
-    """Pick the emitting engine with the highest pre-update quality.
-
-    Every engine must hold a pending proposal for session t.  Quality ties
-    go to the smallest window; no emitting engine at all yields a
-    no-operation record.
-    """
-    best: TfwEngine | None = None
-    for engine in sorted(engines, key=lambda e: e.w):
-        if engine.pending is None or engine.pending.index != t:
-            raise DataError(f"engine w={engine.w} has not proposed for session {t}")
-        if engine.pending.emitted is None:
-            continue
-        if best is None or engine.quality > best.quality:
-            best = engine
-    if best is None:
-        return prediction_record(t, None, None, None, realized_return)
-    return prediction_record(
-        t, best.w, best.pending.chosen_class, best.pending.emitted, realized_return
-    )
 
 
 def prediction_record(
@@ -355,15 +141,6 @@ class PipelineParams:
         return range(self.tfw_min, self.tfw_max + 1)
 
 
-@dataclass(frozen=True)
-class PipelineResult:
-    """A reference run's records and engines."""
-
-    records: tuple[PredictionRecord, ...]
-    engines: tuple[TfwEngine, ...]
-    start: int
-
-
 FitFn = Callable[[int, int], Votes]
 
 
@@ -378,56 +155,9 @@ def first_session(params: PipelineParams, start: int = 0) -> int:
     return max(start, params.tfw_max + HISTORY)
 
 
-def run_pipeline(
-    series: SessionSeries,
-    params: PipelineParams,
-    *,
-    start: int = 0,
-    end: int | None = None,
-    fit_fn: FitFn | None = None,
-) -> PipelineResult:
-    """Run every window engine over sessions [start, end) with fresh state.
-
-    The reference replay, which ``replay_grid`` must match; the tests and
-    the acceptance criteria read its engines.  The first processed session
-    is ``first_session(params, start)``.  By default every (session,
-    window) fit comes from one ``FitTable`` built for the scored sessions;
-    ``fit_fn`` replaces the per-(session, window) vote counts, which is how
-    tests substitute ``votes(fit_window(...))``, the table itself, or a fake.
-    """
-    beta, gamma = params.decays
-    n = len(series)
-    end = n if end is None else end
-    if not 0 <= start <= end <= n:
-        raise DataError(f"invalid span [{start}, {end}) for {n} sessions")
-
-    t0 = first_session(params, start)
-    if fit_fn is None:
-        fit_fn = FitTable(series, range(t0, max(t0, end)), params.windows, params.p_threshold,
-                          normalize=params.normalize_sentiment)
-
-    engines = tuple(TfwEngine(w, beta, gamma, params.initial_spread) for w in params.windows)
-    records: list[PredictionRecord] = []
-    global_spread = params.initial_spread
-    for t, realized in zip(range(t0, end), series.returns[t0:end].tolist()):
-        override = select_class(global_spread) if params.spread_scope == "global" else None
-        cells = [fit_fn(t, engine.w) for engine in engines]
-        for engine, cell in zip(engines, cells):
-            engine.propose(t, cell, class_override=override)
-        records.append(select_tfw(engines, t, realized))
-        for engine in engines:
-            engine.resolve(realized)
-        if params.spread_scope == "global":  # one step on the feasible windows' pooled counts
-            feasible = [cell for cell in cells if cell is not None]
-            pooled = np.array(feasible, dtype=np.int64).reshape(-1, 2, 3).sum(axis=0).tolist()
-            global_spread = update_spread(
-                global_spread, gamma, *class_outcomes(pooled, realized), realized
-            )
-    return PipelineResult(tuple(records), engines, t0)
-
-
 def _theta_array(n_models: np.ndarray, n_correct: np.ndarray) -> np.ndarray:
-    """``_theta`` over arrays whose last axis is (financial, sentiment); 0 stands for None."""
+    """``reference._theta`` over arrays whose last axis is (financial, sentiment);
+    0 stands for None."""
     financial, sentiment = n_models[..., 0], n_models[..., 1]
     cross = n_correct[..., 0] * sentiment >= n_correct[..., 1] * financial
     theta = np.where(sentiment == 0, 1, np.where(financial == 0, -1, np.where(cross, 1, -1)))
@@ -457,7 +187,7 @@ def replay_grid(
 ) -> GridReplay:
     """Replay every (beta, gamma) point over the same scored sessions.
 
-    The array form of ``run_pipeline`` followed by ``backtest.simulate``,
+    The array form of ``reference.run_pipeline`` followed by ``backtest.simulate``,
     which ``train_params`` and ``evaluate`` both run.  ``vote_counts`` is
     shaped (sessions, windows, 2, 3) like ``FitTable.vote_counts``, as an
     array or as nested ``Votes``, and ``returns`` holds the same sessions'

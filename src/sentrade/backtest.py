@@ -221,7 +221,7 @@ def evaluate(
     pushed past the longest window's warm-up, so every engine participates
     from the first traded session.  ``replay_grid`` at the one point
     (beta, gamma) picks each session's window, class and sign, giving the
-    records of the reference ``run_pipeline(series, params, start=split)``.
+    records of ``reference.run_pipeline(series, params, start=split)``.
     Unset decays are a ConfigError before any fit.
     """
     point = params.decays

@@ -4,6 +4,10 @@ Exit codes: 0 on success, 1 for usage or configuration problems, 2 for
 data problems (unreadable or malformed inputs, an output that names an
 input, spans too short to run, running out of memory), 130 when a command
 is ended by SIGINT (Ctrl-C), 143 when by SIGTERM.
+
+Importing this module loads only what ``train`` and ``backtest`` run:
+``aggregate``, ``synth`` and ``backtest --dump-models`` import their own
+modules when they run.
 """
 
 from __future__ import annotations
@@ -27,17 +31,8 @@ from .backtest import (
 )
 from .config import format_params, parse_calendar, parse_config, parse_params_file
 from .errors import ConfigError, DataError
-from .model_space import FitTable, fit_window
-from .sessions import (
-    SessionSeries,
-    build_sessions,
-    parse_buckets,
-    parse_ticks,
-    read_sessions_csv,
-    write_csv,
-    write_sessions_csv,
-)
-from .synth import SyntheticScenario, generate
+from .model_space import FitTable
+from .sessions import SessionSeries, read_sessions_csv, write_csv, write_sessions_csv
 
 log = logging.getLogger(__name__)
 
@@ -182,6 +177,8 @@ def _table_summary(table: FitTable, replay_seconds: float) -> str:
 
 
 def cmd_aggregate(args: argparse.Namespace) -> int:
+    from .ingest import build_sessions, parse_buckets, parse_ticks
+
     params = _load_config(args.config)
     calendar = parse_calendar(_read_setting(args.calendar, "calendar"))
     out_path = f"{args.out}sessions.csv"
@@ -238,6 +235,8 @@ def _write_models_csv(
     series: SessionSeries, params: PipelineParams, start: int, end: int, stream: IO[str]
 ) -> None:
     """One row per candidate per window per session, from the reference fit_window."""
+    from .reference import fit_window
+
     write_csv(stream, MODELS_HEADER, (
         (
             t,
@@ -286,6 +285,8 @@ def cmd_backtest(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    from .synth import SyntheticScenario, generate
+
     scenario = SyntheticScenario(
         kind=args.kind,
         n_sessions=args.n,

@@ -10,11 +10,13 @@ from __future__ import annotations
 
 from dataclasses import fields
 from datetime import date, datetime, time
-from typing import Any, Callable, Iterable, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
 
 from .adaptive import PipelineParams
 from .errors import ConfigError
-from .sessions import MarketCalendar
+
+if TYPE_CHECKING:
+    from .ingest import MarketCalendar
 
 Reading = tuple[Callable[[str], Any], str]
 
@@ -102,6 +104,8 @@ _CALENDAR_READINGS: dict[str, Reading] = {
 
 def parse_calendar(text: str) -> MarketCalendar:
     """The ``MarketCalendar`` a calendar file describes; ``holidays`` is optional."""
+    from .ingest import MarketCalendar  # aggregate's input: the train and backtest path skips it
+
     values = read_settings(text, "calendar", _CALENDAR_READINGS,
                            required=("timezone", "open", "close"))
     return MarketCalendar(values["timezone"], values["open"], values["close"],

@@ -1,4 +1,4 @@
-"""Candidate model enumeration and per-window fitting.
+"""Candidate model enumeration and the batched fit table.
 
 The explanatory universe holds five lag variables: the returns one and
 two sessions back plus the previous session's positive, negative, and
@@ -7,13 +7,14 @@ contains at least one sentiment variable, plus the single financial pair
 made of both return lags.  A candidate survives a window only when every
 one of its regressors is individually significant below the p threshold.
 
-``fit_window`` fits one (session, window) cell through the SVD reference
-``fit_ols``.  ``FitTable`` fits the cells of a span in row-major chunks
-of a bounded number of cells: each cell's candidates come from one
-sweep tree over its cross-product matrix (Furnival and Wilson's
-all-subsets regression, 1974), and so do nearly all rank verdicts.  It
-hands the few cells it cannot decide with certainty back to
-``fit_window``, and keeps only each cell's per-class vote counts.
+``FitTable`` fits the cells of a span in row-major chunks of a bounded
+number of cells: each cell's candidates come from one sweep tree over its
+cross-product matrix (Furnival and Wilson's all-subsets regression, 1974),
+and so do nearly all rank verdicts.  It hands the few cells it cannot
+decide with certainty to ``reference.fit_window``, which fits each
+candidate alone through the SVD ``regression.fit_ols``, and keeps only
+each cell's per-class vote counts.  This module never loads the
+reference or ``regression`` unless a table has such a cell.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DataError
-from .regression import CONDITION_LIMIT, DesignMatrix, FitResult, fit_ols
 from .sessions import SessionSeries
 
 P_THRESHOLD = 0.10
@@ -96,16 +96,6 @@ CANDIDATES = enumerate_candidates()
 _SENTIMENT = np.array([c.model_class is ModelClass.SENTIMENT for c in CANDIDATES])
 
 
-@dataclass(frozen=True)
-class FittedModel:
-    """One candidate's outcome on one window."""
-
-    candidate: Candidate
-    fit: FitResult | None
-    predicted_next: float | None
-    passed_filter: bool
-
-
 # Sessions of history a design row needs: R2 is the return two sessions back.
 HISTORY = 2
 # Column of each variable in a design row (column 0 is the intercept).
@@ -139,68 +129,14 @@ def _check_window(n: int, t: int, w: int) -> None:
         raise DataError(f"window [{t - w}, {t}) needs two sessions of history before it")
 
 
-def fit_window(
-    series: SessionSeries,
-    t: int,
-    w: int,
-    p_threshold: float = P_THRESHOLD,
-    *,
-    normalize: bool = False,
-) -> list[FittedModel]:
-    """Fit every candidate on the window of sessions t-w..t-1.
-
-    Each candidate regresses the window's returns on its columns of the
-    window's rows and predicts from the row aligned with session t itself;
-    t == len(series) is allowed, a true out-of-sample prediction.
-    Candidates whose residual degrees of freedom would fall below
-    ``MIN_RESIDUAL_DF``, whose window is rank-deficient, or with any
-    regressor p-value at or above the threshold fail the filter; the fit
-    and its prediction are still reported whenever the solve succeeded.
-    """
-    _check_window(len(series), t, w)
-    X = _regressors(series, range(t - w, t + 1), normalize)
-    rows, y, next_row = X[:-1], series.returns[t - w : t], X[-1]
-    results = []
-    for candidate in CANDIDATES:
-        k = len(candidate.variables)
-        if w - k - 1 < MIN_RESIDUAL_DF:
-            results.append(FittedModel(candidate, None, None, False))
-            continue
-        columns = [_POSITION[v] for v in candidate.variables]
-        # fit_ols's SVD rounds differently on a column-major copy.
-        fit = fit_ols(DesignMatrix(np.ascontiguousarray(rows[:, columns]), y))
-        if not fit.rank_ok:
-            results.append(FittedModel(candidate, fit, None, False))
-            continue
-        predicted = fit.predict(next_row[columns])
-        passed = bool(np.all(fit.p_values < p_threshold))
-        results.append(FittedModel(candidate, fit, predicted, passed))
-    return results
-
-
 Votes = tuple[tuple[int, int, int], tuple[int, int, int]]
 """(passed models, up votes, down votes) of the financial, then the sentiment class."""
 
 
-def votes(models: list[FittedModel]) -> Votes:
-    """The per-class vote counts an engine reads from ``fit_window``'s models.
-
-    Only models that passed the filter count.  A prediction above zero
-    votes up, one below zero votes down, and an exact zero votes neither way.
-    """
-    counts = []
-    for model_class in (ModelClass.FINANCIAL, ModelClass.SENTIMENT):
-        predictions = [
-            m.predicted_next
-            for m in models
-            if m.passed_filter and m.candidate.model_class is model_class
-        ]
-        up, down = sum(p > 0 for p in predictions), sum(p < 0 for p in predictions)
-        counts.append((len(predictions), up, down))
-    return counts[0], counts[1]
-
-
-# Cells whose outcome the batched arithmetic cannot settle go to fit_window:
+# A candidate whose squared condition number exceeds this is rank-deficient, in the
+# table and in regression.fit_ols alike.
+CONDITION_LIMIT = 1e10
+# Cells whose outcome the batched arithmetic cannot settle go to reference.fit_window:
 # any |t| whose p-value lies within P_BAND of the threshold, or a prediction
 # within SIGN_BAND of zero relative to the sum of its terms' magnitudes.
 # These floors cover fit_window's rounding of the p-value and of the
@@ -239,9 +175,10 @@ def _condition_band(w: np.ndarray, m: int) -> np.ndarray:
 class FitTable:
     """The per-class vote counts of each (session, window) of a span.
 
-    ``vote_counts``, shaped (sessions, windows, 2, 3), holds what ``votes``
-    makes of each cell.  Calling the table with (t, w) returns that cell's
-    counts as Python ints, so the table serves as a run's fit function.
+    ``vote_counts``, shaped (sessions, windows, 2, 3), holds what
+    ``reference.votes`` makes of each cell.  Calling the table with (t, w)
+    returns that cell's counts as Python ints, so the table serves as a
+    run's fit function.
 
     The cells are fitted in row-major order, in chunks of _BLOCK_ROWS //
     max(windows) cells, at most _BLOCK_CELLS.  A chunk builds each session's
@@ -249,13 +186,14 @@ class FitTable:
     each candidate and its rank verdict from its cell's sweep tree (see
     ``_swept_fits``), and is folded into counts at once.  A cell with any
     candidate within the error bound of a decision takes its counts from
-    ``fit_window`` instead: cond^2 near CONDITION_LIMIT, a t statistic near
-    the threshold, a prediction near zero, or a near-exact fit.
+    ``reference.fit_window`` instead: cond^2 near CONDITION_LIMIT, a t
+    statistic near the threshold, a prediction near zero, or a near-exact fit.
     ``fallback_cells`` lists those cells, ``eigensolved`` counts the rank
     verdicts that took an eigensolve, ``exact_bounded`` the cells whose trace
     screen left a rank-ok candidate doubtful, so that their exact error
     bounds were formed, and ``build_seconds`` is the wall time of the whole
-    build.
+    build but for its imports: ``scipy.special``, and the reference where a
+    cell falls back.
     """
 
     def __init__(
@@ -300,6 +238,11 @@ class FitTable:
             (sessions[c // len(windows)], windows[c % len(windows)])
             for c in np.flatnonzero(unsure).tolist()
         )
+        if self.fallback_cells:  # the reference loads here on first use, outside the timing
+            imported = time.perf_counter()
+            from .reference import fit_window, votes
+
+            began += time.perf_counter() - imported
         for t, w in self.fallback_cells:
             self.vote_counts[t - sessions.start, w - windows.start] = votes(
                 fit_window(series, t, w, p_threshold, normalize=normalize)

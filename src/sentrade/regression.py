@@ -14,8 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DataError
-
-CONDITION_LIMIT = 1e10
+from .model_space import CONDITION_LIMIT
 
 
 @dataclass(frozen=True)

@@ -13,17 +13,17 @@ from functools import partial
 
 import numpy as np
 
-from sentrade.adaptive import PipelineParams, TfwEngine, run_pipeline, select_class
+from sentrade.adaptive import PipelineParams
 from sentrade.backtest import evaluate, simulate
 from sentrade.cli import main
 from sentrade.errors import DataError
-from sentrade.model_space import (
-    CANDIDATES,
+from sentrade.model_space import CANDIDATES, ModelClass, Variable, enumerate_candidates
+from sentrade.reference import (
     FittedModel,
-    ModelClass,
-    Variable,
-    enumerate_candidates,
+    TfwEngine,
     fit_window,
+    run_pipeline,
+    select_class,
     votes,
 )
 from sentrade.regression import DesignMatrix, fit_ols

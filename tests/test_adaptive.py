@@ -11,28 +11,25 @@ from hypothesis import given, strategies as st
 
 from oracles import replay_engine
 from sentrade.adaptive import (
-    ClassOutcome,
     PipelineParams,
     PredictionRecord,
+    first_session,
+    write_predictions_csv,
+)
+from sentrade.errors import ConfigError, DataError
+from sentrade.model_space import CANDIDATES, FitTable, ModelClass, Variable
+from sentrade.reference import (
+    ClassOutcome,
+    FittedModel,
     TfwEngine,
     class_outcomes,
-    first_session,
+    fit_window,
     majority_sign,
     run_pipeline,
     select_class,
     select_tfw,
     update_quality,
     update_spread,
-    write_predictions_csv,
-)
-from sentrade.errors import ConfigError, DataError
-from sentrade.model_space import (
-    CANDIDATES,
-    FitTable,
-    FittedModel,
-    ModelClass,
-    Variable,
-    fit_window,
     votes,
 )
 

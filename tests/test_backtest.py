@@ -13,13 +13,7 @@ from hypothesis import given, strategies as st
 
 from conftest import make_series, plant_returns
 from oracles import ledger_oracle
-from sentrade.adaptive import (
-    PipelineParams,
-    PredictionRecord,
-    first_session,
-    replay_grid,
-    run_pipeline,
-)
+from sentrade.adaptive import PipelineParams, PredictionRecord, first_session, replay_grid
 from sentrade.backtest import (
     GRID_VALUES,
     REPORT_HEADER,
@@ -33,7 +27,8 @@ from sentrade.backtest import (
 )
 from sentrade.config import format_params, parse_params_file
 from sentrade.errors import ConfigError, DataError
-from sentrade.model_space import FitTable, ModelClass, fit_window, votes
+from sentrade.model_space import FitTable, ModelClass
+from sentrade.reference import fit_window, run_pipeline, votes
 from sentrade.synth import SyntheticScenario, generate
 
 

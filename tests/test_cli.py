@@ -16,7 +16,7 @@ import pytest
 
 import sentrade
 from sentrade.cli import main
-from sentrade.model_space import fit_window
+from sentrade.reference import fit_window
 from sentrade.sessions import read_sessions_csv
 
 CALENDAR = """
@@ -101,6 +101,22 @@ def test_importing_the_cli_loads_no_scipy():
             "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert result.stdout == "[]\n"
+
+
+def test_importing_the_cli_loads_only_the_fast_path():
+    """``import sentrade`` loads no submodule, and ``import sentrade.cli`` only
+    what train and backtest run: neither scipy, zoneinfo, the reference, the
+    tick ingest nor synth."""
+    src = os.path.dirname(os.path.dirname(sentrade.__file__))
+    code = (f"import sys; sys.path.insert(0, {src!r}); "
+            "loaded = lambda: print(sorted(name for name in sys.modules "
+            "if name.split('.')[0] in ('sentrade', 'scipy', 'zoneinfo'))); "
+            "import sentrade; loaded(); import sentrade.cli; loaded()")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    fast_path = ["adaptive", "backtest", "cli", "config", "errors", "model_space", "sessions"]
+    assert result.stdout.splitlines() == [
+        str(["sentrade"]), str(["sentrade", *(f"sentrade.{name}" for name in fast_path)])
+    ]
 
 
 class TestSynthCommand:
@@ -716,8 +732,8 @@ class TestOutputChecks:
         def refuse(*args, **kwargs):
             raise AssertionError("an input was read or a series generated")
 
-        monkeypatch.setattr("sentrade.cli.generate", refuse)
-        monkeypatch.setattr("sentrade.cli.parse_ticks", refuse)
+        monkeypatch.setattr("sentrade.synth.generate", refuse)
+        monkeypatch.setattr("sentrade.ingest.parse_ticks", refuse)
         write_week_inputs(workspace)
         if blocker:
             blocker(workspace / "s_sessions.csv")

@@ -8,11 +8,12 @@ from datetime import time
 
 import pytest
 
-from sentrade.adaptive import PipelineParams, TfwEngine
+from sentrade.adaptive import PipelineParams
 from sentrade.backtest import simulate, split_point
 from sentrade.config import format_params, parse_config, parse_params_file
 from sentrade.errors import ConfigError
-from sentrade.sessions import MarketCalendar, build_sessions
+from sentrade.ingest import MarketCalendar, build_sessions
+from sentrade.reference import TfwEngine
 
 
 def same_rule_elsewhere(kwargs):

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -25,9 +29,8 @@ from sentrade.model_space import (
     _cross_products,
     _fit_cells,
     _swept_fits,
-    fit_window,
-    votes,
 )
+from sentrade.reference import fit_window, votes
 from sentrade.regression import CONDITION_LIMIT, DesignMatrix, fit_ols
 from sentrade.synth import SyntheticScenario, generate
 
@@ -664,6 +667,59 @@ def test_fallback_cells_are_exposed_and_served(monkeypatch):
     for t, w in table.fallback_cells:
         assert 26 <= t < 41 and 20 <= w < 25
         assert table(t, w) == votes(fit_window(series, t, w))
+
+
+# A fresh interpreter whose import of sentrade.reference takes 0.3 s longer builds
+# a table with one forced fallback cell, garbled as above, and reports it.
+_SLOW_REFERENCE = """\
+import json, sys, time
+sys.path.insert(0, {src!r})
+
+class SlowReference:
+    def find_spec(self, name, path=None, target=None):
+        if name == "sentrade.reference":
+            time.sleep(0.3)
+        return None
+
+sys.meta_path.insert(0, SlowReference())
+from sentrade import model_space
+from sentrade.synth import SyntheticScenario, generate
+
+fit_cells = model_space._fit_cells
+
+def first_cell_unsure(*args):
+    passed, predicted, unsure, *counts = fit_cells(*args)
+    unsure[:] = False
+    unsure[0] = passed[0] = True
+    predicted[0] = 1.0
+    return passed, predicted, unsure, *counts
+
+model_space._fit_cells = first_cell_unsure
+series = generate(SyntheticScenario("B", 60, seed=7))
+loaded = "sentrade.reference" in sys.modules
+began = time.perf_counter()
+table = model_space.FitTable(series, range(30, 40), range(20, 25))
+wall = time.perf_counter() - began
+from sentrade.reference import fit_window, votes
+
+print(json.dumps({{
+    "loaded before": loaded, "wall": wall, "build": table.build_seconds,
+    "fallback": table.fallback_cells, "served": table(30, 20),
+    "reference": votes(fit_window(series, 30, 20)),
+}}))
+"""
+
+
+def test_build_seconds_leave_out_the_reference_import():
+    """The table loads the reference for its first fallback cell outside the
+    span ``build_seconds`` times, and serves that cell the reference's counts."""
+    src = os.path.dirname(os.path.dirname(model_space.__file__))
+    result = subprocess.run([sys.executable, "-c", _SLOW_REFERENCE.format(src=src)],
+                            capture_output=True, text=True, check=True)
+    report = json.loads(result.stdout)
+    assert not report["loaded before"] and report["fallback"] == [[30, 20]]
+    assert report["wall"] >= 0.3 > report["build"]
+    assert report["served"] == report["reference"]
 
 
 def test_call_serves_vote_counts(series_b):

@@ -9,7 +9,7 @@ import pytest
 
 from conftest import design_rows, make_series
 from oracles import ols_oracle
-from sentrade import model_space
+from sentrade import reference
 from sentrade.errors import DataError
 from sentrade.model_space import (
     CANDIDATES,
@@ -18,8 +18,8 @@ from sentrade.model_space import (
     ModelClass,
     Variable,
     enumerate_candidates,
-    fit_window,
 )
+from sentrade.reference import fit_window
 from sentrade.synth import SyntheticScenario, generate
 
 
@@ -210,15 +210,15 @@ class TestFitWindow:
 
     def test_one_fit_ols_call_per_fitted_candidate(self, series_b, monkeypatch):
         """fit_window solves each candidate with w - k - 1 >= MIN_RESIDUAL_DF
-        through model_space.fit_ols once, the call a traced bench run counts."""
+        through reference.fit_ols once, the call a traced bench run counts."""
         calls = []
-        fit_ols = model_space.fit_ols
+        fit_ols = reference.fit_ols
 
         def counting(design):
             calls.append(design.X.shape[1])
             return fit_ols(design)
 
-        monkeypatch.setattr(model_space, "fit_ols", counting)
+        monkeypatch.setattr(reference, "fit_ols", counting)
         expected = {5: 3, 6: 13, 7: 23, 8: 28} | {w: len(CANDIDATES) for w in range(9, 41)}
         for w, count in expected.items():
             calls.clear()

@@ -27,6 +27,10 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import os
+import re
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stdout
 from pathlib import Path
@@ -39,7 +43,8 @@ import pytest
 from sentrade import backtest
 from sentrade.cli import main
 from sentrade.config import parse_config
-from sentrade.model_space import FitTable, fit_window
+from sentrade.model_space import FitTable
+from sentrade.reference import fit_window
 from sentrade.sessions import read_sessions_csv
 from test_cli import CALENDAR, write_week_inputs
 
@@ -152,6 +157,50 @@ def run_case(name: str, directory: Path) -> dict[str, object]:
 @pytest.mark.parametrize("name", CASES)
 def test_outputs_match_the_corpus(tmp_path, name):
     assert run_case(name, tmp_path) == json.loads(DIGESTS.read_text(encoding="utf-8"))[name]
+
+
+# The cases whose commands load synth, the tick ingest or the reference on first use.
+COLD_CASES = ("synth-B", "aggregate-week", "B1000", "B200-dump-models")
+_COLD_RUN = """\
+import json, sys
+from contextlib import redirect_stdout
+from io import StringIO
+sys.path.insert(0, {src!r})
+import sentrade.cli
+with redirect_stdout(StringIO()) as stdout:
+    code = sentrade.cli.main({argv!r})
+print(json.dumps([code, stdout.getvalue(), sorted(sys.modules)]))
+"""
+_TABLE_LOG = re.compile(r"\((\d+) of \d+ cells refitted by the reference, (\d+) rank verdicts "
+                        r"eigensolved, (\d+) cells exact-bounded\)")
+
+
+def test_on_demand_paths_match_the_corpus_from_a_cold_interpreter(tmp_path, monkeypatch):
+    """Each command of the cases that need synth, the tick ingest or the
+    reference runs in a fresh interpreter that has imported ``sentrade.cli``
+    alone, so those modules load inside the command, as they do for a user.
+    The fit table counts are read off the command's log line."""
+    src = os.path.dirname(os.path.dirname(backtest.__file__))
+    loaded: dict[str, set[str]] = {}
+
+    def cold(argv: list[str], outputs: dict[str, str]) -> dict[str, int] | None:
+        result = subprocess.run([sys.executable, "-c", _COLD_RUN.format(src=src, argv=argv)],
+                                capture_output=True, text=True, check=True)
+        code, stdout, modules = json.loads(result.stdout)
+        assert code == 0, result.stderr
+        outputs[f"{argv[0]} stdout"] = stdout
+        loaded.setdefault(argv[0], set()).update(modules)
+        table = _TABLE_LOG.search(result.stderr)
+        keys = ("refitted", "eigensolved", "exact_bounded")
+        return table and dict(zip(keys, map(int, table.groups())))
+
+    monkeypatch.setitem(globals(), "_run", cold)
+    corpus = json.loads(DIGESTS.read_text(encoding="utf-8"))
+    for name in COLD_CASES:
+        (tmp_path / name).mkdir()
+        assert run_case(name, tmp_path / name) == corpus[name], name
+    assert "sentrade.synth" in loaded["synth"] and "sentrade.ingest" in loaded["aggregate"]
+    assert "sentrade.reference" in loaded["backtest"]
 
 
 if __name__ == "__main__":

@@ -19,13 +19,10 @@ from sentrade.adaptive import PipelineParams
 from sentrade.backtest import evaluate
 from sentrade.config import parse_calendar
 from sentrade.errors import ConfigError, DataError
+from sentrade.ingest import MarketCalendar, build_sessions, parse_buckets, parse_ticks
 from sentrade.sessions import (
-    MarketCalendar,
     SessionSeries,
     _read_csv,
-    build_sessions,
-    parse_buckets,
-    parse_ticks,
     parse_utc,
     read_sessions_csv,
     write_csv,
@@ -384,7 +381,7 @@ class TestSessionPrices:
         """The day is dropped with a warning, and the two-day rule counts the
         days left after sampling."""
         ticks = ny_ticks("2012-06-18", ("09:00", 98.0)) + plain_day()
-        with caplog.at_level(logging.WARNING, logger="sentrade.sessions"):
+        with caplog.at_level(logging.WARNING, logger="sentrade.ingest"):
             series = build(ticks + plain_day("2012-06-20"))
             with pytest.raises(DataError, match="^need at least 2 trading days, got 1$"):
                 build(ticks)
@@ -403,7 +400,7 @@ class TestSessionPrices:
         ticks = (ny_ticks("2012-06-15", ("10:00", 1.0), ("15:30", 2.0))
                  + ny_ticks("2012-06-16", ("12:00", 5.0))
                  + ny_ticks("2012-06-18", ("10:00", 3.0), ("15:30", 4.0)))
-        with caplog.at_level(logging.WARNING, logger="sentrade.sessions"):
+        with caplog.at_level(logging.WARNING, logger="sentrade.ingest"):
             series = build(ticks)
         assert caplog.records == []
         assert day_dates(series) == [date(2012, 6, 15), date(2012, 6, 18)]
@@ -415,7 +412,7 @@ class TestSessionPrices:
                 "2012-06-19T14:00:00Z,102.0\n2012-06-19T19:30:00Z,101.5\n"
                 "9999-12-31T15:00:00Z,103.0\n")
         started = perf_counter()
-        with caplog.at_level(logging.WARNING, logger="sentrade.sessions"):
+        with caplog.at_level(logging.WARNING, logger="sentrade.ingest"):
             ticks, buckets = parse_ticks(io.StringIO(text)), parse_buckets(io.StringIO(BUCKET_HEADER))
             series = build_sessions(ticks, buckets, CALENDAR)
         assert perf_counter() - started < 1.0
@@ -492,7 +489,7 @@ class TestBuildSessions:
             (ny("2012-06-18", "10:00") - timedelta(hours=1), 5, 5, 5),
             (ny("2012-06-19", "15:30"), 7, 7, 7),
         ]
-        with caplog.at_level(logging.WARNING, logger="sentrade.sessions"):
+        with caplog.at_level(logging.WARNING, logger="sentrade.ingest"):
             series = build(two_day_ticks(), buckets)
         assert sum(s.pos + s.neg + s.neu for s in sessions_of(series)) == 0
         assert "2 sentiment bucket(s) outside the session range discarded" in caplog.text
@@ -613,7 +610,7 @@ class TestDaylightSaving:
     def test_day_sessions_follow_the_local_clock(self, zone, opens, ticks, days, caplog):
         calendar = MarketCalendar(zone, time.fromisoformat(opens), time(16, 0))
         rows = "timestamp,price\n" + "\n".join(ticks) + "\n"
-        with caplog.at_level(logging.WARNING, logger="sentrade.sessions"):
+        with caplog.at_level(logging.WARNING, logger="sentrade.ingest"):
             series = build_sessions(parse_ticks(io.StringIO(rows)),
                                     parse_buckets(io.StringIO(BUCKET_HEADER)), calendar)
         assert caplog.records == []
