@@ -166,13 +166,12 @@ def _outputs(inputs: dict[str, str | None], **paths: str) -> Iterator[dict[str, 
 
 
 def _table_summary(table: FitTable, replay_seconds: float) -> str:
-    """A FitTable's build time, cells, refitted cells, eigensolves and cells whose
-    exact error bounds were formed, and the replay time."""
+    """A FitTable's build time, cells, refitted cells and eigensolves, and the
+    replay time."""
     return (
         f"fit table {1e3 * table.build_seconds:.2f} ms ({len(table.fallback_cells)} of "
         f"{len(table.sessions) * len(table.windows)} cells refitted by the reference, "
-        f"{table.eigensolved} rank verdicts eigensolved, {table.exact_bounded} cells "
-        f"exact-bounded), replay {1e3 * replay_seconds:.2f} ms"
+        f"{table.eigensolved} rank verdicts eigensolved), replay {1e3 * replay_seconds:.2f} ms"
     )
 
 

@@ -350,7 +350,7 @@ class TestTrainCommand:
         # 4 sessions of windows 10-12
         assert re.search(
             r"trained on 4 scored sessions: fit table \d+\.\d\d ms \(0 of 12 cells refitted "
-            r"by the reference, 0 rank verdicts eigensolved, 0 cells exact-bounded\), "
+            r"by the reference, 0 rank verdicts eigensolved\), "
             r"replay \d+\.\d\d ms; "
             r"best train return ",
             caplog.text,
@@ -492,10 +492,9 @@ class TestBacktestCommand:
         with caplog.at_level(logging.INFO, logger="sentrade.cli"):
             assert self.run_backtest(workspace, sessions) == 0
         assert "evaluated 42 sessions: fit table" in caplog.text
-        assert ("of 126 cells refitted by the reference, 0 rank verdicts eigensolved, "
-                "0 cells exact-bounded)") in caplog.text
+        assert "of 126 cells refitted by the reference, 0 rank verdicts eigensolved)" in caplog.text
         assert re.search(r"evaluated 42 sessions: fit table \d+\.\d\d ms \(", caplog.text)
-        assert re.search(r"exact-bounded\), replay \d+\.\d\d ms\n", caplog.text)
+        assert re.search(r"eigensolved\), replay \d+\.\d\d ms\n", caplog.text)
 
     def test_unset_params_exit_one(self, workspace, capsys):
         sessions = synth_sessions(workspace)

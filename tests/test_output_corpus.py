@@ -83,8 +83,7 @@ def _run(argv: list[str], outputs: dict[str, str]) -> dict[str, int] | None:
     if not tables:
         return None
     (table,) = tables
-    return {"refitted": len(table.fallback_cells), "eigensolved": table.eigensolved,
-            "exact_bounded": table.exact_bounded}
+    return {"refitted": len(table.fallback_cells), "eigensolved": table.eigensolved}
 
 
 def _model_decisions(directory: Path) -> str:
@@ -172,7 +171,7 @@ with redirect_stdout(StringIO()) as stdout:
 print(json.dumps([code, stdout.getvalue(), sorted(sys.modules)]))
 """
 _TABLE_LOG = re.compile(r"\((\d+) of \d+ cells refitted by the reference, (\d+) rank verdicts "
-                        r"eigensolved, (\d+) cells exact-bounded\)")
+                        r"eigensolved\)")
 
 
 def test_on_demand_paths_match_the_corpus_from_a_cold_interpreter(tmp_path, monkeypatch):
@@ -191,7 +190,7 @@ def test_on_demand_paths_match_the_corpus_from_a_cold_interpreter(tmp_path, monk
         outputs[f"{argv[0]} stdout"] = stdout
         loaded.setdefault(argv[0], set()).update(modules)
         table = _TABLE_LOG.search(result.stderr)
-        keys = ("refitted", "eigensolved", "exact_bounded")
+        keys = ("refitted", "eigensolved")
         return table and dict(zip(keys, map(int, table.groups())))
 
     monkeypatch.setitem(globals(), "_run", cold)
