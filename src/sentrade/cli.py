@@ -154,8 +154,9 @@ def _outputs(inputs: dict[str, str | None], **paths: str) -> Iterator[dict[str, 
             except OSError as exc:
                 raise OSError(f"cannot write {what}: {path}: {exc.strerror or exc}") from None
         yield partial
-        for what, handle in partial.items():
+        for handle in partial.values():  # all closed first: a full disk fails the flush
             handle.close()
+        for what, handle in partial.items():
             os.replace(handle.name, targets[what])
     except BaseException:
         for handle in partial.values():

@@ -190,8 +190,8 @@ class FitTable:
     statistic near the threshold, a prediction near zero, or a near-exact fit.
     ``fallback_cells`` lists those cells, ``eigensolved`` counts the rank
     verdicts that took an eigensolve, and ``build_seconds`` is the wall time
-    of the whole build but for its imports: ``scipy.special``, and the
-    reference where a cell falls back.
+    of the whole build but for ``_t_levels``, whose first call imports
+    ``scipy.special``, and the reference's import where a cell falls back.
     """
 
     def __init__(
@@ -209,7 +209,7 @@ class FitTable:
         if sessions:
             _check_window(len(series), sessions[0], windows[-1])
             _check_window(len(series), sessions[-1], windows[-1])
-        import scipy.special  # noqa: F401  _fit_cells' import, kept out of build_seconds
+        t_levels = _t_levels(p_threshold, windows[-1])  # its scipy import stays out of the timing
         began = time.perf_counter()
         self.sessions = sessions
         self.windows = windows
@@ -224,7 +224,7 @@ class FitTable:
         for first in range(0, cells, chunk):
             i, j = divmod(np.arange(first, min(first + chunk, cells)), len(windows))
             passed, predicted, unsure[first : first + chunk], eigensolved = _fit_cells(
-                L, r, sessions.start - span.start + i, windows.start + j, p_threshold
+                L, r, sessions.start - span.start + i, windows.start + j, t_levels
             )
             self.eigensolved += eigensolved
             tallies = np.stack([passed, passed & (predicted > 0), passed & (predicted < 0)], -1)
@@ -285,24 +285,26 @@ def _sub_grams(gram: np.ndarray, cells: np.ndarray, columns: np.ndarray) -> np.n
     return gram.reshape(-1)[flat]
 
 
+def _t_levels(p_threshold: float, longest: int) -> np.ndarray:
+    """By df from 1 to ``longest``, the |t| beyond which a p-value is below the
+    threshold, and the |t| span of p-values within P_BAND of it (to inf below P_BAND)."""
+    from scipy.special import stdtrit  # here, so that commands which fit nothing skip scipy
+
+    levels = np.array([p_threshold, p_threshold + P_BAND, max(0.0, p_threshold - P_BAND)])
+    return stdtrit(np.arange(1, longest + 1)[:, None], 1.0 - levels / 2.0)
+
+
 def _fit_cells(
-    L: np.ndarray, r: np.ndarray, t_cell: np.ndarray, w_cell: np.ndarray, p_threshold: float
+    L: np.ndarray, r: np.ndarray, t_cell: np.ndarray, w_cell: np.ndarray, t_levels: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Fit all candidates on every (session t_cell[i], window w_cell[i]) cell
     from its sweep tree, sessions counted from the first of ``L``'s design
     rows and of the returns ``r``: the (cells, candidates) filter verdicts
-    (each |t| above its df's critical value) and predictions, NaN where not
-    rank-ok, the mask of cells to recompute (see FitTable), and the number of
-    rank verdicts that took an eigensolve."""
-    from scipy.special import stdtrit  # here, so that commands which fit nothing skip scipy
-
+    (each |t| above its df's critical value in ``t_levels``, from ``_t_levels``)
+    and predictions, NaN where not rank-ok, the mask of cells to recompute (see
+    FitTable), and the number of rank verdicts that took an eigensolve."""
     cross, x_next = _cross_products(L, r, t_cell, w_cell)
-    # |t| beyond which a coefficient's p-value is below the threshold, and the
-    # |t| span of p-values within P_BAND of it (to inf below P_BAND), by df.
-    levels = np.array([p_threshold, p_threshold + P_BAND, max(0.0, p_threshold - P_BAND)])
-    all_df = np.arange(1, int(w_cell.max()) + 1)[:, None]
-    t_critical, t_low, t_high = stdtrit(all_df, 1.0 - levels / 2.0).T
-
+    t_critical, t_low, t_high = t_levels.T
     shape = (len(w_cell), len(CANDIDATES))
     passed, predicted_next = np.zeros(shape, bool), np.full(shape, np.nan)
     unsure, eigensolved = np.zeros(len(w_cell), dtype=bool), 0
@@ -360,16 +362,16 @@ def _swept_fits(
     zero diagonal), down the subset tree a level at a time.  A node swept on K
     holds -S_KK^-1, the coefficients in its last column and rss~ (y'y = 1) in
     its corner, and carries the least pivot on its path.  A fitted member is
-    rank-ok or rank-deficient where its bounds on cond^2 from ``_rank_bounds``
-    clear CONDITION_LIMIT by 4 ``_condition_band``, and is eigensolved
-    otherwise.  A node with a subset deficient or not fitted in every cell is
-    not swept, and neither is a member whose path floor, read off its parent,
-    already settles it so by ``_pivot_bound``.  Each member's |t| and
-    prediction error bounds are ``_t_bounds`` of tau = tr S^-1 and the
-    node's diagonal.  Yields each level's swept members, their verdicts
-    (rank-ok and eigensolved, (members, cells), the cells eigensolved within
-    their band, and the bounds), and their |t| (members, variables, cells),
-    prediction, sum of its terms' magnitudes, rss~ and error bounds."""
+    rank-deficient where ``_pivot_bound`` of that path floor, read off its
+    parent before the sweep, lies above CONDITION_LIMIT by 4 ``_condition_band``,
+    rank-ok where ``_trace_bound`` lies as far below it, and eigensolved
+    otherwise; where it is deficient or not fitted in every cell, neither its
+    node nor any node containing it is swept.  Each member's |t| and prediction
+    error bounds are ``_t_bounds`` of tau = tr S^-1 and the node's diagonal.
+    Yields each level's swept members, their verdicts (rank-ok and
+    eigensolved, (members, cells), the cells eigensolved within their band,
+    and the pivot and trace bounds), and their |t| (members, variables,
+    cells), prediction, sum of its terms' magnitudes, rss~ and error bounds."""
     diagonal = np.diagonal(cross, axis1=1, axis2=2).T
     d = 1.0 / np.sqrt(np.where(diagonal > 0.0, diagonal, 1.0))
     level = (np.ascontiguousarray(cross.transpose(1, 2, 0)) * d[:, None] * d[None, :])[None]
@@ -381,16 +383,18 @@ def _swept_fits(
             return
         margin = 4.0 * _condition_band(w, m)
         margin[margin > 0.4] = np.inf  # _condition_band's argument needs b <= 0.1
-        deficient_above = CONDITION_LIMIT * (1.0 + margin)
         swept = ((masks[:, None] & dead) != dead).all(axis=1)
         # A member's path floor is its parent's and its own pivot, both in the parent's
-        # matrix; where that settles it deficient in every fitted cell, it is not swept.
+        # matrix.  Where it settles the member, dead keeps the member's node and every node
+        # containing it unswept, so a node is swept only if its parent was.
         own = np.flatnonzero(swept[: len(members)])
         parent, k = where[parents[own]], nodes[own, -1]
-        pivot = _pivot_bound(np.fmin(floor[parent], level[parent, k, k]), w, m)
-        settled = ((pivot > deficient_above) | ~fitted).all(axis=1)
+        lower = _pivot_bound(np.fmin(floor[parent], level[parent, k, k]), w, m)
+        deficient = lower > CONDITION_LIMIT * (1.0 + margin)
+        settled = (deficient | ~fitted).all(axis=1)
         swept[own[settled]] = False
         dead = np.append(dead, masks[own[settled]])
+        lower, deficient = lower[~settled], deficient[~settled]
         above = where[parents[swept]]
         level, floor = level[above], floor[above]
         # The symmetric SWEEP on k (Goodnight 1979): with h = a_kk and v the row
@@ -408,17 +412,16 @@ def _swept_fits(
         K, node = nodes[: len(members)][live], where[: len(members)][live, None]
         beta, rss = level[node, K, -1], level[node[:, 0], -1, -1]
         inverse = -level[node, K, K]
-        scales, path_floor = d[K], floor[node[:, 0]]
+        scales = d[K]
         x = x_next.T[K] * scales / d[-1]
         with np.errstate(all="ignore"):
             tau = inverse.sum(axis=1)
-            lower, upper = _rank_bounds(tau, inverse, w, scales, path_floor)
+            upper = _trace_bound(tau, inverse, w, scales, floor[node[:, 0]])
             se = np.sqrt(rss[:, None] * inverse / (w - m))
             t_abs, terms = np.abs(beta[:, 1:]) / se[:, 1:], x * beta
             fit = t_abs, terms.sum(axis=1), np.abs(terms).sum(axis=1), rss
             bounds = _t_bounds(tau, inverse, beta, se, t_abs, x, rss, w, scales)
         rank_ok = fitted & (upper < CONDITION_LIMIT * (1.0 - margin))
-        deficient = lower > deficient_above
         solved, near_limit = fitted & ~rank_ok & ~deficient, np.zeros(len(w), dtype=bool)
         if solved.any():
             c, cells = np.nonzero(solved)
@@ -429,7 +432,6 @@ def _swept_fits(
             band = _condition_band(w[cells], m) * CONDITION_LIMIT
             near_limit[cells[np.abs(cond2 - CONDITION_LIMIT) <= band]] = True
             rank_ok[c, cells] = cond2 <= CONDITION_LIMIT
-        dead = np.append(dead, masks[: len(members)][live][(deficient | ~fitted).all(axis=1)])
         yield members[live], (rank_ok, solved, near_limit, lower, upper), (*fit, *bounds)
 
 
@@ -487,17 +489,16 @@ def _swept_fits(
 #   <= lambda_min(S_PP) <= max(h, 0) + m delta <= f+ + m delta.  The intercept's unit
 #   diagonal makes lambda_max(S_KK) >= 1, and cond(S_KK) <= m cond(G_K) (van der Sluis;
 #   Higham, Accuracy and Stability, Thm 7.5), so cond(G_K) >= 1 / (m (max(f, 0) + 2 m delta)).
-# - The trace sandwich.  With G_ii = d_i^-2 and G^-1_ii = d_i^2 S^-1_ii, and the largest
-#   eigenvalue of a positive definite matrix between its largest diagonal entry and its
-#   trace, max G_ii max G^-1_ii <= cond(G_K) <= tr G_K tr G_K^-1, at most m^2 apart.
-#   With f > 0 the sweep's diagonal entries are sums of terms of one sign, off by at most
-#   m delta ||S^-1 e_i||^2 <= m delta tau S^-1_ii (as above), a relative eta =
-#   m tau delta / (1 - m tau delta) of the computed value with the inverse's own
-#   perturbation; d_i^-2 is off by less ((w + 4) eps, as tau >= m).  So the bounds widen
-#   by (1 - eta)^2 >= 1 - 2 eta and (1 + eta)^2; where f <= 0 or m tau delta >= 1, void.
-# Write b = _condition_band(w, m).  By _condition_band's argument, an upper bound below
+# - The trace bound.  With G_ii = d_i^-2 and G^-1_ii = d_i^2 S^-1_ii, and the largest
+#   eigenvalue of a positive definite matrix at most its trace,
+#   cond(G_K) <= tr G_K tr G_K^-1.  With f > 0 the sweep's diagonal entries are sums of
+#   terms of one sign, off by at most m delta ||S^-1 e_i||^2 <= m delta tau S^-1_ii (as
+#   above), a relative eta = m tau delta / (1 - m tau delta) of the computed value with
+#   the inverse's own perturbation; d_i^-2 is off by less ((w + 4) eps, as tau >= m).
+#   So the bound widens by (1 + eta)^2; where f <= 0 or m tau delta >= 1, it is void.
+# Write b = _condition_band(w, m).  By _condition_band's argument, a trace bound below
 # L (1 - 4b) means the candidate's own eigensolve would find its cond^2 below L (1 - 3b):
-# rank-ok, outside its band.  A lower bound above L (1 + 4b) means above L (1 + 3b) or
+# rank-ok, outside its band.  A pivot bound above L (1 + 4b) means above L (1 + 3b) or
 # singular: rank-deficient outside its band, as is every candidate containing it (Cauchy
 # interlacing on G).  The steps need b <= 0.1, so windows up to 3,700 rows at m = 6; the
 # scales' own rounding moves the bounds by factors 1 + O(w eps).
@@ -528,18 +529,13 @@ def _t_bounds(
     return t_error, tau * np.linalg.norm(x, axis=1) * R + jordan
 
 
-def _rank_bounds(
+def _trace_bound(
     tau: np.ndarray, diagonal: np.ndarray, w: np.ndarray, scales: np.ndarray, floor: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The lower and upper bounds argued above on cond^2, from tr S^-1 as
-    ``tau``, S^-1's diagonal as ``diagonal`` and the least pivot on the path
-    as ``floor``."""
+) -> np.ndarray:
+    """The upper bound argued above on cond^2, from tr S^-1 as ``tau``, S^-1's
+    diagonal as ``diagonal`` and the least pivot on the path as ``floor``."""
     m = diagonal.shape[1]
     table_growth = np.where(floor > 0.0, m * tau * ((w + 3 + 16 * m) * _EPS), np.inf)
-    trusted, eta = table_growth < 1.0, table_growth / (1.0 - table_growth)
-    gram, gram_inverse = scales**-2.0, diagonal * scales**2
-    pivot = _pivot_bound(floor, w, m)
-    sandwich = gram.max(axis=1) * gram_inverse.max(axis=1) * (1.0 - 2.0 * eta)
-    upper = gram.sum(axis=1) * gram_inverse.sum(axis=1) * (1.0 + eta) ** 2
-    lower = np.where(trusted, np.maximum(pivot, sandwich), pivot)
-    return lower, np.where(trusted, upper, np.inf)
+    eta = table_growth / (1.0 - table_growth)
+    upper = (scales**-2.0).sum(axis=1) * (diagonal * scales**2).sum(axis=1) * (1.0 + eta) ** 2
+    return np.where(table_growth < 1.0, upper, np.inf)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import logging
 import os
 import re
@@ -15,7 +16,7 @@ from datetime import datetime, timedelta, timezone
 import pytest
 
 import sentrade
-from sentrade.cli import main
+from sentrade.cli import _outputs, main
 from sentrade.reference import fit_window
 from sentrade.sessions import read_sessions_csv
 
@@ -766,6 +767,27 @@ class TestOutputChecks:
         assert capsys.readouterr().err == "error: disk full\n"
         assert written and written[0].endswith(".partial")
         assert {path: path.read_bytes() for path in workspace.iterdir()} == before
+
+    def test_failed_close_keeps_every_earlier_output(self, tmp_path):
+        """A full disk fails the flush in the second output's close.  No output
+        is moved into place before every one is closed, so both targets keep
+        their earlier text and no partial file is left."""
+        targets = {what: tmp_path / f"{what}.csv" for what in ("a", "b")}
+        for path in targets.values():
+            path.write_text("earlier\n", encoding="utf-8")
+        with pytest.raises(OSError, match="No space left"):
+            with _outputs({}, **{what: str(path) for what, path in targets.items()}) as out:
+                for handle in out.values():
+                    handle.write("new\n")
+                close = out["b"].close
+
+                def full_disk():
+                    out["b"].close = close  # the cleanup's own close then releases the file
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+                out["b"].close = full_disk
+        assert [path.read_text(encoding="utf-8") for path in targets.values()] == ["earlier\n"] * 2
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["a.csv", "b.csv"]
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     @pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT], ids=["TERM", "INT"])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -29,6 +30,7 @@ from sentrade.model_space import (
     _cross_products,
     _fit_cells,
     _swept_fits,
+    _t_levels,
 )
 from sentrade.reference import fit_window, votes
 from sentrade.regression import CONDITION_LIMIT, DesignMatrix, fit_ols
@@ -49,9 +51,9 @@ def chunks(sessions, windows):
 def block_outputs(series, sessions, windows, p_threshold, normalize):
     """_fit_cells's passed, predicted_next and unsure arrays over the span,
     computed in the same chunks as FitTable and shaped (sessions, windows, ...)."""
-    L = design_rows(series, normalize)
+    L, t_levels = design_rows(series, normalize), _t_levels(p_threshold, windows[-1])
     parts = zip(*(
-        _fit_cells(L, series.returns, t_cell, w_cell, p_threshold)[:3]
+        _fit_cells(L, series.returns, t_cell, w_cell, t_levels)[:3]
         for t_cell, w_cell in chunks(sessions, windows)
     ))
     return tuple(
@@ -116,7 +118,7 @@ def test_block_size_follows_window_span(monkeypatch):
     at least one and at most _BLOCK_CELLS, and the rest of the span last."""
     sizes = []
 
-    def recording(L, r, t_cell, w_cell, p_threshold):
+    def recording(L, r, t_cell, w_cell, t_levels):
         sizes.append(len(t_cell))
         none = np.zeros((len(t_cell), len(CANDIDATES)), dtype=bool)
         return none, np.full(none.shape, np.nan), np.zeros(len(t_cell), dtype=bool), 0
@@ -301,7 +303,7 @@ def count_eigensolves(monkeypatch) -> list[int]:
     ids=["B200", "flat-counts", "partly-flat-pos", "shares"],
 )
 def test_settled_verdicts_take_no_eigensolve(series, sessions, windows, normalize, monkeypatch):
-    """Full-rank candidates clear the limit by their trace sandwich, and flat
+    """Full-rank candidates clear the limit by their trace bound, and flat
     counts and the share triple leave a pivot floor at rounding level, so no
     rank verdict takes an eigensolve.  Where pos is flat in some windows only,
     its supersets are swept, and the floor, the least pivot on a node's path,
@@ -333,8 +335,10 @@ def swept_verdicts(series, sessions, windows, normalize):
 def test_only_candidates_near_the_limit_take_an_eigensolve():
     """On the near-collinear raw series, the candidates whose verdict takes an
     eigensolve are those the bounds cannot place: their cond^2 lies within a
-    factor m^2 of CONDITION_LIMIT, the trace sandwich's own spread, for m
-    columns."""
+    factor m^2 of CONDITION_LIMIT, for m columns.  The trace bound, at most m^2
+    times cond^2, keeps them above CONDITION_LIMIT / m^2; that they lie below
+    CONDITION_LIMIT * m^2 holds on this series by observation, as the pivot
+    bound has no such spread."""
     series = near_collinear_series(400)
     sessions = range(WINDOWS[-1] + 2, len(series) + 1)
     _, solved, _, _, cond2, m = swept_verdicts(series, sessions, WINDOWS, False)
@@ -367,13 +371,11 @@ def test_rank_bounds_hold(series, sessions, windows, normalize):
 
 
 def test_rank_bounds_follow_their_derivation():
-    """On hand-built inputs whose eta is at least 1e-2, the lower and upper
-    bounds on cond^2 from ``_rank_bounds`` equal the expressions derived above it:
-    the pivot bound 1 / (m (max(f, 0) + 2 m delta)), the sandwich widened by
-    (1 - 2 eta) and (1 + eta)^2, and the pivot bound alone, with no upper
-    bound, where f <= 0 or m tau delta >= 1.  The cells are one where the
-    pivot bound is the lower bound (f near zero), one where the sandwich is,
-    and one of each untrusted kind."""
+    """On hand-built inputs whose eta is at least 1e-2, the bounds on cond^2
+    equal the expressions derived above them: ``_pivot_bound``'s
+    1 / (m (max(f, 0) + 2 m delta)), and ``_trace_bound``'s traces' product
+    widened by (1 + eta)^2, or no upper bound where f <= 0 or m tau delta >= 1.
+    The cells are two trusted ones and one of each untrusted kind."""
     m, w, eps = 3, 40, np.finfo(float).eps
     delta = (w + 3 + 16 * m) * eps
     tau = 0.02 / (m * delta)  # m tau delta = 0.02, so eta is about 0.0204
@@ -383,7 +385,7 @@ def test_rank_bounds_follow_their_derivation():
         (-1e-13, [1.0, 1.0, 1e6], [1.0, 0.5, 2.0]),
         (1e-12, [1.0, 1.0, 75.0 * tau], [1.0, 0.5, 2.0]),  # m tau delta = 1.5
     ]
-    expected, pivot_wins = [], []
+    expected = []
     for floor, diagonal, scales in cells:
         growth = m * sum(diagonal) * delta
         pivot = 1.0 / (m * (max(floor, 0.0) + 2 * m * delta))
@@ -392,19 +394,17 @@ def test_rank_bounds_follow_their_derivation():
             assert eta >= 1e-2
             gram = [s**-2 for s in scales]
             inverse = [g * s**2 for g, s in zip(diagonal, scales)]
-            sandwich = max(gram) * max(inverse) * (1.0 - 2.0 * eta)
-            expected.append((max(pivot, sandwich), sum(gram) * sum(inverse) * (1.0 + eta) ** 2))
-            pivot_wins.append(pivot > sandwich)
+            expected.append((pivot, sum(gram) * sum(inverse) * (1.0 + eta) ** 2))
         else:
             expected.append((pivot, math.inf))
-    assert pivot_wins == [True, False]
 
     def stacked(values):  # (members = 1, ..., cells)
         return np.moveaxis(np.asarray(values, dtype=float), 0, -1)[None]
 
     floor, diagonal, scales = (stacked(part) for part in zip(*cells))
+    lower = model_space._pivot_bound(floor, np.full(len(cells), w), m)
     with np.errstate(all="ignore"):
-        lower, upper = model_space._rank_bounds(
+        upper = model_space._trace_bound(
             diagonal.sum(axis=1), diagonal, np.full(len(cells), w), scales, floor
         )
     np.testing.assert_allclose(lower[0], [low for low, _ in expected], rtol=1e-13)
@@ -582,6 +582,33 @@ def test_p_values_planted_at_the_threshold_fall_back(p_threshold):
                 assert table.fallback_cells == (), (j, side)
 
 
+def test_prediction_planted_at_zero_falls_back(series_b, monkeypatch):
+    """A constructive boundary generator: the counts of session n-1 enter
+    only the out-of-sample row t = n, not any window, so setting neg there to
+    N = 1e6 and pos to round(-(b0 + b_N N) / b_P), from fit_window's own
+    {P1, N1} fit, leaves that fit alone and puts its prediction at (n, 30)
+    within 1e-7 of zero relative to its terms' magnitudes.  The cell falls
+    back and serves fit_window's votes; with SIGN_BAND at 0 it does not, as
+    the prediction's error bound alone leaves it settled."""
+    n, w, neg = len(series_b), 30, 10**6
+    c = CANDIDATES.index(model_space.Candidate((Variable.P1, Variable.N1)))
+    fit = fit_window(series_b, n, w)[c].fit
+    b0, (b_pos, b_neg) = fit.intercept, fit.coefficients
+    pos = round(-(b0 + b_neg * neg) / b_pos)
+    counts = series_b.counts.copy()
+    counts[n - 1, :2] = pos, neg
+    series = dataclasses.replace(series_b, counts=counts)
+    models = fit_window(series, n, w)
+    assert (models[c].fit.coefficients == fit.coefficients).all()
+    magnitude = abs(b0) + abs(b_pos * pos) + abs(b_neg * neg)
+    assert 0 < abs(models[c].predicted_next) < 1e-7 * magnitude
+    table = FitTable(series, range(n, n + 1), range(w, w + 1))
+    assert table.fallback_cells == ((n, w),)
+    assert table(n, w) == votes(models)
+    monkeypatch.setattr(model_space, "SIGN_BAND", 0.0)
+    assert FitTable(series, range(n, n + 1), range(w, w + 1)).fallback_cells == ()
+
+
 def test_exact_rank_deficient_fit_below_p_band_warns_nothing():
     """With a threshold below P_BAND (an infinite |t| band), a rank-deficient
     member whose rss~ rounds to 0 gets a t error bound of -inf; the build
@@ -606,7 +633,7 @@ def test_cells_are_fitted_without_p_values(series_b, monkeypatch):
         raise AssertionError("the table computed a p-value")
 
     monkeypatch.setattr("sentrade.regression.two_sided_t_pvalue", refuse)
-    monkeypatch.setattr("sentrade.model_space.two_sided_t_pvalue", refuse, raising=False)
+    monkeypatch.setattr("scipy.special.betainc", refuse)
     passed, predicted, _ = block_outputs(series_b, range(42, 200), WINDOWS, 0.10, False)
     assert passed.any() and np.isfinite(predicted[passed]).all()
 

@@ -13,10 +13,10 @@ stdout against ``output_corpus.json``:
   refitted cell).
 
 Each ``train`` and ``backtest`` case also pins its fit table's counts of
-refitted cells, eigensolved rank verdicts and cells whose exact error
-bounds were formed.  ``models.csv`` holds SVD floats whose last bits
-follow the LAPACK build, so only its decision columns are pinned by
-digest, and its floats are checked against ``fit_window`` on a sample.
+refitted cells and eigensolved rank verdicts.  ``models.csv`` holds SVD
+floats whose last bits follow the LAPACK build, so only its decision
+columns are pinned by digest, and its floats are checked against
+``fit_window`` on a sample.
 
 A change that moves a digest names the case, the file and the cause.
 ``PYTHONPATH=src python tests/test_output_corpus.py`` rewrites the digest file.
